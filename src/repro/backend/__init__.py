@@ -19,10 +19,12 @@ or, end to end, through the execution context:
 Backends: ``numpy`` (reference, always available), ``torch`` and
 ``cupy`` (optional, discovered lazily — selecting one that is not
 installed raises a named :class:`~repro.errors.BackendError`, never an
-``ImportError``). The default policy (numpy / float64 / eig) reproduces
-the historical arithmetic bit-for-bit; the float32 and Chebyshev fast
-paths trade documented tolerance tiers (README "Backends & precision")
-for throughput.
+``ImportError``). The default policy (numpy / float64 / eig) is the
+exact reference: mixed states are solved on their exact support
+(:mod:`repro.backend.support`, ≤1e-12 from the dense solve) and every
+engine and tiling agrees bitwise; the float32 and Chebyshev fast paths
+trade documented tolerance tiers (README "Backends & precision") for
+throughput.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 """The NumPy reference backend — always available, bit-stable at float64.
 
-At ``precision="float64"`` with the ``eig`` entropy path, every method
-reproduces the historical hot-path arithmetic operation for operation
-(same symmetrisation, same ``eigvalsh``, same ``safe_xlogx`` reduction),
-which is what keeps the engine-equivalence suite at 1e-10 across
-serial/batched/process under the default policy.
+At ``precision="float64"`` with the ``eig`` entropy path, every method is
+the historical hot-path arithmetic (same symmetrisation, same
+``eigvalsh``, same ``safe_xlogx`` reduction). The policy may hand it
+support-compressed principal submatrices instead of full-edge stacks
+(:mod:`repro.backend.support`); those agree with the dense solve to
+≤1e-12, and because each matrix is solved on its own, batched, process
+and tiled Grams stay bitwise equal to each other under the default
+policy.
 """
 
 from __future__ import annotations

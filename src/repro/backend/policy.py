@@ -15,9 +15,13 @@ three compute knobs:
   via :meth:`~repro.backend.base.ArrayBackend.prefers_eig_free`, gated by
   ``approx_min_dim`` — small matrices stay exact).
 
-The **default policy is the reference**: ``numpy``/``float64``/``eig``
-executes operation-for-operation the historical hot path, so results are
-bitwise identical to a build without the backend subsystem.
+The **default policy is the reference**: ``numpy``/``float64``/``eig``.
+Mixed states whose exact support is far smaller than their edge (see
+:mod:`repro.backend.support`) are solved on that support and agree with
+the dense solve to ~1e-14; all other mixed states run the historical
+dense arithmetic bit for bit. A pair's solve depends only on its own two
+matrices, so batched, process, tiled and distributed Grams agree with
+each other bitwise.
 
 Kernels read the ambient policy through :func:`active_policy`; engines
 install their context's policy around the tile stream with
@@ -45,6 +49,13 @@ from repro.backend.base import (
     resolve_backend,
 )
 from repro.backend.chebyshev import chebyshev_entropies
+from repro.backend.support import (
+    SUPPORT_MIN_DIM,
+    gather_offsets,
+    support_buckets,
+    support_masks,
+    take_principal,
+)
 from repro.errors import BackendError
 
 #: Environment variable selecting the process-wide device precision.
@@ -60,9 +71,11 @@ ENTROPY_PATHS = ("eig", "chebyshev", "auto")
 #: roughly 1.5-2x faster than the float64 eigensolver in float32 on CPU.
 DEFAULT_CHEBYSHEV_DEGREE = 16
 
-#: Default element budget for gathered mixed-state chunks (matches the
-#: kernels' MIXED_CHUNK_ELEMENTS so chunk boundaries — and therefore
-#: float64-path bit patterns — are unchanged).
+#: Memory budget (float64 elements, ~64 MB) for one batched intermediate:
+#: every chunked gather / ``eigvalsh`` / broadcast loop in the backend and
+#: the kernels sizes its stacks by it. Only memory depends on it — each
+#: matrix is solved on its own, so moving a chunk boundary changes no
+#: value.
 DEFAULT_CHUNK_ELEMENTS = 1 << 23
 
 _STATE = threading.local()
@@ -194,37 +207,63 @@ class ComputePolicy:
     ) -> np.ndarray:
         """Entropies of the mixed states ``(a[idx_a] + b[idx_b]) / 2``.
 
-        The tile workhorse: each host stack crosses to the device once,
-        then every chunk gathers, mixes and reduces entirely in device
-        arrays — fancy indexing at float32 moves half the bytes the
-        float64 path does. Chunking (same element budget as the kernels'
-        historical loops, so float64 bit patterns are unchanged) bounds
-        the gathered intermediate regardless of pair count.
+        The tile workhorse. Each pair is solved on the union of its two
+        exact supports, rounded up to a bucket (see
+        :mod:`repro.backend.support`): its principal submatrices are
+        gathered on the host, cross to the device at the policy's
+        precision and mix there, and the entropy path (``uses_approx``)
+        is chosen on the bucket's edge. Pairs in the dense bucket take the
+        full-edge route: each host stack crosses to the device once and
+        every chunk gathers, mixes and reduces in device arrays. Chunking
+        by ``chunk_elements`` bounds every gathered intermediate
+        regardless of pair count.
         """
         backend = self.array_backend
-        size = int(stack_a.shape[-1])
-        with _phase("assembly"):
-            device_a = backend.asarray(stack_a, self.precision)
-            device_b = (
-                device_a
-                if stack_b is stack_a
-                else backend.asarray(stack_b, self.precision)
-            )
+        m = int(stack_a.shape[-1])
         idx_a = np.asarray(idx_a)
         idx_b = np.asarray(idx_b)
-        n_pairs = idx_a.size
-        out = np.empty(n_pairs)
-        chunk = max(1, chunk_elements // max(1, size * size))
-        for start in range(0, n_pairs, chunk):
-            stop = min(start + chunk, n_pairs)
+        out = np.empty(idx_a.size)
+        if m >= SUPPORT_MIN_DIM:
             with _phase("assembly"):
-                mixed = backend.mix(
-                    backend.take(device_a, idx_a[start:stop]),
-                    backend.take(device_b, idx_b[start:stop]),
+                support_a = support_masks(stack_a)
+                support_b = (
+                    support_a if stack_b is stack_a else support_masks(stack_b)
                 )
-                if symmetrize:
-                    mixed = backend.symmetrize(mixed)
-            out[start:stop] = self._device_entropies(backend, mixed)
+                buckets = list(support_buckets(support_a[idx_a] | support_b[idx_b]))
+        else:
+            buckets = [(m, np.arange(idx_a.size), None)]
+        if any(gather is None for _, _, gather in buckets):
+            with _phase("assembly"):
+                device_a = backend.asarray(stack_a, self.precision)
+                device_b = (
+                    device_a
+                    if stack_b is stack_a
+                    else backend.asarray(stack_b, self.precision)
+                )
+        for size, positions, gather in buckets:
+            rows_a = idx_a[positions]
+            rows_b = idx_b[positions]
+            chunk = max(1, chunk_elements // max(1, size * size))
+            for start in range(0, positions.size, chunk):
+                stop = min(start + chunk, positions.size)
+                with _phase("assembly"):
+                    if gather is None:
+                        part_a = backend.take(device_a, rows_a[start:stop])
+                        part_b = backend.take(device_b, rows_b[start:stop])
+                    else:
+                        offsets = gather_offsets(gather[start:stop], m)
+                        part_a = backend.asarray(
+                            take_principal(stack_a, rows_a[start:stop], offsets),
+                            self.precision,
+                        )
+                        part_b = backend.asarray(
+                            take_principal(stack_b, rows_b[start:stop], offsets),
+                            self.precision,
+                        )
+                    mixed = backend.mix(part_a, part_b)
+                    if symmetrize:
+                        mixed = backend.symmetrize(mixed)
+                out[positions[start:stop]] = self._device_entropies(backend, mixed)
         return out
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -473,12 +473,6 @@ class FeatureMapKernel(GraphKernel):
         return old_features @ new_features.T, new_features @ new_features.T
 
 
-#: Memory budget (float64 elements, ~64 MB) for one batched intermediate in
-#: the vectorized kernels' pair chunking — shared so every kernel's chunked
-#: ``eigvalsh``/broadcast loop sizes its stacks the same way.
-MIXED_CHUNK_ELEMENTS = 1 << 23
-
-
 class PairwiseKernel(GraphKernel):
     """Kernels defined by a pairwise similarity over prepared states.
 

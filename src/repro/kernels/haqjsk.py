@@ -36,6 +36,8 @@ import numpy as np
 
 from repro.alignment.correspondence import correspondence_matrices
 from repro.backend import active_policy
+from repro.backend.policy import DEFAULT_CHUNK_ELEMENTS
+from repro.backend.support import support_entropies
 from repro.alignment.depth_based import DBRepresentationExtractor
 from repro.alignment.prototypes import PrototypeHierarchy, fit_prototype_hierarchy
 from repro.alignment.transform import (
@@ -46,7 +48,7 @@ from repro.alignment.transform import (
 from repro.errors import KernelError
 from repro.graphs.graph import Graph
 from repro.graphs.hashing import collection_digest
-from repro.kernels.base import MIXED_CHUNK_ELEMENTS, KernelTraits, PairwiseKernel
+from repro.kernels.base import KernelTraits, PairwiseKernel
 from repro.kernels.registry import register_kernel, scaled
 from repro.quantum.density import ctqw_density_matrix, graph_density_matrix
 from repro.quantum.divergence import QJSD_MAX
@@ -391,12 +393,15 @@ def _entropy_fast(matrix: np.ndarray) -> float:
 
 
 def _entropies_fast(stack: np.ndarray) -> np.ndarray:
-    """Batched :func:`_entropy_fast` over a ``(..., m, m)`` stack.
+    """Batched :func:`_entropy_fast` over an ``(n, m, m)`` stack.
 
     The deepest hierarchy levels shrink to 1x1 and 2x2 matrices, where a
     LAPACK call per matrix is all dispatch overhead — those spectra have
     exact closed forms (for 2x2: ``mid +- sqrt(((a-c)/2)^2 + b^2)``),
-    which agree with the solver to machine epsilon.
+    which agree with the solver to machine epsilon. Larger matrices are
+    solved on their exact support — the prototypes the graph's vertices
+    map to — the same gather the mixed states use
+    (:mod:`repro.backend.support`).
     """
     m = stack.shape[-1]
     if m == 1:
@@ -409,7 +414,7 @@ def _entropies_fast(stack: np.ndarray) -> np.ndarray:
         radius = np.sqrt(((a - c) / 2.0) ** 2 + b * b)
         values = np.stack([mid - radius, mid + radius], axis=-1)
     else:
-        values = np.linalg.eigvalsh(stack)
+        return support_entropies(stack)
     # safe_xlogx clips to [0, inf) itself, matching _entropy_fast exactly.
     return -safe_xlogx(values).sum(axis=-1)
 
@@ -566,12 +571,7 @@ class _HAQJSKBase(PairwiseKernel):
                 # policy path skips the symmetrise pass (same contract as
                 # the historical _entropies_fast eigvalsh call).
                 mixed_entropies = policy.mixed_entropies(
-                    stack_a,
-                    stack_b,
-                    idx_a,
-                    idx_b,
-                    symmetrize=False,
-                    chunk_elements=MIXED_CHUNK_ELEMENTS,
+                    stack_a, stack_b, idx_a, idx_b, symmetrize=False
                 )
                 divergence = (
                     mixed_entropies
@@ -583,7 +583,7 @@ class _HAQJSKBase(PairwiseKernel):
                 continue
             # 1x1/2x2 spectra are closed-form on the host — cheaper than
             # any device round-trip and exact to machine epsilon.
-            chunk = max(1, MIXED_CHUNK_ELEMENTS // max(1, m * m))
+            chunk = max(1, DEFAULT_CHUNK_ELEMENTS // max(1, m * m))
             for start in range(0, n_pairs, chunk):
                 stop = min(start + chunk, n_pairs)
                 rows = idx_a[start:stop]

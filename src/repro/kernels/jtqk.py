@@ -20,9 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import active_policy
+from repro.backend.policy import DEFAULT_CHUNK_ELEMENTS
 from repro.errors import KernelError
 from repro.graphs.graph import Graph
-from repro.kernels.base import MIXED_CHUNK_ELEMENTS, KernelTraits, PairwiseKernel
+from repro.kernels.base import KernelTraits, PairwiseKernel
 from repro.kernels.registry import register_kernel, scaled
 from repro.kernels.wl import wl_label_sequences
 from repro.quantum.density import graph_density_matrix
@@ -263,7 +264,7 @@ class JensenTsallisQKernel(PairwiseKernel):
         per_pair = stack_a.shape[1] * stack_a.shape[2]
         n_pairs = idx_a.size
         values = np.empty(n_pairs)
-        chunk = max(1, MIXED_CHUNK_ELEMENTS // max(1, per_pair))
+        chunk = max(1, DEFAULT_CHUNK_ELEMENTS // max(1, per_pair))
         for start in range(0, n_pairs, chunk):
             stop = min(start + chunk, n_pairs)
             rows = idx_a[start:stop]

@@ -20,8 +20,9 @@ from scipy.optimize import linear_sum_assignment
 
 from repro.alignment.umeyama import permute_with, umeyama_correspondence
 from repro.backend import active_policy
+from repro.backend.policy import DEFAULT_CHUNK_ELEMENTS
 from repro.graphs.graph import Graph
-from repro.kernels.base import MIXED_CHUNK_ELEMENTS, KernelTraits, PairwiseKernel
+from repro.kernels.base import KernelTraits, PairwiseKernel
 from repro.kernels.registry import register_kernel
 from repro.quantum.density import graph_density_matrix, pad_density_matrix
 from repro.quantum.divergence import QJSD_MAX, quantum_jensen_shannon_divergence
@@ -49,17 +50,12 @@ def _mixed_entropies_for_pairs(
 
     Dispatched through the ambient :class:`~repro.backend.ComputePolicy`:
     the gather/mix/reduce pipeline runs on the policy's backend at its
-    device precision, chunked (same element budget as the historical
-    loop, so the float64 reference path is bit-stable) to bound the
-    gathered intermediate regardless of tile size or pair count.
+    device precision. A pair of graphs much smaller than the tile's
+    padded edge is solved on its own vertex rows, so the padding beyond
+    them never reaches the eigensolver (see :mod:`repro.backend.support`).
     """
     return active_policy().mixed_entropies(
-        stack_a,
-        stack_b,
-        idx_a,
-        idx_b,
-        symmetrize=True,
-        chunk_elements=MIXED_CHUNK_ELEMENTS,
+        stack_a, stack_b, idx_a, idx_b, symmetrize=True
     )
 
 _QJSK_TRAITS = KernelTraits(
@@ -222,7 +218,7 @@ class QJSKAligned(PairwiseKernel):
         for size, mixed in mixed_by_size.items():
             baselines = np.asarray(base_by_size[size])
             entropies = np.empty(len(mixed))
-            chunk = max(1, MIXED_CHUNK_ELEMENTS // max(1, size * size))
+            chunk = max(1, DEFAULT_CHUNK_ELEMENTS // max(1, size * size))
             for start in range(0, len(mixed), chunk):
                 stop = min(start + chunk, len(mixed))
                 entropies[start:stop] = von_neumann_entropies(

@@ -42,9 +42,11 @@ from repro.store.artifacts import ArtifactStore, artifact_key
 #: Store ``kind`` under which Gram tiles are persisted.
 TILE_KIND = "gram-tile"
 
-#: Key-schema version: bump when the tile byte layout or schedule
-#: semantics change, invalidating previously persisted tiles.
-_TILE_KEY_VERSION = "tile-v1"
+#: Key-schema version: bump when the tile byte layout, schedule
+#: semantics or pair arithmetic change, invalidating previously persisted
+#: tiles. v2: support-compressed mixed-state solves move entries by
+#: ~1e-14, so a v1 tile resumed into a v2 Gram would break byte identity.
+_TILE_KEY_VERSION = "tile-v2"
 
 
 class TileKeyer:

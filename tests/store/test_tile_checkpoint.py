@@ -113,6 +113,16 @@ class TestTileKeyer:
             tile_keyer_for(qjsk, graphs[:10]).key((0, 4), (4, 8))
         )
 
+    def test_key_version_is_part_of_the_key(self, graphs, monkeypatch):
+        """Tiles persisted under an older key schema (other pair
+        arithmetic) must never be resumed into a newer Gram."""
+        from repro.store import tiles
+
+        keyer = tile_keyer_for(QJSKUnaligned(), graphs)
+        current = keyer.key((0, 4), (4, 8))
+        monkeypatch.setattr(tiles, "_TILE_KEY_VERSION", "tile-v1")
+        assert keyer.key((0, 4), (4, 8)) != current
+
     def test_out_of_range_tiles_rejected(self, graphs):
         keyer = tile_keyer_for(QJSKUnaligned(), graphs[:4])
         with pytest.raises(ValidationError, match="outside"):
