@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 from repro.datasets import load_dataset
 from repro.kernels import HAQJSKKernelD, JensenTsallisQKernel, QJSKUnaligned
 
@@ -31,6 +32,9 @@ ATOL = 1e-10
 
 #: Newcomers per arrival batch (ΔN).
 DELTA = 8
+
+#: The serial backend: the counting kernel counts ``pair_value`` calls.
+SERIAL = ExecutionContext(engine="serial")
 
 
 def _pair_budget(n_old: int, n_new: int) -> dict:
@@ -83,21 +87,21 @@ class _CountingQJSK(QJSKUnaligned):
 def test_extend_pair_budget_is_n_times_delta(reference_graphs, newcomer_graphs):
     """The scaling claim, exactly: extend evaluates N·ΔN + ΔN(ΔN+1)/2 pairs."""
     kernel = _CountingQJSK()
-    cached = kernel.gram(reference_graphs, engine="serial")
+    cached = kernel.gram(reference_graphs, ctx=SERIAL)
     n_old, n_new = len(reference_graphs), len(newcomer_graphs)
     budget = _pair_budget(n_old, n_new)
     assert kernel.pair_calls == n_old * (n_old + 1) // 2
 
     kernel.pair_calls = 0
     extended = kernel.gram_extend(
-        cached, reference_graphs, newcomer_graphs, engine="serial"
+        cached, reference_graphs, newcomer_graphs, ctx=SERIAL
     )
     assert kernel.pair_calls == budget["extend_pairs"]
     assert kernel.pair_calls < budget["full_pairs"]
 
     kernel.pair_calls = 0
     full = kernel.gram(
-        list(reference_graphs) + list(newcomer_graphs), engine="serial"
+        list(reference_graphs) + list(newcomer_graphs), ctx=SERIAL
     )
     assert kernel.pair_calls == budget["full_pairs"]
     assert np.allclose(extended, full, atol=ATOL, rtol=0.0)
@@ -111,9 +115,9 @@ def test_extend_budget_grows_linearly_in_n(reference_graphs, newcomer_graphs):
 
     def extend_cost(reference):
         kernel.pair_calls = 0
-        cached = kernel.gram(reference, engine="serial")
+        cached = kernel.gram(reference, ctx=SERIAL)
         kernel.pair_calls = 0
-        kernel.gram_extend(cached, reference, newcomer_graphs, engine="serial")
+        kernel.gram_extend(cached, reference, newcomer_graphs, ctx=SERIAL)
         return kernel.pair_calls
 
     cost_small, cost_large = extend_cost(small), extend_cost(large)
@@ -161,12 +165,14 @@ def test_bench_warm_restart_from_store(
 
     store = ArtifactStore(str(tmp_path / "store"))
     kernel = QJSKUnaligned()
-    first = IncrementalGram(kernel, reference_graphs, store=store)
+    first = IncrementalGram(kernel, reference_graphs, ctx=ExecutionContext(store=store))
     first.extend(newcomer_graphs)
 
     def restart():
         # A fresh process over the same reference set: Gram comes from disk.
-        return IncrementalGram(QJSKUnaligned(), reference_graphs, store=store)
+        return IncrementalGram(
+            QJSKUnaligned(), reference_graphs, ctx=ExecutionContext(store=store)
+        )
 
     restarted = benchmark.pedantic(restart, rounds=3, iterations=1)
     assert np.allclose(

@@ -24,9 +24,9 @@ from repro.backend import (
     policy_scope,
 )
 from repro.datasets import load_dataset
-from repro.engine import resolve_engine
+from repro.engine import default_engine_name, resolve_engine
 from repro.experiments.config import TABLE4_KERNELS
-from repro.experiments.kernel_zoo import make_kernel
+from repro.kernels.registry import lenient_spec
 
 #: Backends the engine benches compare (serial is the reference).
 ENGINE_BACKENDS = ("serial", "batched", "process")
@@ -69,12 +69,12 @@ def _engine_bench_state():
 
 @pytest.mark.parametrize("name", TABLE4_KERNELS)
 def test_bench_gram_throughput(name, probe_graphs, benchmark):
-    kernel = make_kernel(name, n_prototypes=16, seed=0)
+    kernel = lenient_spec(name, n_prototypes=16, seed=0).make()
     gram = benchmark.pedantic(
         kernel.gram, args=(probe_graphs,), kwargs={"normalize": True},
         rounds=3, iterations=1, warmup_rounds=1,
     )
-    benchmark.extra_info["gram_engine"] = str(kernel.engine)
+    benchmark.extra_info["gram_engine"] = default_engine_name()
     assert gram.shape == (len(probe_graphs), len(probe_graphs))
 
 
@@ -93,7 +93,7 @@ def test_bench_engine_backends(
     serial Gram is asserted at the engine test suite's 1e-10 tolerance.
     """
     if name not in _engine_bench_state:
-        kernel = make_kernel(name, n_prototypes=16, seed=0)
+        kernel = lenient_spec(name, n_prototypes=16, seed=0).make()
         states = kernel.prepare(engine_probe_graphs)
         serial = resolve_engine("serial")
         started = time.perf_counter()
@@ -180,7 +180,7 @@ def test_bench_compute_policies(
     """
     policy = _policy_for_row(row, request.config)
     if name not in _policy_bench_state:
-        kernel = make_kernel(name, n_prototypes=16, seed=0)
+        kernel = lenient_spec(name, n_prototypes=16, seed=0).make()
         states = kernel.prepare(engine_probe_graphs)
         engine = resolve_engine("batched")
         with policy_scope(ComputePolicy()):
@@ -248,7 +248,7 @@ def test_bench_nystrom_speedup(benchmark):
 
     dataset = load_dataset("MUTAG", scale=0.35, seed=0)
     graphs = dataset.graphs
-    kernel = make_kernel("HAQJSK(D)", n_prototypes=16, seed=0)
+    kernel = lenient_spec("HAQJSK(D)", n_prototypes=16, seed=0).make()
 
     start = time.perf_counter()
     exact = kernel.gram(graphs)

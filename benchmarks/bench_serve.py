@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 from repro.datasets import load_dataset
 from repro.kernels import HAQJSKKernelD
 from repro.ml import KernelSVC, condition_gram
@@ -71,7 +72,7 @@ def expected_labels(bundle, training_set, newcomers):
 def test_bench_serve_throughput(
     backend, batch_size, bundle, newcomers, expected_labels, benchmark
 ):
-    service = PredictionService(bundle, engine=backend)
+    service = PredictionService(bundle, ctx=ExecutionContext(engine=backend))
     batch = newcomers[:batch_size]
     # Warm the service's prepared-training-state cache outside the timer:
     # a serving loop pays it once, not per batch.
@@ -102,13 +103,15 @@ def test_bench_batched_serving_beats_serial(bundle, newcomers, benchmark):
     import time
 
     batch = list(newcomers)
-    serial_service = PredictionService(bundle, engine="serial")
+    serial_service = PredictionService(bundle, ctx=ExecutionContext(engine="serial"))
     serial_service.predict(batch[:1])  # warm states
     started = time.perf_counter()
     serial_result = serial_service.predict(batch)
     serial_seconds = time.perf_counter() - started
 
-    batched_service = PredictionService(bundle, engine="batched")
+    batched_service = PredictionService(
+        bundle, ctx=ExecutionContext(engine="batched")
+    )
     batched_service.predict(batch[:1])
     result = benchmark.pedantic(
         batched_service.predict, args=(batch,), rounds=3, iterations=1,

@@ -35,6 +35,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 from repro.datasets import load_dataset
 from repro.engine import BatchedEngine, DenseSink, MemmapSink, TilePlan
 from repro.graphs import generators as gen
@@ -81,6 +82,12 @@ def _probe_graphs(n: int) -> list:
     return [gen.cycle_graph(4 + (i * 7919) % 9) for i in range(n)]
 
 
+def on(engine, sink=None) -> ExecutionContext:
+    """A context computing on ``engine``, into the single-use ``sink``."""
+    factory = None if sink is None else (lambda: sink)
+    return ExecutionContext(engine=engine, sink_factory=factory)
+
+
 # --------------------------------------------------------------------- #
 # Dense vs memmap equivalence
 # --------------------------------------------------------------------- #
@@ -91,12 +98,11 @@ def test_memmap_matches_dense_to_1e12(tmp_path, normalize):
     kernel = _DotKernel()
     graphs = _probe_graphs(500)
     engine = BatchedEngine(tile_size=64)
-    dense = kernel.gram(graphs, engine=engine, normalize=normalize)
+    dense = kernel.gram(graphs, ctx=on(engine), normalize=normalize)
     mapped = kernel.gram(
         graphs,
-        engine=engine,
+        ctx=on(engine, MemmapSink(str(tmp_path / "gram.npy"))),
         normalize=normalize,
-        sink=MemmapSink(str(tmp_path / "gram.npy")),
     )
     assert isinstance(mapped, np.memmap)
     assert np.allclose(np.asarray(mapped), dense, atol=ATOL, rtol=0.0)
@@ -106,12 +112,12 @@ def test_float32_storage_halves_footprint(tmp_path):
     kernel = _DotKernel()
     graphs = _probe_graphs(400)
     engine = BatchedEngine(tile_size=64)
-    dense = kernel.gram(graphs, engine=engine)
+    dense = kernel.gram(graphs, ctx=on(engine))
     path64 = str(tmp_path / "g64.npy")
     path32 = str(tmp_path / "g32.npy")
-    kernel.gram(graphs, engine=engine, sink=MemmapSink(path64))
+    kernel.gram(graphs, ctx=on(engine, MemmapSink(path64)))
     g32 = kernel.gram(
-        graphs, engine=engine, sink=MemmapSink(path32, dtype="float32")
+        graphs, ctx=on(engine, MemmapSink(path32, dtype="float32"))
     )
     assert os.path.getsize(path32) < os.path.getsize(path64) * 0.55
     assert np.allclose(np.asarray(g32), dense, atol=1e-6, rtol=1e-6)
@@ -209,9 +215,7 @@ def _rlimit_child(out_path: str) -> int:  # pragma: no cover - subprocess
     kernel = _DotKernel()
     graphs = _probe_graphs(_RLIMIT_N)
     gram = kernel.gram(
-        graphs,
-        engine=BatchedEngine(tile_size=512),
-        sink=MemmapSink(out_path),
+        graphs, ctx=on(BatchedEngine(tile_size=512), MemmapSink(out_path))
     )
     print(f"memmap gram assembled: shape={gram.shape}")
     return 0
@@ -271,17 +275,17 @@ def test_kill_then_resume_recomputes_only_unfinished_tiles(tmp_path):
         store, tile_keyer_for(kernel, graphs), survive=survive
     )
     with pytest.raises(KeyboardInterrupt):
-        kernel.gram(graphs, engine=engine, sink=dying)
+        kernel.gram(graphs, ctx=on(engine, dying))
     assert dying.tiles_computed == survive
 
     kernel = _CountingQJSK()
     sink = CheckpointSink(store, tile_keyer_for(kernel, graphs))
-    resumed = kernel.gram(graphs, engine=engine, sink=sink)
+    resumed = kernel.gram(graphs, ctx=on(engine, sink))
     assert sink.tiles_restored == survive
     assert sink.tiles_computed == total_tiles - survive
     assert kernel.block_calls == total_tiles - survive
 
-    clean = QJSKUnaligned().gram(graphs, engine=engine)
+    clean = QJSKUnaligned().gram(graphs, ctx=on(engine))
     assert np.array_equal(np.asarray(resumed), clean)
 
 
@@ -320,11 +324,11 @@ def test_bench_checkpoint_overhead(tmp_path, benchmark):
     store = ArtifactStore(str(tmp_path / "store"))
     engine = BatchedEngine(tile_size=64)
     first = CheckpointSink(store, tile_keyer_for(kernel, graphs))
-    kernel.gram(graphs, engine=engine, sink=first)
+    kernel.gram(graphs, ctx=on(engine, first))
 
     def warm():
         sink = CheckpointSink(store, tile_keyer_for(kernel, graphs))
-        gram = kernel.gram(graphs, engine=engine, sink=sink)
+        gram = kernel.gram(graphs, ctx=on(engine, sink))
         assert sink.tiles_computed == 0
         return gram
 

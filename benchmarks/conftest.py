@@ -29,7 +29,7 @@ def pytest_addoption(parser):
         "--backend",
         action="store",
         default="numpy",
-        help="array backend to benchmark (numpy/torch/cupy)",
+        help="array backend to benchmark (numpy, the only one shipped)",
     )
     group.addoption(
         "--precision",

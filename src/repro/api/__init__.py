@@ -16,7 +16,7 @@ Three first-class objects replace the historical kwarg sprawl:
   repro.Session(...)``).
 """
 
-from repro.api.context import ExecutionContext, resolve_context
+from repro.api.context import ExecutionContext
 from repro.api.session import Session
 from repro.kernels.registry import KernelSpec, make
 
@@ -25,5 +25,4 @@ __all__ = [
     "KernelSpec",
     "Session",
     "make",
-    "resolve_context",
 ]

@@ -1,34 +1,32 @@
-"""ExecutionContext — one object for every execution-policy knob.
+"""ExecutionContext — the one per-call selector of execution policy.
 
-Four PRs grew four execution knobs (``engine=``, ``sink=``, ``store=``,
-``tile_checkpoint=``) that every entry point accepted in its own ad-hoc
-combination. :class:`ExecutionContext` bundles them into a single frozen
-value threaded as one ``ctx=`` parameter through ``gram`` /
-``cross_gram`` / ``gram_extend``, ``cross_validate_graph_kernel``,
-``NystromApproximation``, ``GramConditioner``, ``train_bundle`` /
-``PredictionService`` and the experiment runners:
+:class:`ExecutionContext` bundles every execution knob (engine, tile
+size, sink factory, store, tile checkpointing, normalisation policy and
+the compute policy) into a single frozen value threaded as one ``ctx=``
+parameter through ``gram`` / ``cross_gram`` / ``gram_extend``,
+``cross_validate_graph_kernel``, ``NystromApproximation``,
+``GramConditioner``, ``train_bundle`` / ``PredictionService`` and the
+experiment runners:
 
     ctx = ExecutionContext(engine="process", store=ArtifactStore("arts"))
     kernel.gram(graphs, ctx=ctx)
     cross_validate_graph_kernel(kernel, graphs, labels, ctx=ctx)
 
-The legacy keyword arguments keep working through
-:func:`resolve_context`, which builds an equivalent context and emits a
-single :class:`DeprecationWarning` per call; results are bit-identical
-because both forms feed the same machinery.
+``ctx=None`` means ``ExecutionContext()``. The Gram engine resolves
+``ctx.engine`` → ``REPRO_GRAM_ENGINE`` → ``"batched"``; the ``REPRO_*``
+environment is the process-wide default, never a per-call override.
 
 Cross-knob consistency rules live in :meth:`ExecutionContext.validate`,
 so an invalid combination (``ensure_psd`` against an out-of-core sink,
-``store`` together with an explicit ``sink``) is refused by one named
-:class:`~repro.errors.ValidationError` naming the offending fields — at
-whichever entry point it reaches first.
+``store`` together with an explicit ``sink_factory``) is refused by one
+named :class:`~repro.errors.ValidationError` naming the offending fields
+— at whichever entry point it reaches first.
 """
 
 from __future__ import annotations
 
 import copy
 import os
-import warnings
 from dataclasses import dataclass, replace
 
 from repro.backend import (
@@ -67,7 +65,8 @@ class ExecutionContext:
     engine:
         Gram backend — a name (``"serial"`` / ``"batched"`` /
         ``"process"``), a configured :class:`GramEngine` instance, or
-        ``None`` for the kernel-sticky / process-wide default.
+        ``None`` for the process-wide default (``REPRO_GRAM_ENGINE``,
+        else ``"batched"``).
     tile_size:
         Explicit tile-plan edge, overriding the backend default and the
         ``REPRO_GRAM_TILE`` environment variable.
@@ -92,14 +91,12 @@ class ExecutionContext:
         context unless the call site overrides it explicitly.
     backend / precision / entropy:
         Compute-policy knobs (see :class:`repro.backend.ComputePolicy`):
-        the array backend (``"numpy"`` / ``"torch"`` / ``"cupy"``), the
-        device precision (``"float64"`` / ``"float32"``) and the entropy
-        path (``"eig"`` / ``"chebyshev"`` / ``"auto"``). ``None`` falls
-        back to the ``REPRO_BACKEND`` / ``REPRO_PRECISION`` /
-        ``REPRO_ENTROPY`` environment, else the bit-stable
-        numpy/float64/eig reference. Field values are validated at
-        construction; backend *availability* (is torch importable, is a
-        GPU present) is checked by :meth:`validate`.
+        the array backend (``"numpy"``), the device precision
+        (``"float64"`` / ``"float32"``) and the entropy path (``"eig"`` /
+        ``"chebyshev"`` / ``"auto"``). ``None`` falls back to the
+        ``REPRO_BACKEND`` / ``REPRO_PRECISION`` / ``REPRO_ENTROPY``
+        environment, else the bit-stable numpy/float64/eig reference.
+        Field values are validated at construction.
     """
 
     engine: "GramEngine | str | None" = None
@@ -133,8 +130,7 @@ class ExecutionContext:
                 f"{type(self.sink_factory).__name__} (a sink instance is "
                 "single-use — wrap it: sink_factory=lambda: sink)"
             )
-        # Validates names only (a typo'd backend/precision/entropy raises
-        # a named BackendError now); availability waits for validate().
+        # A typo'd backend/precision/entropy raises a named BackendError.
         if (
             self.backend is not None
             or self.precision is not None
@@ -212,14 +208,9 @@ class ExecutionContext:
         if self.store is not None and self.sink_factory is not None:
             raise ValidationError(
                 "ExecutionContext: pass either store= (content-addressed "
-                "persistence) or sink= (explicit tile destination), not "
-                "both (offending fields: store, sink_factory)"
+                "persistence) or sink_factory= (explicit tile destination), "
+                "not both (offending fields: store, sink_factory)"
             )
-        # Resolving the compute policy's backend instance imports the
-        # underlying library, so a context naming torch/cupy in an
-        # environment without it fails here with the named BackendError
-        # (listing the usable backends) instead of deep inside a tile.
-        self.compute_policy().array_backend
         effective_psd = self.ensure_psd if ensure_psd is None else ensure_psd
         if sink is None and self.sink_factory is None:
             return self
@@ -263,23 +254,21 @@ class ExecutionContext:
         }
         return ComputePolicy.from_env(**overrides)
 
-    def engine_argument(self, kernel=None) -> "GramEngine | str | None":
+    def engine_argument(self) -> "GramEngine | str | None":
         """The ``engine`` value to hand the Gram machinery.
 
         Without a ``tile_size`` or compute-policy field this is just the
-        ``engine`` field — ``None`` preserves the kernel-sticky /
-        process-default fallback. Otherwise the engine is materialised
-        (honouring the kernel's sticky default) and cloned with the
-        context's tile size and compute policy, so both overrides
-        survive however deep the engine travels (the engine installs the
-        policy around its tile stream with
+        ``engine`` field — ``None`` leaves the choice to
+        :func:`~repro.engine.resolve_engine` (``REPRO_GRAM_ENGINE``, else
+        ``"batched"``). Otherwise the engine is materialised and cloned
+        with the context's tile size and compute policy, so both
+        overrides survive however deep the engine travels (the engine
+        installs the policy around its tile stream with
         :func:`repro.backend.policy_scope`).
         """
         engine = self.engine
         if self.tile_size is None and not self.has_compute_fields():
             return engine
-        if engine is None and kernel is not None:
-            engine = getattr(kernel, "engine", None)
         resolved = resolve_engine(engine)
         if isinstance(engine, GramEngine):
             resolved = copy.copy(resolved)
@@ -395,92 +384,14 @@ class ExecutionContext:
         )
 
 
-#: Maps a legacy keyword to the context field it populates.
-_LEGACY_FIELDS = {
-    "engine": "engine",
-    "sink": "sink_factory",
-    "store": "store",
-    "tile_checkpoint": "tile_checkpoint",
-}
-
-
-def resolve_context(
-    ctx: "ExecutionContext | None",
-    *,
-    owner: str,
-    stacklevel: int = 3,
-    **legacy,
-) -> "ExecutionContext | None":
-    """The deprecation shim every ``ctx=``-threaded entry point runs.
-
-    ``legacy`` holds the entry point's historical keyword arguments
-    (``engine=``, ``sink=``, ``store=``, ``tile_checkpoint=``); a value
-    of ``None`` means "not passed". Outcomes:
-
-    * nothing passed → ``None`` (historical defaults apply);
-    * only ``ctx`` → that context, unchanged;
-    * only legacy kwargs → an equivalent context, after **exactly one**
-      :class:`DeprecationWarning` naming the kwargs and the replacement;
-    * both → :class:`~repro.errors.ValidationError` — mixing the two
-      forms has no defensible precedence order.
-    """
-    supplied = {
-        key: value for key, value in legacy.items() if value is not None
-    }
-    if ctx is not None:
-        if supplied:
-            raise ValidationError(
-                f"{owner}: pass either ctx= or the legacy keyword(s) "
-                f"{', '.join(sorted(supplied))}, not both"
-            )
-        if not isinstance(ctx, ExecutionContext):
-            raise ValidationError(
-                f"{owner}: ctx must be an ExecutionContext, got "
-                f"{type(ctx).__name__}"
-            )
-        return ctx
-    if not supplied:
-        return None
-    warnings.warn(
-        f"{owner}: the {', '.join(sorted(supplied))} keyword argument(s) "
-        f"are deprecated; pass ctx=ExecutionContext(...) instead "
-        f"(see repro.api.ExecutionContext)",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    values: dict = {}
-    for key, value in supplied.items():
-        target = _LEGACY_FIELDS[key]
-        if key == "sink":
-            values[target] = single_use_sink_factory(value)
-        else:
-            values[target] = value
-    return ExecutionContext(**values)
-
-
-def context_for(**fields) -> "ExecutionContext | None":
-    """An :class:`ExecutionContext` from the non-``None`` fields, or
-    ``None`` when every field is unset.
-
-    The internal-migration helper: library code that used to forward a
-    loose ``engine=`` / ``store=`` pair builds a context here without
-    triggering the public deprecation shim (and without allocating one
-    when there is nothing to carry).
-    """
-    supplied = {key: value for key, value in fields.items() if value is not None}
-    return ExecutionContext(**supplied) if supplied else None
-
-
-def single_use_sink_factory(sink: GramSink):
-    """Wrap a pre-built sink instance as a one-shot factory.
-
-    Sinks are single-use (open → write → finalize); a context field
-    holds a *factory* so one context can serve many matrices. This
-    wrapper adapts call sites that already materialised the one sink
-    the context will ever produce."""
-
-    def factory() -> GramSink:
-        return sink
-
-    factory.__name__ = type(sink).__name__
-    return factory
+def as_context(ctx: "ExecutionContext | None", *, owner: str) -> ExecutionContext:
+    """The context an entry point runs under: ``ctx`` itself, or
+    ``ExecutionContext()`` for ``None``. Anything else is refused with a
+    :class:`~repro.errors.ValidationError` naming ``owner``."""
+    if ctx is None:
+        return ExecutionContext()
+    if not isinstance(ctx, ExecutionContext):
+        raise ValidationError(
+            f"{owner}: ctx must be an ExecutionContext, got {type(ctx).__name__}"
+        )
+    return ctx

@@ -16,10 +16,10 @@ or, end to end, through the execution context:
 
     ctx = ExecutionContext(backend="numpy", precision="float32")
 
-Backends: ``numpy`` (reference, always available), ``torch`` and
-``cupy`` (optional, discovered lazily — selecting one that is not
-installed raises a named :class:`~repro.errors.BackendError`, never an
-``ImportError``). The default policy (numpy / float64 / eig) is the
+Backend: ``numpy``, the only one shipped; the :class:`ArrayBackend`
+protocol and :func:`register_backend` keep the seam open, and an
+unknown name raises a named :class:`~repro.errors.BackendError` listing
+the registered backends. The default policy (numpy / float64 / eig) is the
 exact reference: mixed states are solved on their exact support
 (:mod:`repro.backend.support`, ≤1e-12 from the dense solve) and every
 engine and tiling agrees bitwise; the float32 and Chebyshev fast paths
@@ -37,13 +37,11 @@ from repro.backend.base import (
     default_backend_name,
     register_backend,
     resolve_backend,
-    usable_backends,
 )
 from repro.backend.chebyshev import chebyshev_entropies
 
-# Importing the implementation modules registers them; torch/cupy only
-# *import their library* on first resolve, so this is cheap everywhere.
-from repro.backend import cupy_backend, numpy_backend, torch_backend  # noqa: F401
+# Importing the implementation module registers it.
+from repro.backend import numpy_backend  # noqa: F401
 from repro.backend.policy import (
     DEFAULT_CHEBYSHEV_DEGREE,
     ENTROPY_ENV_VAR,
@@ -76,5 +74,4 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "scoped_policy",
-    "usable_backends",
 ]

@@ -3,20 +3,18 @@
 A backend owns the batched hot-path primitives every QJSD-family kernel
 bottoms out in — stacked Hermitian eigenvalues, the ``safe_xlogx``
 entropy reduction, mixed-state assembly, matmul — over *device arrays*
-of its own kind (plain ndarrays for NumPy, tensors for torch, cupy
-arrays on a GPU). The compute seam is deliberately narrow: host code
+of its own kind (plain ndarrays for the NumPy reference, the only
+backend shipped). The compute seam is deliberately narrow: host code
 hands a backend float64 NumPy input once per tile, all intermediate
 math happens in device arrays at the policy's precision, and only small
 reductions (entropies, traces) come back to the host — always as
 float64, so tile accumulation never inherits device round-off beyond
 the documented tolerance tier.
 
-Backends register by name; optional ones (torch, cupy) are *registered
-eagerly but imported lazily* — the registry always lists them, and
-:func:`resolve_backend` raises one named
-:class:`~repro.errors.BackendError` both for unknown names and for
-registered-but-unavailable libraries, so callers never see a raw
-``ImportError`` from backend selection.
+Backends register by name with :func:`register_backend`;
+:func:`resolve_backend` raises a named
+:class:`~repro.errors.BackendError` listing the registered backends for
+an unknown name.
 """
 
 from __future__ import annotations
@@ -51,16 +49,6 @@ class ArrayBackend(abc.ABC):
 
     #: Registry key; subclasses set it and appear in :data:`BACKENDS`.
     name: str = "backend"
-
-    @classmethod
-    def is_available(cls) -> bool:
-        """Whether the backing library imports in this environment."""
-        return True
-
-    @classmethod
-    def unavailable_reason(cls) -> str:
-        """Why :meth:`is_available` is False (empty when available)."""
-        return ""
 
     # ------------------------------------------------------------------ #
     # Transfer
@@ -191,13 +179,8 @@ def register_backend(cls):
 
 
 def available_backends() -> "tuple[str, ...]":
-    """Registered backend names, sorted (availability not checked)."""
+    """Registered backend names, sorted."""
     return tuple(sorted(BACKENDS))
-
-
-def usable_backends() -> "tuple[str, ...]":
-    """Registered backends whose library imports here, sorted."""
-    return tuple(name for name in available_backends() if BACKENDS[name].is_available())
 
 
 def default_backend_name() -> str:
@@ -221,10 +204,7 @@ def resolve_backend(backend: "ArrayBackend | str | None" = None) -> ArrayBackend
     """Resolve a backend spec (instance, name, or ``None``) to an instance.
 
     ``None`` selects :func:`default_backend_name`. Unknown names raise a
-    :class:`~repro.errors.BackendError` listing the registered backends;
-    a registered backend whose library does not import here raises the
-    *same* error class with the import failure folded into the message —
-    selection never leaks an ``ImportError``.
+    :class:`~repro.errors.BackendError` listing the registered backends.
     """
     if isinstance(backend, ArrayBackend):
         return backend
@@ -242,13 +222,6 @@ def resolve_backend(backend: "ArrayBackend | str | None" = None) -> ArrayBackend
             f"unknown array backend {backend!r}; registered: "
             f"{', '.join(available_backends())}"
         ) from None
-    if not cls.is_available():
-        reason = cls.unavailable_reason()
-        raise BackendError(
-            f"array backend {backend!r} is registered but not usable in "
-            f"this environment ({reason or 'library not importable'}); "
-            f"usable backends: {', '.join(usable_backends())}"
-        )
     if backend not in _INSTANCES:
         _INSTANCES[backend] = cls()
     return _INSTANCES[backend]

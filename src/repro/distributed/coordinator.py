@@ -57,7 +57,7 @@ class DistributedJob:
         self.store = store if isinstance(store, ArtifactStore) else ArtifactStore(store)
         self.spec = spec
         self.graphs = list(graphs)
-        self.kernel = spec.make_kernel()
+        self.kernel = spec.build_kernel()
         self.plan = spec.plan()
         self.ledger = TileLedger(
             self.store, tile_keyer_for(self.kernel, self.graphs), self.plan

@@ -94,7 +94,7 @@ class JobSpec:
     # Materialisation (what a worker rebuilds from the record)
     # ------------------------------------------------------------------ #
 
-    def make_kernel(self):
+    def build_kernel(self):
         """The kernel this job computes (spec-validated construction)."""
         return KernelSpec.from_dict(self.kernel_spec).make()
 
@@ -115,7 +115,7 @@ class JobSpec:
     def ledger(self, store: ArtifactStore, graphs) -> TileLedger:
         """The job's tile ledger — identical keys on every participant."""
         return TileLedger(
-            store, tile_keyer_for(self.make_kernel(), graphs), self.plan()
+            store, tile_keyer_for(self.build_kernel(), graphs), self.plan()
         )
 
 
@@ -130,9 +130,9 @@ def job_spec_for(
     ``ctx`` (engine / tile size / compute policy resolved *now*, so every
     worker reproduces this exact schedule).
     """
-    from repro.api.context import ExecutionContext
+    from repro.api.context import as_context
 
-    ctx = ExecutionContext() if ctx is None else ctx
+    ctx = as_context(ctx, owner="job_spec_for")
     graphs = list(graphs)
     spec = as_spec(spec_or_name).resolved()
     kernel = spec.make()
@@ -142,7 +142,7 @@ def job_spec_for(
             "genuine tile stream) — tiles cannot be distributed; use a "
             "streaming kernel (pairwise or feature-map families)"
         )
-    engine = kernel._resolve_engine(ctx.engine_argument(kernel))
+    engine = resolve_engine(ctx.engine_argument())
     policy = ctx.compute_policy()
     return JobSpec(
         kernel_spec=spec.to_dict(),

@@ -128,7 +128,7 @@ class TileWorker:
         self.poll = float(poll)
         self.tile_delay = float(tile_delay)
         self.spec, self.graphs = load_job(self.store, self.job_id)
-        self.kernel = self.spec.make_kernel()
+        self.kernel = self.spec.build_kernel()
         self.engine = self.spec.resolved_engine()
         self.engine.policy = self.spec.compute_policy()
         self.plan = self.spec.plan()

@@ -26,7 +26,7 @@ the kernels into three interchangeable backends:
 
 Selecting a backend
 -------------------
-The preferred selector is an :class:`~repro.api.ExecutionContext` — one
+The per-call selector is an :class:`~repro.api.ExecutionContext` — one
 frozen object carrying the backend (a name, a configured
 :class:`GramEngine` instance, or ``None`` for the default), the tile
 size, and the rest of the execution policy, threaded as ``ctx=``::
@@ -39,14 +39,11 @@ size, and the rest of the execution policy, threaded as ``ctx=``::
     nystrom_gram(kernel, graphs, n_landmarks=32,
                  ctx=ExecutionContext(engine="batched"))
 
-(The per-call ``engine=`` keyword still works as a deprecated shim.)
-
-A kernel instance can carry a sticky default (``kernel.engine =
-"process"``), and the process-wide default is the ``REPRO_GRAM_ENGINE``
-environment variable (else ``"batched"``); the experiment harness records
-the active backend in every saved report. All three backends agree to
-``1e-10`` on every pairwise kernel in the zoo — enforced by
-``tests/engine/test_backends.py``.
+Selection is ``ctx.engine`` → the ``REPRO_GRAM_ENGINE`` environment
+variable (the process-wide default) → ``"batched"``; the experiment
+harness records the active backend in every saved report. All three
+backends agree to ``1e-10`` on every pairwise kernel in the zoo —
+enforced by ``tests/engine/test_backends.py``.
 
 Tile streams and sinks
 ----------------------

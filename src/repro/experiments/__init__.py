@@ -16,15 +16,12 @@ from repro.experiments.config import (
     dataset_scale,
     full_scale,
 )
-from repro.experiments.kernel_zoo import INDEFINITE_KERNELS, make_kernel
 
 __all__ = [
-    "INDEFINITE_KERNELS",
     "TABLE4_DATASETS",
     "TABLE4_KERNELS",
     "TABLE5_DATASETS",
     "TABLE5_MODELS",
     "dataset_scale",
     "full_scale",
-    "make_kernel",
 ]

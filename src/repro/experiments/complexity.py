@@ -83,7 +83,7 @@ def time_gram_stages(
         seed=seed,
     )
     if ctx is not None and ctx.engine is not None:
-        engine = resolve_engine(ctx.engine_argument(kernel))
+        engine = resolve_engine(ctx.engine_argument())
     else:
         engine = SerialEngine()
 

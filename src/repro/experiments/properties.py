@@ -23,8 +23,8 @@ from repro.alignment.depth_based import DBRepresentationExtractor
 from repro.alignment.prototypes import fit_prototype_hierarchy
 from repro.alignment.umeyama import umeyama_correspondence
 from repro.datasets import load_dataset
-from repro.experiments.kernel_zoo import make_kernel
 from repro.experiments.reporting import format_table
+from repro.kernels.registry import lenient_spec
 from repro.quantum.density import graph_density_matrix, pad_density_matrix
 from repro.utils.linalg import eigh_sorted
 from repro.utils.rng import as_rng
@@ -43,7 +43,7 @@ def probe_dataset(*, seed: int = 0, n_per_class: int = 8):
 
 def min_gram_eigenvalue(kernel_name: str, graphs, *, seed: int = 0) -> float:
     """Smallest eigenvalue of the normalised Gram (>= -1e-8 means PSD)."""
-    kernel = make_kernel(kernel_name, n_prototypes=16, seed=seed)
+    kernel = lenient_spec(kernel_name, n_prototypes=16, seed=seed).make()
     gram = kernel.gram(graphs, normalize=True)
     values, _ = eigh_sorted(gram)
     return float(values[0])
@@ -60,8 +60,8 @@ def permutation_deviation(kernel_name: str, graphs, *, seed: int = 0) -> float:
     permutation = rng.permutation(graphs[target].n_vertices)
     permuted = list(graphs)
     permuted[target] = graphs[target].permuted(permutation)
-    kernel_a = make_kernel(kernel_name, n_prototypes=16, seed=seed)
-    kernel_b = make_kernel(kernel_name, n_prototypes=16, seed=seed)
+    kernel_a = lenient_spec(kernel_name, n_prototypes=16, seed=seed).make()
+    kernel_b = lenient_spec(kernel_name, n_prototypes=16, seed=seed).make()
     gram_a = kernel_a.gram(graphs, normalize=True)
     gram_b = kernel_b.gram(permuted, normalize=True)
     return float(np.max(np.abs(gram_a - gram_b)))
@@ -119,7 +119,7 @@ def run_properties(*, seed: int = 0, kernels=PROPERTY_KERNELS) -> "list[dict]":
     umeyama_transitive = umeyama_alignment_transitive(graphs, seed=seed)
     rows = []
     for name in kernels:
-        kernel = make_kernel(name, n_prototypes=16, seed=seed)
+        kernel = lenient_spec(name, n_prototypes=16, seed=seed).make()
         traits = kernel.traits
         min_eig = min_gram_eigenvalue(name, graphs, seed=seed)
         deviation = permutation_deviation(name, graphs, seed=seed)

@@ -22,7 +22,6 @@ import os
 import sys
 
 from repro.experiments import complexity, figure2, properties, table2, table4, table5
-from repro.experiments.kernel_zoo import make_kernel
 from repro.experiments.config import (
     STORE_ENV_VAR,
     TABLE4_KERNELS,
@@ -32,13 +31,14 @@ from repro.experiments.config import (
     store_root,
 )
 from repro.experiments.reporting import format_table, save_report
+from repro.kernels.registry import lenient_spec
 
 
 def run_table3() -> str:
     """Table III — the kernel taxonomy, from each kernel's traits."""
     rows = []
     for name in TABLE4_KERNELS:
-        traits = make_kernel(name, n_prototypes=8).traits
+        traits = lenient_spec(name, n_prototypes=8).make().traits
         rows.append(
             {
                 "Kernel Methods": name,

@@ -36,12 +36,16 @@ from repro.experiments.config import (
     cv_repeats,
     dataset_scale,
 )
-from repro.experiments.kernel_zoo import INDEFINITE_KERNELS
 from repro.experiments.reporting import ReportOutput, format_table
 from repro.ml import GramConditioner, cross_validate_kernel
 from repro.utils.logging import get_logger
 
 _LOGGER = get_logger("experiments.table4")
+
+#: Kernels whose Gram matrices are not PSD by construction and get the
+#: eigenvalue-clipping repair before the SVM (paper Section II-D discusses
+#: why QJSK/ASK/SPEGK are indefinite).
+INDEFINITE_KERNELS = frozenset({"QJSK", "ASK", "SPEGK"})
 
 #: Paper Table IV (mean accuracy only), for the comparison column.
 PAPER_TABLE4 = {
@@ -119,14 +123,12 @@ def evaluate_cell(
     *,
     seed: int = 0,
     n_repeats: "int | None" = None,
-    store=None,
     ctx=None,
     dataset_digest: "str | None" = None,
 ) -> dict:
     """One Table IV cell: accuracy of ``kernel_name`` on ``dataset_name``.
 
-    ``ctx`` (an :class:`~repro.api.ExecutionContext`; ``store=`` is the
-    legacy spelling carrying just the store field) selects the engine
+    ``ctx`` (an :class:`~repro.api.ExecutionContext`) selects the engine
     and persistence. With a store, the Gram matrix — the cell's dominant
     cost — is fetched by content key and only computed (then persisted)
     on a miss. The miss computation itself runs as a tile-checkpointed
@@ -136,12 +138,9 @@ def evaluate_cell(
     the precomputed collection digest — campaign builders hash each
     dataset once and thread it through every cell of the sweep.
     """
-    from repro.api import ExecutionContext
+    from repro.api.context import as_context
 
-    if ctx is None:
-        ctx = ExecutionContext(store=store)
-    elif store is not None:
-        ctx = ctx.replace(store=store)
+    ctx = as_context(ctx, owner="evaluate_cell")
     scale_cfg, dataset = _cell_dataset(dataset_name, seed)
     spec = cell_kernel_spec(
         kernel_name, seed=seed, n_prototypes=scale_cfg.haqjsk_prototypes
@@ -294,11 +293,10 @@ def build_table4_campaign(
 @register_executor("table4.gram")
 def _execute_gram_node(payload: dict, ctx) -> dict:
     """Compute and persist one cell's Gram matrix (the heavy stage)."""
-    from repro.api import ExecutionContext
+    from repro.api.context import as_context
     from repro.store import store_backed_gram
 
-    if ctx is None:
-        ctx = ExecutionContext()
+    ctx = as_context(ctx, owner="table4.gram")
     scale_cfg, dataset = _cell_dataset(payload["dataset"], payload["seed"])
     spec = cell_kernel_spec(
         payload["kernel"], seed=payload["seed"],
@@ -340,7 +338,6 @@ def run_table4(
     datasets=None,
     seed: int = 0,
     n_repeats: "int | None" = None,
-    store=None,
     ctx=None,
 ) -> "list[dict]":
     """All requested Table IV cells (defaults: the full paper grid).
@@ -351,14 +348,11 @@ def run_table4(
     the scheduling state is ephemeral. A failed cell raises with the
     stored executor traceback.
     """
-    from repro.api import ExecutionContext
+    from repro.api.context import as_context
     from repro.campaign import run_campaign_plan
     from repro.errors import CampaignError
 
-    if ctx is None:
-        ctx = ExecutionContext(store=store)
-    elif store is not None:
-        ctx = ctx.replace(store=store)
+    ctx = as_context(ctx, owner="run_table4")
     plan = build_table4_campaign(
         kernels=kernels, datasets=datasets, seed=seed, n_repeats=n_repeats,
         ctx=ctx,

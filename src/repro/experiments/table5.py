@@ -30,7 +30,6 @@ from repro.experiments.config import (
     cv_repeats,
     dataset_scale,
 )
-from repro.experiments.kernel_zoo import make_kernel
 from repro.experiments.reporting import ReportOutput, format_table
 from repro.gnn import (
     DCNN,
@@ -41,6 +40,7 @@ from repro.gnn import (
     evaluate_model,
     train_graph_classifier,
 )
+from repro.kernels.registry import lenient_spec
 from repro.ml import (
     GramConditioner,
     cross_validate_kernel,
@@ -140,9 +140,9 @@ def evaluate_cell(
         if model_name in _EMBEDDING_KERNELS:
             kernel = _EMBEDDING_KERNELS[model_name]()
         else:
-            kernel = make_kernel(
+            kernel = lenient_spec(
                 model_name, n_prototypes=scale_cfg.haqjsk_prototypes, seed=seed
-            )
+            ).make()
         gram = kernel.gram(dataset.graphs, normalize=True, ctx=ctx)
         result = cross_validate_kernel(
             GramConditioner().fit_transform(gram), dataset.targets, n_folds=10,
@@ -196,10 +196,10 @@ def build_table5_campaign(
                 model_name not in _TRAINED_MODELS
                 and model_name not in _EMBEDDING_KERNELS
             ):
-                fingerprint = make_kernel(
+                fingerprint = lenient_spec(
                     model_name, n_prototypes=scale_cfg.haqjsk_prototypes,
                     seed=seed,
-                ).fingerprint()
+                ).make().fingerprint()
             nodes.append(
                 CampaignNode(
                     name=f"cell:{model_name}:{dataset_name}",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.api.context import resolve_context
+from repro.api.context import as_context
 from repro.engine.base import GramEngine, resolve_engine, tile_ranges
 from repro.engine.tiles import GramSink, TilePlan, stream_tiles
 from repro.errors import KernelError
@@ -52,10 +52,6 @@ class GraphKernel(abc.ABC):
     name: str = "kernel"
     #: Static properties; see :class:`KernelTraits`.
     traits: KernelTraits = KernelTraits()
-    #: Sticky per-kernel Gram engine (name or :class:`GramEngine`); ``None``
-    #: defers to the process default. Only pairwise kernels consult it —
-    #: feature-map Grams are a single matmul already.
-    engine: "GramEngine | str | None" = None
     #: True when a pair's kernel value depends only on the two graphs, not
     #: on which other graphs share the collection. This is the eligibility
     #: condition for :meth:`gram_extend`: extending a Gram must not
@@ -74,8 +70,6 @@ class GraphKernel(abc.ABC):
         *,
         normalize: "bool | None" = None,
         ensure_psd: "bool | None" = None,
-        engine: "GramEngine | str | None" = None,
-        sink: "GramSink | None" = None,
         ctx=None,
     ) -> np.ndarray:
         """The full ``N x N`` Gram matrix over ``graphs``.
@@ -92,20 +86,13 @@ class GraphKernel(abc.ABC):
             kernels are PD by construction.
         ctx:
             An :class:`~repro.api.context.ExecutionContext` carrying the
-            execution knobs — backend, tile size, sink factory and the
-            normalisation policy — as one value. The preferred form.
-        engine:
-            *Deprecated* (pass ``ctx=``): Gram-computation backend (see
-            :mod:`repro.engine`): a backend name (``"serial"``,
-            ``"batched"``, ``"process"``), a :class:`GramEngine`
-            instance, or ``None`` for this kernel's sticky default / the
-            process-wide default.
-        sink:
-            *Deprecated* (pass ``ctx=``): destination for the tile
-            stream (see :mod:`repro.engine.tiles`): ``None`` keeps
-            today's in-memory ndarray; a
-            :class:`~repro.engine.tiles.MemmapSink` assembles the Gram
-            out of core (bounded peak memory at any ``N``); a
+            execution knobs as one value (``None`` means the defaults):
+            the Gram backend and tile size (see :mod:`repro.engine`), a
+            store, and a ``sink_factory`` — the destination of the tile
+            stream (see :mod:`repro.engine.tiles`). Without a sink the
+            Gram is an in-memory ndarray; a
+            :class:`~repro.engine.tiles.MemmapSink` assembles it out of
+            core (bounded peak memory at any ``N``); a
             :class:`~repro.store.tiles.CheckpointSink` additionally
             persists finished tiles so a killed run resumes at tile
             granularity. Raw *kernel values* stream into the sink;
@@ -113,10 +100,8 @@ class GraphKernel(abc.ABC):
             memmaps without densifying), while ``ensure_psd`` — a global
             eigendecomposition — is refused for out-of-core sinks.
         """
-        ctx = resolve_context(
-            ctx, owner=f"{self.name}.gram", engine=engine, sink=sink
-        )
-        if ctx is not None and ctx.store is not None:
+        ctx = as_context(ctx, owner=f"{self.name}.gram")
+        if ctx.store is not None:
             # The documented store contract: a context carrying a store
             # makes every Gram content-addressed. store_backed_gram owns
             # that protocol (hit / tile-checkpointed miss / reclamation)
@@ -134,15 +119,11 @@ class GraphKernel(abc.ABC):
                 tile_checkpoint=ctx.tile_checkpoint,
                 ctx=ctx.replace(store=None),
             )
-        if ctx is not None:
-            engine = ctx.engine_argument(self)
-            sink = ctx.make_sink()
-            normalize = ctx.policy(normalize, "normalize", False)
-            ensure_psd = ctx.policy(ensure_psd, "ensure_psd", False)
-            ctx.validate(ensure_psd=ensure_psd, sink=sink)
-        else:
-            normalize = bool(normalize)
-            ensure_psd = bool(ensure_psd)
+        engine = ctx.engine_argument()
+        sink = ctx.make_sink()
+        normalize = ctx.policy(normalize, "normalize", False)
+        ensure_psd = ctx.policy(ensure_psd, "ensure_psd", False)
+        ctx.validate(ensure_psd=ensure_psd, sink=sink)
         self._check_graphs(graphs)
         if sink is None:
             matrix = np.asarray(
@@ -163,7 +144,7 @@ class GraphKernel(abc.ABC):
                 matrix = clip_to_psd(matrix)
             return matrix
         # The ensure_psd × out-of-core-sink refusal already happened in
-        # ctx.validate() above (every sink arrives through a context).
+        # ctx.validate() above.
         matrix = self._compute_gram_into(list(graphs), sink, engine)
         n = len(graphs)
         if getattr(matrix, "shape", None) != (n, n):
@@ -176,7 +157,7 @@ class GraphKernel(abc.ABC):
         # so the dense path's global (K + Kᵀ)/2 pass has nothing to do.
         if normalize:
             matrix = normalize_gram_inplace_tiled(
-                matrix, tile_size=self._resolve_engine(engine).resolved_tile_size()
+                matrix, tile_size=resolve_engine(engine).resolved_tile_size()
             )
         if ensure_psd:
             matrix = clip_to_psd(np.asarray(matrix, dtype=float))
@@ -216,9 +197,7 @@ class GraphKernel(abc.ABC):
         """
         matrix = np.asarray(self._compute_gram(graphs, engine=engine), dtype=float)
         matrix = (matrix + matrix.T) / 2.0
-        plan = TilePlan.gram(
-            len(graphs), self._resolve_engine(engine).resolved_tile_size()
-        )
+        plan = TilePlan.gram(len(graphs), resolve_engine(engine).resolved_tile_size())
         return replay_tiles(matrix, plan, sink)
 
     def gram_extend(
@@ -227,16 +206,13 @@ class GraphKernel(abc.ABC):
         old_graphs: "list[Graph]",
         new_graphs: "list[Graph]",
         *,
-        engine: "GramEngine | str | None" = None,
-        store=None,
         ctx=None,
     ) -> np.ndarray:
         """Grow a cached raw Gram by ``ΔN`` new graphs, computing only the
         new ``(N, ΔN)`` cross block and ``(ΔN, ΔN)`` diagonal block.
 
-        ``ctx`` (an :class:`~repro.api.context.ExecutionContext`) is the
-        preferred way to select the backend and store; the loose
-        ``engine=`` / ``store=`` keywords are deprecated shims.
+        ``ctx`` (an :class:`~repro.api.context.ExecutionContext`) selects
+        the backend and store.
 
         ``cached_gram`` must be the *raw* output of
         ``gram(old_graphs, normalize=False, ensure_psd=False)`` (cosine
@@ -248,7 +224,7 @@ class GraphKernel(abc.ABC):
         ``O((N+ΔN)²)`` — the serving workload of a growing collection
         against a fixed reference set.
 
-        With a ``store`` (:class:`repro.store.ArtifactStore`), the new
+        With ``ctx.store`` (:class:`repro.store.ArtifactStore`), the new
         blocks are computed through tile-checkpointing sinks: every
         finished tile commits before the next is computed, so a killed
         extension resumes at tile granularity, and tiles persisted by a
@@ -262,12 +238,7 @@ class GraphKernel(abc.ABC):
         shared-decay random walks, ...): extending such a Gram would
         silently invalidate the cached ``N × N`` block.
         """
-        ctx = resolve_context(
-            ctx, owner=f"{self.name}.gram_extend", engine=engine, store=store
-        )
-        if ctx is not None:
-            engine = ctx.engine_argument(self)
-            store = ctx.store
+        ctx = as_context(ctx, owner=f"{self.name}.gram_extend")
         self._check_graphs(old_graphs)
         self._check_graphs(new_graphs)
         if not self.collection_independent:
@@ -285,7 +256,8 @@ class GraphKernel(abc.ABC):
                 f"expected ({n_old}, {n_old}) for {n_old} old graphs"
             )
         cross, diagonal = self._extension_blocks(
-            list(old_graphs), list(new_graphs), engine, store=store
+            list(old_graphs), list(new_graphs), ctx.engine_argument(),
+            store=ctx.store,
         )
         cross = np.asarray(cross, dtype=float)
         diagonal = np.asarray(diagonal, dtype=float)
@@ -348,12 +320,6 @@ class GraphKernel(abc.ABC):
     ) -> np.ndarray:
         """Subclass hook: the raw (unnormalised) Gram matrix."""
 
-    def _resolve_engine(
-        self, engine: "GramEngine | str | None" = None
-    ) -> GramEngine:
-        """Resolve the call-site engine, falling back to the sticky one."""
-        return resolve_engine(engine if engine is not None else self.engine)
-
     @staticmethod
     def _check_graphs(graphs) -> None:
         if not isinstance(graphs, (list, tuple)) or len(graphs) == 0:
@@ -398,9 +364,7 @@ class FeatureMapKernel(GraphKernel):
         # ``F[rows] @ F[cols].T`` matmul per tile, diagonal tiles
         # symmetrised exactly. The engine contributes only its tile size.
         features = np.asarray(self.feature_matrix(graphs), dtype=float)
-        plan = TilePlan.gram(
-            len(graphs), self._resolve_engine(engine).resolved_tile_size()
-        )
+        plan = TilePlan.gram(len(graphs), resolve_engine(engine).resolved_tile_size())
 
         def block(rows, cols, diagonal):
             tile = features[rows[0] : rows[1]] @ features[cols[0] : cols[1]].T
@@ -417,25 +381,18 @@ class FeatureMapKernel(GraphKernel):
         graphs_a: "list[Graph]",
         graphs_b: "list[Graph]",
         *,
-        engine: "GramEngine | str | None" = None,
-        sink: "GramSink | None" = None,
         ctx=None,
     ) -> np.ndarray:
         """Rectangular Gram between two graph lists (shared feature space).
 
         The backend (accepted for signature parity with the pairwise
         family; only its tile size matters — each tile is one matmul)
-        and sink come from ``ctx``; the loose ``engine=`` / ``sink=``
-        keywords are deprecated shims. With a sink, the rectangle
-        streams tile-by-tile instead of materialising at once.
+        and sink come from ``ctx``. With a sink, the rectangle streams
+        tile-by-tile instead of materialising at once.
         """
-        ctx = resolve_context(
-            ctx, owner=f"{self.name}.cross_gram", engine=engine, sink=sink
-        )
-        if ctx is not None:
-            engine = ctx.engine_argument(self)
-            sink = ctx.make_sink()
-            ctx.validate(ensure_psd=False, sink=sink)
+        ctx = as_context(ctx, owner=f"{self.name}.cross_gram")
+        sink = ctx.make_sink()
+        ctx.validate(ensure_psd=False, sink=sink)
         self._check_graphs(graphs_a)
         self._check_graphs(graphs_b)
         features = self.feature_matrix(list(graphs_a) + list(graphs_b))
@@ -446,7 +403,7 @@ class FeatureMapKernel(GraphKernel):
         plan = TilePlan.cross(
             len(graphs_a),
             len(graphs_b),
-            self._resolve_engine(engine).resolved_tile_size(),
+            resolve_engine(ctx.engine_argument()).resolved_tile_size(),
         )
         result = stream_tiles(
             plan,
@@ -488,7 +445,7 @@ class PairwiseKernel(GraphKernel):
         self, graphs: "list[Graph]", *, engine: "GramEngine | str | None" = None
     ) -> np.ndarray:
         states = self._prepared_states(graphs)
-        return self._resolve_engine(engine).gram(self, states)
+        return resolve_engine(engine).gram(self, states)
 
     def _compute_gram_into(
         self,
@@ -500,7 +457,7 @@ class PairwiseKernel(GraphKernel):
         # engine's shared scheduler feeds each finished tile straight to
         # the sink, so an out-of-core Gram never exists in memory.
         states = self._prepared_states(graphs)
-        return self._resolve_engine(engine).gram(self, states, sink=sink)
+        return resolve_engine(engine).gram(self, states, sink=sink)
 
     def _prepared_states(self, graphs: "list[Graph]") -> list:
         states = self.prepare(list(graphs))
@@ -601,8 +558,6 @@ class PairwiseKernel(GraphKernel):
         graphs_a: "list[Graph]",
         graphs_b: "list[Graph]",
         *,
-        engine: "GramEngine | str | None" = None,
-        sink: "GramSink | None" = None,
         ctx=None,
     ) -> np.ndarray:
         """Rectangular Gram between two graph lists.
@@ -613,24 +568,19 @@ class PairwiseKernel(GraphKernel):
         here can differ from its value under a different collection,
         exactly as in the paper's protocol. The evaluation itself goes
         through the same engine backends as :meth:`gram`, so Nyström
-        landmark columns get the batched path too; with a sink (from the
-        ``ctx``; the loose ``engine=`` / ``sink=`` keywords are
-        deprecated shims) the rectangle streams tile-by-tile
+        landmark columns get the batched path too; with a sink (from
+        ``ctx.sink_factory``) the rectangle streams tile-by-tile
         (out-of-core / checkpointed).
         """
-        ctx = resolve_context(
-            ctx, owner=f"{self.name}.cross_gram", engine=engine, sink=sink
-        )
-        if ctx is not None:
-            engine = ctx.engine_argument(self)
-            sink = ctx.make_sink()
-            ctx.validate(ensure_psd=False, sink=sink)
+        ctx = as_context(ctx, owner=f"{self.name}.cross_gram")
+        sink = ctx.make_sink()
+        ctx.validate(ensure_psd=False, sink=sink)
         self._check_graphs(graphs_a)
         self._check_graphs(graphs_b)
         states = self.prepare(list(graphs_a) + list(graphs_b))
         states_a = states[: len(graphs_a)]
         states_b = states[len(graphs_a) :]
-        result = self._resolve_engine(engine).cross_gram(
+        result = resolve_engine(ctx.engine_argument()).cross_gram(
             self, states_a, states_b, sink=sink
         )
         if sink is not None:
@@ -658,7 +608,7 @@ class PairwiseKernel(GraphKernel):
                 f"{self.name}: prepare() returned {len(states)} states for "
                 f"{len(old_graphs) + len(new_graphs)} graphs"
             )
-        resolved = self._resolve_engine(engine)
+        resolved = resolve_engine(engine)
         old_states = states[: len(old_graphs)]
         new_states = states[len(old_graphs) :]
         cross_sink = diagonal_sink = None

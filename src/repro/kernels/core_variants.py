@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.context import context_for
+from repro.api.context import ExecutionContext
 from repro.errors import KernelError
 from repro.graphs.graph import Graph
 from repro.graphs.ops import degeneracy, k_core_subgraph
@@ -67,7 +67,7 @@ class CoreVariantKernel(GraphKernel):
                     alive.append(index)
             if len(alive) < 1:
                 break
-            block = self.base_kernel.gram(cores, ctx=context_for(engine=engine))
+            block = self.base_kernel.gram(cores, ctx=ExecutionContext(engine=engine))
             for a, i in enumerate(alive):
                 for b, j in enumerate(alive):
                     total[i, j] += block[a, b]

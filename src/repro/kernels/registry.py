@@ -1,10 +1,9 @@
 """The kernel registry: string-addressable, declarative kernel construction.
 
-Historically the mapping from Table IV row labels ("HAQJSK(D)", "WLSK",
-...) to configured :class:`~repro.kernels.base.GraphKernel` instances
-lived in ``repro.experiments.kernel_zoo`` — an experiments-layer detail
-that serving, the CLI and library users all needed. This module promotes
-it to a first-class public API:
+The mapping from Table IV row labels ("HAQJSK(D)", "WLSK", ...) to
+configured :class:`~repro.kernels.base.GraphKernel` instances is needed
+by the experiments, serving, the CLI and library users alike, so it is a
+first-class public API:
 
 * each kernel module registers its classes (or factory functions) with
   the :func:`register_kernel` decorator, declaring scale-aware defaults;
@@ -46,7 +45,7 @@ class ScaledDefault:
 
     Resolved at :func:`make` time, so flipping ``REPRO_FULL_SCALE``
     switches every registered kernel's hyperparameters without touching
-    any spec — exactly the behaviour the old ``kernel_zoo`` hardcoded.
+    any spec.
     """
 
     def __init__(self, scaled_value, full_value) -> None:
@@ -228,12 +227,11 @@ def supported_params(name: str) -> "tuple[str, ...]":
 def lenient_spec(name: str, **params) -> "KernelSpec":
     """A spec from ``params`` with unsupported ones silently dropped.
 
-    The historical zoo contract: every caller passed
-    ``n_prototypes``/``seed`` regardless of the kernel, and kernels that
-    do not take them ignored them. The strict :class:`KernelSpec`
-    constructor refuses unknown params; callers carrying a fixed flag
-    set across a heterogeneous roster (the serve CLI, the Table IV
-    sweep, the legacy ``make_kernel``) filter through here instead.
+    For callers carrying a fixed flag set (``n_prototypes``/``seed``)
+    across a heterogeneous roster — the serve CLI, the Table IV/V sweeps,
+    the properties experiment — where kernels that do not take a flag
+    ignore it. The strict :class:`KernelSpec` constructor refuses
+    unknown params.
     """
     accepted = set(kernel_entry(name).parameters)
     return KernelSpec(

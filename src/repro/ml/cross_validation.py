@@ -162,13 +162,9 @@ def cross_validate_graph_kernel(
     labels,
     *,
     ctx=None,
-    engine=None,
     normalize: "bool | None" = None,
     ensure_psd: "bool | None" = None,
     condition: bool = True,
-    store=None,
-    tile_checkpoint: "bool | None" = None,
-    sink=None,
     **cv_kwargs,
 ) -> CVResult:
     """End-to-end protocol from graphs: Gram -> conditioning -> repeated CV.
@@ -176,16 +172,14 @@ def cross_validate_graph_kernel(
     Convenience wrapper tying the kernel layer to the evaluation
     protocol: the Gram matrix is computed under the supplied
     :class:`~repro.api.context.ExecutionContext` (``ctx=None`` means the
-    historical defaults — sticky/process-default backend, no
-    persistence), optionally conditioned with a
+    defaults — process-default backend, no persistence), optionally
+    conditioned with a
     :class:`repro.ml.kernel_utils.GramConditioner`, and handed to
     :func:`cross_validate_kernel` with any remaining keyword arguments
     (``n_folds``, ``n_repeats``, ``seed``, ...). ``normalize`` defaults
     to the context policy, else on — the paper's protocol.
 
-    The context's fields select the execution strategy (the loose
-    ``engine=`` / ``store=`` / ``tile_checkpoint=`` / ``sink=`` keywords
-    are deprecated shims building an equivalent context):
+    The context's fields select the execution strategy:
 
     * ``ctx.store`` (a :class:`repro.store.ArtifactStore`) makes the
       Gram step persistent: the matrix is fetched by content key —
@@ -207,45 +201,28 @@ def cross_validate_graph_kernel(
       values, so point it at a scratch path — never at a store artifact
       other readers expect to contain raw kernel values.
     """
-    from repro.api.context import resolve_context, single_use_sink_factory
+    from repro.api.context import as_context
     from repro.store import store_backed_gram
 
-    ctx = resolve_context(
-        ctx,
-        owner="cross_validate_graph_kernel",
-        engine=engine,
-        store=store,
-        sink=sink,
-        tile_checkpoint=tile_checkpoint,
-    )
-    if ctx is None:
-        normalize = True if normalize is None else bool(normalize)
-        ensure_psd = bool(ensure_psd)
+    ctx = as_context(ctx, owner="cross_validate_graph_kernel")
+    normalize = ctx.policy(normalize, "normalize", True)
+    ensure_psd = ctx.policy(ensure_psd, "ensure_psd", False)
+    if ctx.sink_factory is not None:
+        # gram() refuses a sink together with a store, and ensure_psd
+        # against an out-of-core sink, through ctx.validate().
         gram = kernel.gram(
-            list(graphs), normalize=normalize, ensure_psd=ensure_psd
+            list(graphs), normalize=normalize, ensure_psd=ensure_psd, ctx=ctx
         )
     else:
-        normalize = ctx.policy(normalize, "normalize", True)
-        ensure_psd = ctx.policy(ensure_psd, "ensure_psd", False)
-        sink = ctx.make_sink()
-        ctx.validate(ensure_psd=ensure_psd, sink=sink)
-        if sink is not None:
-            gram = kernel.gram(
-                list(graphs),
-                normalize=normalize,
-                ensure_psd=ensure_psd,
-                ctx=ctx.replace(sink_factory=single_use_sink_factory(sink)),
-            )
-        else:
-            gram = store_backed_gram(
-                kernel,
-                list(graphs),
-                ctx.store,
-                normalize=normalize,
-                ensure_psd=ensure_psd,
-                tile_checkpoint=ctx.tile_checkpoint,
-                ctx=ctx,
-            )
+        gram = store_backed_gram(
+            kernel,
+            list(graphs),
+            ctx.store,
+            normalize=normalize,
+            ensure_psd=ensure_psd,
+            tile_checkpoint=ctx.tile_checkpoint,
+            ctx=ctx,
+        )
     if condition:
         # The same fit/transform object the serving path uses
         # (repro.serve), so protocol runs and bundles condition Grams

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.context import context_for, resolve_context
-from repro.engine.base import GramEngine
+from repro.api.context import as_context
+from repro.engine.base import resolve_engine
 from repro.errors import KernelError, NotFittedError, ValidationError
 from repro.kernels.base import GraphKernel, PairwiseKernel
 from repro.utils.rng import as_rng
@@ -55,9 +55,6 @@ class NystromApproximation:
         pair stage — is fetched by content key (kernel fingerprint +
         collection digest + landmark indices) and persisted on miss, so
         refitting over the same collection and seed is free.
-    engine / store:
-        *Deprecated* (pass ``ctx=``): the loose spellings of the same
-        two knobs.
 
     Attributes (after :meth:`fit`)
     ------------------------------
@@ -74,27 +71,18 @@ class NystromApproximation:
         *,
         n_landmarks: int,
         seed: "int | None" = 0,
-        engine: "GramEngine | str | None" = None,
-        store=None,
         ctx=None,
     ) -> None:
         if not isinstance(kernel, GraphKernel):
             raise ValidationError(
                 f"kernel must be a GraphKernel, got {type(kernel).__name__}"
             )
-        ctx = resolve_context(
-            ctx, owner="NystromApproximation", engine=engine, store=store
-        )
-        if ctx is not None:
-            engine = ctx.engine_argument(kernel)
-            store = ctx.store
+        self.ctx = as_context(ctx, owner="NystromApproximation")
         self.kernel = kernel
         self.n_landmarks = check_positive_int(
             n_landmarks, "n_landmarks", minimum=1
         )
         self.seed = seed
-        self.engine = engine
-        self.store = store
         self.landmark_indices_: "np.ndarray | None" = None
         self.landmark_graphs_: "list | None" = None
         self.embedding_: "np.ndarray | None" = None
@@ -156,7 +144,8 @@ class NystromApproximation:
             return np.zeros((0, self._inv_sqrt.shape[1]))
         if hasattr(self.kernel, "cross_gram"):
             cross = self.kernel.cross_gram(
-                graphs, self.landmark_graphs_, ctx=context_for(engine=self.engine)
+                graphs, self.landmark_graphs_,
+                ctx=self.ctx.replace(store=None, sink_factory=None),
             )
         else:  # pragma: no cover - every shipped kernel has cross_gram
             full = self.kernel.gram(graphs + self.landmark_graphs_)
@@ -175,8 +164,9 @@ class NystromApproximation:
 
     def _cross_matrix(self, graphs: list, landmarks: np.ndarray) -> np.ndarray:
         """``K(X, L)`` with one collection-level preparation if possible."""
+        store = self.ctx.store
         key = None
-        if self.store is not None:
+        if store is not None:
             from repro.graphs.hashing import collection_digest
             from repro.store import artifact_key
 
@@ -186,12 +176,12 @@ class NystromApproximation:
                 collection_digest(graphs),
                 ",".join(str(int(i)) for i in landmarks),
             )
-            cached = self.store.get_array("nystrom", key)
+            cached = store.get_array("nystrom", key)
             if cached is not None:
                 return cached
         cross = self._compute_cross_matrix(graphs, landmarks)
         if key is not None:
-            self.store.put_array("nystrom", key, cross)
+            store.put_array("nystrom", key, cross)
         return cross
 
     def _compute_cross_matrix(
@@ -205,13 +195,13 @@ class NystromApproximation:
             # the batched path. With a store, every finished tile commits
             # through a CheckpointSink: a killed fit resumes the N·m pair
             # stage at tile granularity instead of restarting it.
-            engine = self.kernel._resolve_engine(self.engine)
+            engine = resolve_engine(self.ctx.engine_argument())
             sink = None
-            if self.store is not None:
+            if self.ctx.store is not None:
                 from repro.store.tiles import CheckpointSink, tile_keyer_for
 
                 sink = CheckpointSink(
-                    self.store,
+                    self.ctx.store,
                     tile_keyer_for(
                         self.kernel,
                         graphs,
@@ -244,13 +234,10 @@ def nystrom_gram(
     *,
     n_landmarks: int,
     seed: "int | None" = 0,
-    engine: "GramEngine | str | None" = None,
-    store=None,
     ctx=None,
 ) -> np.ndarray:
     """One-shot Nyström approximation of ``kernel.gram(graphs)``."""
     approximation = NystromApproximation(
-        kernel, n_landmarks=n_landmarks, seed=seed, engine=engine, store=store,
-        ctx=ctx,
+        kernel, n_landmarks=n_landmarks, seed=seed, ctx=ctx
     ).fit(graphs)
     return approximation.approximate_gram()

@@ -212,8 +212,6 @@ def train_bundle(
     c_grid=DEFAULT_C_GRID,
     normalize: bool = False,
     condition: bool = True,
-    engine=None,
-    store=None,
     ctx=None,
     seed: "int | None" = 0,
     metadata: "dict | None" = None,
@@ -221,8 +219,9 @@ def train_bundle(
 ) -> ModelBundle:
     """Fit the full serving pipeline on a training collection.
 
-    Pipeline: raw Gram (store-backed when a ``store`` is given, so
-    retraining over the same collection is a disk read) → optional cosine
+    Pipeline: raw Gram (store-backed when ``ctx.store`` is set, so
+    retraining over the same collection is a disk read, tile-checkpointed
+    on a miss when ``ctx.tile_checkpoint`` is on) → optional cosine
     normalisation → :class:`GramConditioner` ``fit_transform`` (training
     statistics frozen into the bundle) → ``C`` selection by inner CV when
     ``c`` is ``None`` → one-vs-one :class:`KernelSVC` fit.
@@ -237,8 +236,7 @@ def train_bundle(
     serving path stays uniform.
 
     ``ctx`` (an :class:`~repro.api.ExecutionContext`) selects the engine
-    and store — the loose ``engine=`` / ``store=`` keywords are
-    deprecated shims — and is recorded on the bundle
+    and store, and is recorded on the bundle
     (``context_record``) together with the resolved ``spec``
     (a :class:`~repro.kernels.KernelSpec`, when the kernel was built
     declaratively), so a later process can reconstruct what was trained
@@ -246,10 +244,9 @@ def train_bundle(
     instance-level tuning such as worker counts — see
     :meth:`~repro.api.ExecutionContext.to_record`).
     """
-    from repro.api.context import resolve_context
+    from repro.api.context import as_context
 
-    explicit_ctx = ctx is not None
-    ctx = resolve_context(ctx, owner="train_bundle", engine=engine, store=store)
+    ctx = as_context(ctx, owner="train_bundle")
     graphs = list(graphs)
     y = np.asarray(labels)
     if y.ndim != 1 or y.size != len(graphs):
@@ -274,14 +271,7 @@ def train_bundle(
 
         spec_record = as_spec(spec).resolved().to_dict()
     raw = store_backed_gram(
-        kernel,
-        graphs,
-        ctx.store if ctx is not None else None,
-        # Only an explicit context opts training Grams into per-tile
-        # checkpointing; the legacy store= shim keeps the historical
-        # whole-Gram-only behaviour (equivalence promise of the shim).
-        tile_checkpoint=ctx.tile_checkpoint if explicit_ctx else False,
-        ctx=ctx.replace(store=None) if ctx is not None else None,
+        kernel, graphs, ctx.store, tile_checkpoint=ctx.tile_checkpoint, ctx=ctx
     )
     train_diagonal = np.array(np.diag(raw), dtype=float)
     gram = normalize_gram(raw) if normalize else np.asarray(raw, dtype=float)
@@ -306,5 +296,5 @@ def train_bundle(
         train_accuracy=float(train_accuracy),
         metadata=dict(metadata or {}),
         kernel_spec=spec_record,
-        context_record=ctx.to_record() if ctx is not None else None,
+        context_record=ctx.to_record(),
     )

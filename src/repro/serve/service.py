@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.api.context import as_context
+from repro.engine import resolve_engine
 from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.kernels.base import (
@@ -64,10 +66,6 @@ class PredictionService:
         :class:`~repro.api.ExecutionContext` selecting the Gram backend
         (and tile size) for the cross-block evaluation — the serving
         knob for throughput.
-    engine:
-        *Deprecated* (pass ``ctx=``): the loose backend spelling
-        (``"serial"``, ``"batched"``, ``"process"``, an instance, or
-        ``None`` for the kernel's sticky default).
     batch_size:
         When set, :meth:`predict` internally splits larger batches so
         conditioning and voting never see more than ``batch_size`` rows
@@ -86,20 +84,15 @@ class PredictionService:
         self,
         bundle: ModelBundle,
         *,
-        engine=None,
         batch_size: "int | None" = None,
         max_block_graphs: "int | None" = None,
         ctx=None,
     ) -> None:
-        from repro.api.context import resolve_context
-
         if not isinstance(bundle, ModelBundle):
             raise ValidationError(
                 f"bundle must be a ModelBundle, got {type(bundle).__name__}"
             )
-        ctx = resolve_context(ctx, owner="PredictionService", engine=engine)
-        if ctx is not None:
-            engine = ctx.engine_argument(bundle.kernel)
+        self.ctx = as_context(ctx, owner="PredictionService")
         if batch_size is not None and batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
         if max_block_graphs is not None and max_block_graphs < 1:
@@ -107,7 +100,6 @@ class PredictionService:
                 f"max_block_graphs must be >= 1, got {max_block_graphs}"
             )
         self.bundle = bundle.verify()
-        self.engine = engine
         self.batch_size = batch_size
         self.max_block_graphs = max_block_graphs
         # Prepared states of the training collection, computed once per
@@ -125,7 +117,6 @@ class PredictionService:
         store,
         name: str,
         *,
-        engine=None,
         batch_size: "int | None" = None,
         max_block_graphs: "int | None" = None,
         ctx=None,
@@ -137,7 +128,6 @@ class PredictionService:
         """
         return cls(
             ModelBundle.load(store, name, verify=False),
-            engine=engine,
             batch_size=batch_size,
             max_block_graphs=max_block_graphs,
             ctx=ctx,
@@ -226,7 +216,7 @@ class PredictionService:
                             list(bundle.training_graphs)
                         )
             new_states = kernel.prepare(graphs)
-            engine = kernel._resolve_engine(self.engine)
+            engine = resolve_engine(self.ctx.engine_argument())
             chunks = [
                 engine.cross_gram(
                     kernel, new_states[start : start + step], self._train_states
@@ -240,9 +230,7 @@ class PredictionService:
             # in N (no quadratic pair stage), so the cross rectangle still
             # dominates; a vocabulary-stable feature cache would shave the
             # O(N) term if feature-map serving ever becomes the hot path.
-            from repro.api.context import context_for
-
-            cross_ctx = context_for(engine=self.engine)
+            cross_ctx = self.ctx.replace(store=None, sink_factory=None)
             chunks = [
                 kernel.cross_gram(
                     graphs[start : start + step],
@@ -294,7 +282,7 @@ class PredictionService:
     def info(self) -> dict:
         """Bundle summary plus the serving configuration."""
         info = self.bundle.info()
-        info["engine"] = str(self.engine) if self.engine is not None else "default"
+        info["engine"] = resolve_engine(self.ctx.engine_argument()).name
         info["batch_size"] = self.batch_size
         info["max_block_graphs"] = self.max_block_graphs
         return info

@@ -364,7 +364,6 @@ def store_backed_gram(
     *,
     normalize: bool = False,
     ensure_psd: bool = False,
-    engine=None,
     extra: "dict | None" = None,
     tile_checkpoint: bool = False,
     stats: "dict | None" = None,
@@ -403,18 +402,14 @@ def store_backed_gram(
     This is *the* tile-checkpoint protocol — the experiment harness and
     other callers consume it rather than re-implementing the sequence.
     """
-    from repro.api.context import context_for
+    from repro.api.context import as_context
 
     graphs = list(graphs)
-    if ctx is not None:
-        # A caller-supplied context carries the engine/tile selection and
-        # (for the store=None fallthrough) any sink factory; the store
-        # and checkpoint decisions stay with the explicit arguments so
-        # this function keeps exactly one persistence protocol.
-        engine = ctx.engine_argument(kernel)
-        gram_ctx = ctx.replace(store=None)
-    else:
-        gram_ctx = context_for(engine=engine)
+    # The context carries the engine/tile selection and (for the
+    # store=None fallthrough) any sink factory; the store and checkpoint
+    # decisions stay with the explicit arguments so this function keeps
+    # exactly one persistence protocol.
+    gram_ctx = as_context(ctx, owner="store_backed_gram").replace(store=None)
     if stats is not None:
         stats.update(cached=False, tiles_restored=0, tiles_computed=0)
     if store is None:
@@ -432,7 +427,7 @@ def store_backed_gram(
         if stats is not None:
             stats["cached"] = True
         if streams and dependent:
-            _sweep_orphaned_tiles(store, kernel, graphs, engine)
+            _sweep_orphaned_tiles(store, kernel, graphs, gram_ctx.engine_argument())
         return cached
     sink = None
     if streams:
@@ -443,11 +438,7 @@ def store_backed_gram(
     if sink is not None:
         checkpoint_sink = sink
         factory = lambda: checkpoint_sink  # noqa: E731 - one-shot wrapper
-        miss_ctx = (
-            gram_ctx.replace(sink_factory=factory)
-            if gram_ctx is not None
-            else context_for(sink_factory=factory)
-        )
+        miss_ctx = gram_ctx.replace(sink_factory=factory)
     gram = kernel.gram(
         graphs,
         normalize=normalize,
@@ -474,12 +465,13 @@ def _sweep_orphaned_tiles(store, kernel, graphs, engine) -> None:
     Best-effort on purpose — a rerun under a different tile size derives
     different keys and leaves the orphans alone.
     """
+    from repro.engine import resolve_engine
     from repro.engine.tiles import TilePlan
     from repro.store.tiles import discard_plan_tiles, tile_keyer_for
 
     if not graphs:
         return
-    tile = kernel._resolve_engine(engine).resolved_tile_size()
+    tile = resolve_engine(engine).resolved_tile_size()
     plan = TilePlan.gram(len(graphs), tile)
     keyer = tile_keyer_for(kernel, graphs)
     first = next(iter(plan.tiles()))
@@ -497,8 +489,8 @@ class IncrementalGram:
     :meth:`~repro.kernels.base.GraphKernel.gram_extend`, paying
     ``O(N·ΔN)`` per arrival instead of the full ``O((N+ΔN)²)``. With a
     ``store``, every grown Gram is persisted under its collection's
-    content key, so a restarted process constructed over the same graphs
-    resumes from disk instead of recomputing.
+    content key (``ctx.store``), so a restarted process constructed over
+    the same graphs resumes from disk instead of recomputing.
 
     For collection-level kernels (the HAQJSK family) the kernel must be
     in frozen-prototype mode first (``kernel.freeze(reference_graphs)``);
@@ -519,21 +511,13 @@ class IncrementalGram:
         kernel,
         graphs=(),
         *,
-        engine=None,
-        store: "ArtifactStore | None" = None,
         ctx=None,
     ) -> None:
-        from repro.api.context import context_for, resolve_context
+        from repro.api.context import as_context
 
-        ctx = resolve_context(
-            ctx, owner="IncrementalGram", engine=engine, store=store
-        )
-        if ctx is not None:
-            engine = ctx.engine_argument(kernel)
-            store = ctx.store
+        self.ctx = as_context(ctx, owner="IncrementalGram")
+        self.store = self.ctx.store
         self.kernel = kernel
-        self.engine = engine
-        self.store = store
         self.graphs: list = list(graphs)
         self._initial_key: "str | None" = None
         self._latest_key: "str | None" = None
@@ -541,9 +525,9 @@ class IncrementalGram:
             self.gram = np.zeros((0, 0))
         else:
             self.gram = store_backed_gram(
-                kernel, self.graphs, store, ctx=context_for(engine=engine)
+                kernel, self.graphs, self.store, ctx=self.ctx
             )
-            if store is not None:
+            if self.store is not None:
                 self._initial_key = gram_key(kernel, self.graphs)
                 self._latest_key = self._initial_key
 
@@ -557,21 +541,15 @@ class IncrementalGram:
             return self.gram
         if not self.graphs:
             self.graphs = new_graphs
-            from repro.api.context import context_for
-
             self.gram = store_backed_gram(
-                self.kernel, self.graphs, self.store,
-                ctx=context_for(engine=self.engine),
+                self.kernel, self.graphs, self.store, ctx=self.ctx
             )
             if self.store is not None:
                 self._initial_key = gram_key(self.kernel, self.graphs)
                 self._latest_key = self._initial_key
             return self.gram
-        from repro.api.context import context_for
-
         grown = self.kernel.gram_extend(
-            self.gram, self.graphs, new_graphs,
-            ctx=context_for(engine=self.engine),
+            self.gram, self.graphs, new_graphs, ctx=self.ctx.replace(store=None)
         )
         # Freshly assembled and owned by this object: freeze it so the
         # serving Gram is uniformly immutable whether it was computed,

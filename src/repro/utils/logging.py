@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import logging
 import sys
-import time
-from contextlib import contextmanager
 
 LOGGER_NAME = "repro"
 
@@ -36,14 +34,3 @@ def enable_console_logging(level: int = logging.INFO) -> logging.Logger:
         logger.addHandler(handler)
     return logger
 
-
-@contextmanager
-def log_duration(operation: str, *, logger: "logging.Logger | None" = None):
-    """Log the wall-clock duration of a block at DEBUG level."""
-    log = logger or get_logger()
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        elapsed = time.perf_counter() - start
-        log.debug("%s took %.3fs", operation, elapsed)

@@ -1,18 +1,17 @@
-"""ExecutionContext: env resolution, validation, records, the shim."""
+"""ExecutionContext: env resolution, validation, records, ``ctx=`` as the
+only per-call execution selector."""
 
 from __future__ import annotations
 
-import warnings
+import inspect
 
-import numpy as np
 import pytest
 
 from repro.api import ExecutionContext
-from repro.api.context import context_for, resolve_context
+from repro.api.context import as_context
 from repro.engine import BatchedEngine, MemmapSink, TILE_ENV_VAR
 from repro.engine.base import ENGINE_ENV_VAR
 from repro.errors import ValidationError
-from repro.kernels import QJSKUnaligned
 from repro.store import ArtifactStore
 
 
@@ -128,13 +127,6 @@ class TestEngineArgument:
         assert resolved.resolved_tile_size() == 5
         assert base.resolved_tile_size() == 64  # the original is untouched
 
-    def test_tile_override_respects_kernel_sticky_engine(self):
-        kernel = QJSKUnaligned()
-        kernel.engine = "serial"
-        resolved = ExecutionContext(tile_size=3).engine_argument(kernel)
-        assert resolved.name == "serial"
-        assert resolved.resolved_tile_size() == 3
-
 
 class TestRecord:
     def test_round_trip(self, tmp_path):
@@ -173,29 +165,60 @@ class TestRecord:
             ExecutionContext.from_record({"engine": None, "bogus": 1})
 
 
-class TestResolveContext:
-    def test_nothing_supplied(self):
-        assert resolve_context(None, owner="x") is None
+class TestAsContext:
+    def test_none_is_the_default_context(self):
+        assert as_context(None, owner="x") == ExecutionContext()
 
     def test_ctx_passthrough(self):
         ctx = ExecutionContext(engine="serial")
-        assert resolve_context(ctx, owner="x") is ctx
+        assert as_context(ctx, owner="x") is ctx
 
-    def test_mixing_refused(self):
-        with pytest.raises(ValidationError, match="not both"):
-            resolve_context(ExecutionContext(), owner="x", engine="serial")
+    def test_non_context_refused_with_owner(self):
+        with pytest.raises(ValidationError, match="x: ctx must be an"):
+            as_context("serial", owner="x")
 
-    def test_legacy_builds_context_with_one_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ctx = resolve_context(None, owner="x", engine="serial")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "engine" in str(deprecations[0].message)
-        assert ctx.engine == "serial"
 
-    def test_context_for(self):
-        assert context_for(engine=None, store=None) is None
-        assert context_for(engine="serial").engine == "serial"
+def _entry_points():
+    """The pipeline entry points, each with the execution knob names it
+    must not take as keywords (they belong on the context)."""
+    from repro.experiments.table4 import evaluate_cell, run_table4
+    from repro.kernels.base import FeatureMapKernel, GraphKernel, PairwiseKernel
+    from repro.ml.cross_validation import cross_validate_graph_kernel
+    from repro.ml.nystrom import NystromApproximation, nystrom_gram
+    from repro.serve import PredictionService, train_bundle
+    from repro.store import IncrementalGram
+
+    knobs = {"engine", "sink", "store", "tile_checkpoint"}
+    entries = [
+        (GraphKernel.gram, knobs),
+        (GraphKernel.gram_extend, knobs),
+        (FeatureMapKernel.cross_gram, knobs),
+        (PairwiseKernel.cross_gram, knobs),
+        (NystromApproximation.__init__, knobs),
+        (nystrom_gram, knobs),
+        (cross_validate_graph_kernel, knobs),
+        (train_bundle, knobs),
+        (IncrementalGram.__init__, knobs),
+        (PredictionService.__init__, knobs),
+        # from_store's positional ``store`` names where the bundle lives.
+        (PredictionService.from_store, knobs - {"store"}),
+        (evaluate_cell, knobs),
+        (run_table4, knobs),
+    ]
+    return [pytest.param(f, loose, id=f.__qualname__) for f, loose in entries]
+
+
+class TestOneWayIn:
+    """``ctx=`` is the only per-call execution selector."""
+
+    @pytest.mark.parametrize("entry, loose", _entry_points())
+    def test_entry_point_takes_ctx_and_no_loose_knob(self, entry, loose):
+        params = set(inspect.signature(entry).parameters)
+        assert "ctx" in params
+        assert not loose & params
+
+    def test_kernels_carry_no_engine(self):
+        from repro.kernels import make, registered_kernels
+
+        for name in registered_kernels():
+            assert not hasattr(make(name), "engine"), name

@@ -1,4 +1,4 @@
-"""KernelSpec + registry: validation, JSON round-trips, zoo parity."""
+"""KernelSpec + registry: validation, JSON round-trips, lenient specs."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from repro.kernels import (
     registered_kernels,
     supported_params,
 )
-from repro.kernels.registry import as_spec, full_scale, kernel_entry
+from repro.kernels.registry import as_spec, full_scale, kernel_entry, lenient_spec
 
 
 class TestRegistry:
@@ -154,16 +154,16 @@ class TestMake:
             make("NOT_A_KERNEL")
 
 
-class TestZooParity:
-    """The legacy experiments-layer factory is a pure delegate now."""
+class TestLenientSpec:
+    """The roster front of the experiments (Table III-V, properties):
+    params a kernel does not take are dropped, the rest build exactly
+    the registry's kernel."""
 
     @pytest.mark.parametrize(
         "name", ["HAQJSK(D)", "QJSK", "JTQK", "WLSK", "GCGK", "CORE WL", "SPEGK"]
     )
-    def test_make_kernel_matches_registry(self, name):
-        from repro.experiments.kernel_zoo import make_kernel
-
-        legacy = make_kernel(name, n_prototypes=16, seed=2)
+    def test_lenient_spec_matches_registry(self, name):
+        lenient = lenient_spec(name, n_prototypes=16, seed=2).make()
         entry = kernel_entry(name)
         params = {
             key: value
@@ -171,11 +171,6 @@ class TestZooParity:
             if key in entry.parameters
         }
         fresh = make(name, **params)
-        assert isinstance(legacy, GraphKernel)
-        assert type(legacy) is type(fresh)
-        assert legacy.fingerprint() == fresh.fingerprint()
-
-    def test_make_kernel_still_stamps_engine(self):
-        from repro.experiments.kernel_zoo import make_kernel
-
-        assert make_kernel("QJSK", engine="serial").engine == "serial"
+        assert isinstance(lenient, GraphKernel)
+        assert type(lenient) is type(fresh)
+        assert lenient.fingerprint() == fresh.fingerprint()

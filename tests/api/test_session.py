@@ -1,14 +1,13 @@
-"""Session facade: bit-identical to the legacy-kwarg path.
+"""Session facade: bit-identical to the library entry points it wraps.
 
 Acceptance: for HAQJSK, QJSK and WLSK across the serial and batched
-backends, ``Session.gram`` equals the legacy ``kernel.gram(engine=...)``
-bit for bit, ``Session.cross_validate`` reproduces the CV accuracy
-exactly, and ``Session.train``/``predict`` serve identical labels.
+backends, ``Session.gram`` equals ``kernel.gram(ctx=...)`` bit for bit,
+``Session.cross_validate`` reproduces ``cross_validate_graph_kernel``'s
+CV accuracy exactly, and ``Session.train``/``predict`` serve the labels
+of ``train_bundle`` + ``PredictionService``.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ SPECS = {
 ENGINES = ("serial", "batched")
 
 
-def legacy_kernel(name):
+def direct_kernel(name):
     return SPECS[name].make()
 
 
@@ -41,31 +40,27 @@ def legacy_kernel(name):
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_gram_bit_identical(api_collection, name, engine):
     graphs, _ = api_collection
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = legacy_kernel(name).gram(graphs, engine=engine)
-    session = Session(ExecutionContext(engine=engine))
-    modern = session.gram(SPECS[name], graphs)
-    assert np.array_equal(legacy, modern)
+    ctx = ExecutionContext(engine=engine)
+    direct = direct_kernel(name).gram(graphs, ctx=ctx)
+    modern = Session(ctx).gram(SPECS[name], graphs)
+    assert np.array_equal(direct, modern)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_cross_validate_accuracy_identical(api_collection, name, engine):
     graphs, labels = api_collection
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = cross_validate_graph_kernel(
-            legacy_kernel(name), graphs, labels,
-            engine=engine, n_folds=4, n_repeats=2, seed=11,
-        )
-    session = Session(ExecutionContext(engine=engine))
-    modern = session.cross_validate(
+    ctx = ExecutionContext(engine=engine)
+    direct = cross_validate_graph_kernel(
+        direct_kernel(name), graphs, labels,
+        ctx=ctx, n_folds=4, n_repeats=2, seed=11,
+    )
+    modern = Session(ctx).cross_validate(
         SPECS[name], graphs, labels, n_folds=4, n_repeats=2, seed=11
     )
-    assert legacy.mean_accuracy == modern.mean_accuracy
-    assert legacy.per_repeat == modern.per_repeat
-    assert legacy.best_c == modern.best_c
+    assert direct.mean_accuracy == modern.mean_accuracy
+    assert direct.per_repeat == modern.per_repeat
+    assert direct.best_c == modern.best_c
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -75,26 +70,23 @@ def test_served_labels_identical(api_collection, name, engine):
     train_graphs, train_labels = graphs[2:], labels[2:]
     newcomers = graphs[:2]
 
-    kernel = legacy_kernel(name)
+    kernel = direct_kernel(name)
     if not kernel.collection_independent and hasattr(kernel, "freeze"):
         kernel.freeze(train_graphs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy_bundle = train_bundle(
-            kernel, train_graphs, train_labels, c=10.0, engine=engine, seed=0
-        )
-        legacy = PredictionService(legacy_bundle, engine=engine).predict(
-            newcomers
-        )
+    ctx = ExecutionContext(engine=engine)
+    direct_bundle = train_bundle(
+        kernel, train_graphs, train_labels, c=10.0, ctx=ctx, seed=0
+    )
+    direct = PredictionService(direct_bundle, ctx=ctx).predict(newcomers)
 
-    session = Session(ExecutionContext(engine=engine))
+    session = Session(ctx)
     bundle = session.train(
         SPECS[name], train_graphs, train_labels, c=10.0, seed=0
     )
     modern = session.predict(bundle, newcomers)
-    assert np.array_equal(legacy.labels, modern.labels)
-    assert np.array_equal(legacy.margins, modern.margins)
-    assert np.array_equal(legacy.votes, modern.votes)
+    assert np.array_equal(direct.labels, modern.labels)
+    assert np.array_equal(direct.margins, modern.margins)
+    assert np.array_equal(direct.votes, modern.votes)
 
 
 class TestBundleRecords:

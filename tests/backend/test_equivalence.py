@@ -32,6 +32,11 @@ CHEB = ComputePolicy(precision="float32", entropy="chebyshev")
 AUTO = ComputePolicy(precision="float32", entropy="auto", approx_min_dim=8)
 
 
+def on(engine) -> ExecutionContext:
+    """The context running a Gram on ``engine`` (a name or an instance)."""
+    return ExecutionContext(engine=engine)
+
+
 def make_kernels():
     return [
         HAQJSKKernelA(n_prototypes=8, n_levels=2, max_layers=4, seed=0),
@@ -62,7 +67,7 @@ def graphs():
 @pytest.fixture(scope="module")
 def reference_grams(graphs):
     return {
-        kernel.name: kernel.gram(graphs, engine="batched")
+        kernel.name: kernel.gram(graphs, ctx=on("batched"))
         for kernel in make_kernels()
     }
 
@@ -73,14 +78,14 @@ class TestPolicyTiers:
         self, kernel, graphs, reference_grams
     ):
         with policy_scope(ComputePolicy()):
-            gram = kernel.gram(graphs, engine="batched")
+            gram = kernel.gram(graphs, ctx=on("batched"))
         np.testing.assert_array_equal(gram, reference_grams[kernel.name])
 
     def test_float32_within_documented_tier(
         self, kernel, graphs, reference_grams
     ):
         with policy_scope(FP32):
-            gram = kernel.gram(graphs, engine="batched")
+            gram = kernel.gram(graphs, ctx=on("batched"))
         np.testing.assert_allclose(
             gram, reference_grams[kernel.name], atol=FLOAT32_ATOL
         )
@@ -89,41 +94,41 @@ class TestPolicyTiers:
         self, kernel, graphs, reference_grams
     ):
         with policy_scope(CHEB):
-            gram = kernel.gram(graphs, engine="batched")
+            gram = kernel.gram(graphs, ctx=on("batched"))
         np.testing.assert_allclose(
             gram, reference_grams[kernel.name], atol=CHEBYSHEV_ATOL
         )
 
     def test_float64_engines_agree_bitwise(self, kernel, graphs):
-        serial = kernel.gram(graphs, engine=SerialEngine())
-        batched = kernel.gram(graphs, engine=BatchedEngine())
+        serial = kernel.gram(graphs, ctx=on(SerialEngine()))
+        batched = kernel.gram(graphs, ctx=on(BatchedEngine()))
         np.testing.assert_allclose(serial, batched, atol=1e-10)
 
 
 class TestEngineThreading:
     def test_engine_policy_attribute_installs_scope(self, graphs):
         kernel = QJSKUnaligned()
-        reference = kernel.gram(graphs, engine=BatchedEngine())
-        fast = kernel.gram(graphs, engine=BatchedEngine(policy=FP32))
+        reference = kernel.gram(graphs, ctx=on(BatchedEngine()))
+        fast = kernel.gram(graphs, ctx=on(BatchedEngine(policy=FP32)))
         assert not np.array_equal(fast, reference)
         np.testing.assert_allclose(fast, reference, atol=FLOAT32_ATOL)
 
     def test_process_engine_ships_policy_to_workers(self, graphs):
         kernel = QJSKUnaligned()
-        reference = kernel.gram(graphs, engine=BatchedEngine())
+        reference = kernel.gram(graphs, ctx=on(BatchedEngine()))
         engine = ProcessEngine(policy=CHEB, max_workers=2)
         with pytest.warns(RuntimeWarning) if _pool_blocked() else _nullcontext():
-            approx = kernel.gram(graphs, engine=engine)
+            approx = kernel.gram(graphs, ctx=on(engine))
         np.testing.assert_allclose(approx, reference, atol=CHEBYSHEV_ATOL)
 
     def test_ambient_scope_reaches_process_workers(self, graphs):
         kernel = QJSKUnaligned()
-        reference = kernel.gram(graphs, engine=BatchedEngine())
+        reference = kernel.gram(graphs, ctx=on(BatchedEngine()))
         with policy_scope(FP32):
             with pytest.warns(RuntimeWarning) if _pool_blocked() else (
                 _nullcontext()
             ):
-                fast = kernel.gram(graphs, engine=ProcessEngine(max_workers=2))
+                fast = kernel.gram(graphs, ctx=on(ProcessEngine(max_workers=2)))
         assert not np.array_equal(fast, reference)
         np.testing.assert_allclose(fast, reference, atol=FLOAT32_ATOL)
 
@@ -132,9 +137,9 @@ class TestEngineThreading:
         # the rest stay exact — the result must sit inside the loosest
         # (Chebyshev) tier.
         kernel = HAQJSKKernelD(n_prototypes=8, n_levels=2, max_layers=4, seed=0)
-        reference = kernel.gram(graphs, engine="batched")
+        reference = kernel.gram(graphs, ctx=on("batched"))
         with policy_scope(AUTO):
-            mixed = kernel.gram(graphs, engine="batched")
+            mixed = kernel.gram(graphs, ctx=on("batched"))
         np.testing.assert_allclose(mixed, reference, atol=CHEBYSHEV_ATOL)
 
 
@@ -169,16 +174,6 @@ class TestContextThreading:
 
         with pytest.raises(BackendError, match="numpy"):
             ExecutionContext(backend="not-a-backend")
-
-    def test_validate_checks_backend_availability(self):
-        from repro.backend import BACKENDS
-        from repro.errors import BackendError
-
-        if BACKENDS["torch"].is_available():  # pragma: no cover
-            pytest.skip("torch is installed here")
-        ctx = ExecutionContext(backend="torch")
-        with pytest.raises(BackendError, match="torch"):
-            ctx.validate()
 
     def test_reference_context_still_validates(self):
         ctx = ExecutionContext()

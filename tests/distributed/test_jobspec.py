@@ -73,7 +73,7 @@ class TestJobSpec:
 
     def test_materialisation(self, graphs, ctx):
         spec = job_spec_for("WLSK", graphs, ctx=ctx)
-        kernel = spec.make_kernel()
+        kernel = spec.build_kernel()
         assert kernel.name == "WLSK"
         engine = spec.resolved_engine()
         assert engine.name == "batched"
@@ -114,7 +114,7 @@ class TestSeedAndLoad:
 class TestTileComputer:
     def test_feature_map_blocks(self, graphs, ctx):
         spec = job_spec_for("WLSK", graphs, ctx=ctx)
-        kernel = spec.make_kernel()
+        kernel = spec.build_kernel()
         compute = tile_computer(kernel, graphs, spec.resolved_engine())
         features = np.asarray(kernel.feature_matrix(graphs), dtype=float)
         block = compute((0, 2), (2, 4), False)
@@ -124,7 +124,7 @@ class TestTileComputer:
 
     def test_pairwise_blocks_match_engine(self, graphs, ctx):
         spec = job_spec_for("QJSK", graphs, ctx=ctx)
-        kernel = spec.make_kernel()
+        kernel = spec.build_kernel()
         engine = spec.resolved_engine()
         compute = tile_computer(kernel, graphs, engine)
         states = kernel._prepared_states(graphs)

@@ -10,6 +10,7 @@ preserve the permutation invariance the HAQJSK kernels claim in Table I.
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 from repro.engine import (
     BatchedEngine,
     ProcessEngine,
@@ -34,6 +35,9 @@ from repro.kernels import (
     RandomWalkKernel,
     RenyiEntropyKernel,
 )
+
+#: One context per backend (contexts are immutable, so sharing is safe).
+CTX = {name: ExecutionContext(engine=name) for name in ("serial", "batched", "process")}
 
 #: Pairwise kernels only — the engines schedule pair evaluations, so the
 #: feature-map family (one matmul, no pairs) is out of scope by design.
@@ -77,25 +81,27 @@ def probe_graphs():
 @pytest.mark.parametrize("kernel", ZOO, ids=ZOO_IDS)
 class TestBackendEquivalence:
     def test_gram_backends_agree(self, kernel, probe_graphs):
-        serial = kernel.gram(probe_graphs, engine="serial")
-        batched = kernel.gram(probe_graphs, engine="batched")
-        process = kernel.gram(probe_graphs, engine="process")
+        serial = kernel.gram(probe_graphs, ctx=CTX["serial"])
+        batched = kernel.gram(probe_graphs, ctx=CTX["batched"])
+        process = kernel.gram(probe_graphs, ctx=CTX["process"])
         assert np.allclose(batched, serial, atol=ATOL, rtol=0.0), kernel.name
         assert np.allclose(process, serial, atol=ATOL, rtol=0.0), kernel.name
 
     def test_cross_gram_backends_agree(self, kernel, probe_graphs):
         left, right = probe_graphs[:4], probe_graphs[4:]
-        serial = kernel.cross_gram(left, right, engine="serial")
-        batched = kernel.cross_gram(left, right, engine="batched")
-        process = kernel.cross_gram(left, right, engine="process")
+        serial = kernel.cross_gram(left, right, ctx=CTX["serial"])
+        batched = kernel.cross_gram(left, right, ctx=CTX["batched"])
+        process = kernel.cross_gram(left, right, ctx=CTX["process"])
         assert serial.shape == (4, 3)
         assert np.allclose(batched, serial, atol=ATOL, rtol=0.0), kernel.name
         assert np.allclose(process, serial, atol=ATOL, rtol=0.0), kernel.name
 
     def test_small_tiles_agree(self, kernel, probe_graphs):
         """Tile edges force the multi-tile diagonal/off-diagonal paths."""
-        serial = kernel.gram(probe_graphs, engine="serial")
-        tiled = kernel.gram(probe_graphs, engine=BatchedEngine(tile_size=2))
+        serial = kernel.gram(probe_graphs, ctx=CTX["serial"])
+        tiled = kernel.gram(
+            probe_graphs, ctx=ExecutionContext(engine=BatchedEngine(tile_size=2))
+        )
         assert np.allclose(tiled, serial, atol=ATOL, rtol=0.0), kernel.name
 
     def test_block_values_matches_pair_grid(self, kernel, probe_graphs):
@@ -126,8 +132,8 @@ def test_batched_path_is_permutation_invariant(make, probe_graphs):
     permuted = list(probe_graphs)
     permuted[target] = probe_graphs[target].permuted(perm)
     kernel = make()
-    gram_a = kernel.gram(probe_graphs, normalize=True, engine="batched")
-    gram_b = kernel.gram(permuted, normalize=True, engine="batched")
+    gram_a = kernel.gram(probe_graphs, normalize=True, ctx=CTX["batched"])
+    gram_b = kernel.gram(permuted, normalize=True, ctx=CTX["batched"])
     assert np.allclose(gram_a, gram_b, atol=1e-7)
 
 
@@ -207,19 +213,6 @@ class TestEngineResolution:
         monkeypatch.setenv("REPRO_GRAM_ENGINE", "serial")
         assert default_engine_name() == "serial"
         assert isinstance(resolve_engine(None), SerialEngine)
-
-    def test_sticky_kernel_engine(self, probe_graphs):
-        kernel = QJSKUnaligned()
-        kernel.engine = "serial"
-        assert isinstance(kernel._resolve_engine(None), SerialEngine)
-        assert isinstance(kernel._resolve_engine("process"), ProcessEngine)
-
-    def test_make_kernel_stamps_engine(self, monkeypatch):
-        from repro.experiments.kernel_zoo import make_kernel
-
-        monkeypatch.delenv("REPRO_GRAM_ENGINE", raising=False)
-        assert make_kernel("QJSK").engine == "batched"
-        assert make_kernel("QJSK", engine="serial").engine == "serial"
 
 
 class TestTilingMachinery:

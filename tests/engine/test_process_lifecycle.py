@@ -147,17 +147,20 @@ class TestDegradation:
         assert np.allclose(gram, 1.0)
 
     def test_degraded_results_match_real_pool(self, monkeypatch):
+        from repro.api import ExecutionContext
         from repro.graphs import generators as gen
         from repro.kernels import QJSKUnaligned
 
         kernel = QJSKUnaligned()
         graphs = [gen.cycle_graph(5), gen.path_graph(6), gen.star_graph(6)]
-        expected = kernel.gram(graphs, engine="serial")
+        expected = kernel.gram(graphs, ctx=ExecutionContext(engine="serial"))
         monkeypatch.setattr(
             process_module, "ProcessPoolExecutor", _UnavailableExecutor
         )
         with pytest.warns(RuntimeWarning):
-            degraded = kernel.gram(graphs, engine=ProcessEngine(tile_size=2))
+            degraded = kernel.gram(
+                graphs, ctx=ExecutionContext(engine=ProcessEngine(tile_size=2))
+            )
         assert np.allclose(degraded, expected, atol=1e-10, rtol=0.0)
 
     def test_submission_failure_degrades_and_reaps(self, monkeypatch):

@@ -11,6 +11,7 @@ suite under ``tests/store``).
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 from repro.engine import (
     TILE_ENV_VAR,
     BatchedEngine,
@@ -37,6 +38,11 @@ SINKS = {
     "dense": lambda tmp_path: DenseSink(),
     "memmap": lambda tmp_path: MemmapSink(str(tmp_path / "gram.npy")),
 }
+
+
+def into(sink, engine=None) -> ExecutionContext:
+    """A context streaming one Gram into ``sink`` (sinks are single-use)."""
+    return ExecutionContext(engine=engine, sink_factory=lambda: sink)
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +128,7 @@ class TestSinkContract:
     def test_memmap_is_npy_readable(self, tmp_path, probe_graphs):
         kernel = QJSKUnaligned()
         sink = MemmapSink(str(tmp_path / "gram.npy"))
-        gram = kernel.gram(probe_graphs, sink=sink)
+        gram = kernel.gram(probe_graphs, ctx=into(sink))
         loaded = np.load(sink.path)
         assert np.array_equal(loaded, np.asarray(gram))
 
@@ -132,7 +138,7 @@ class TestSinkContract:
         kernel = QJSKUnaligned()
         dense = kernel.gram(probe_graphs)
         sink = MemmapSink(str(tmp_path / "gram32.npy"), dtype="float32")
-        gram32 = kernel.gram(probe_graphs, sink=sink)
+        gram32 = kernel.gram(probe_graphs, ctx=into(sink))
         assert np.asarray(gram32).dtype == np.float32
         assert sink.path.endswith(".npy")
         # float32 has ~7 significant digits; values here are O(1).
@@ -152,7 +158,7 @@ class TestTileBoundaryEdgeCases:
         engine = ENGINES[engine_name](tile_size=tile)
         sink = SINKS[sink_name](tmp_path)
         return np.asarray(
-            kernel.gram(graphs, engine=engine, sink=sink), dtype=float
+            kernel.gram(graphs, ctx=into(sink, engine)), dtype=float
         )
 
     @pytest.mark.parametrize("tile", [1, 2, 3, 7, 64])
@@ -162,7 +168,7 @@ class TestTileBoundaryEdgeCases:
         """Tile 1 (degenerate), 2/3 (n=7 not divisible), 7 (exact), 64
         (tile > n) all agree with the dense serial reference."""
         kernel = QJSKUnaligned()
-        reference = kernel.gram(probe_graphs, engine="serial")
+        reference = kernel.gram(probe_graphs, ctx=ExecutionContext(engine="serial"))
         gram = self._gram(
             kernel, probe_graphs, engine_name, sink_name, tmp_path, tile
         )
@@ -206,8 +212,7 @@ def test_feature_map_tiled_path(tile, probe_graphs, tmp_path):
     dense = kernel.gram(probe_graphs, normalize=True)
     sink = MemmapSink(str(tmp_path / f"wl-{tile}.npy"))
     tiled = kernel.gram(
-        probe_graphs, normalize=True, engine=BatchedEngine(tile_size=tile),
-        sink=sink,
+        probe_graphs, normalize=True, ctx=into(sink, BatchedEngine(tile_size=tile))
     )
     assert np.allclose(np.asarray(tiled), dense, atol=1e-12, rtol=0.0)
 
@@ -220,8 +225,7 @@ def test_normalized_memmap_matches_dense(probe_graphs, tmp_path):
     tiled = kernel.gram(
         probe_graphs,
         normalize=True,
-        engine=BatchedEngine(tile_size=3),
-        sink=MemmapSink(str(tmp_path / "norm.npy")),
+        ctx=into(MemmapSink(str(tmp_path / "norm.npy")), BatchedEngine(tile_size=3)),
     )
     assert np.array_equal(np.asarray(tiled), dense)
 
@@ -229,17 +233,10 @@ def test_normalized_memmap_matches_dense(probe_graphs, tmp_path):
 def test_ensure_psd_refused_out_of_core(probe_graphs, tmp_path):
     """PSD projection is global; out-of-core sinks must refuse, in-memory
     sinks may densify. The refusal is the unified ExecutionContext
-    validation error naming the offending fields — identical whether the
-    sink arrives via the legacy kwarg or a context."""
-    from repro.api import ExecutionContext
+    validation error naming the offending fields."""
     from repro.errors import ValidationError
 
     kernel = QJSKUnaligned()
-    with pytest.raises(ValidationError, match="ensure_psd.*sink"):
-        kernel.gram(
-            probe_graphs, ensure_psd=True,
-            sink=MemmapSink(str(tmp_path / "psd.npy")),
-        )
     with pytest.raises(ValidationError, match="ensure_psd.*sink"):
         kernel.gram(
             probe_graphs,
@@ -249,14 +246,14 @@ def test_ensure_psd_refused_out_of_core(probe_graphs, tmp_path):
             ),
         )
     dense = kernel.gram(probe_graphs, ensure_psd=True)
-    sunk = kernel.gram(probe_graphs, ensure_psd=True, sink=DenseSink())
+    sunk = kernel.gram(probe_graphs, ensure_psd=True, ctx=into(DenseSink()))
     assert np.allclose(sunk, dense, atol=ATOL, rtol=0.0)
 
 
 def test_dense_sink_path_is_byte_identical_to_default(probe_graphs):
-    """sink=DenseSink() is today's behaviour exactly, for both kernel
+    """A DenseSink is the sink-less behaviour exactly, for both kernel
     families."""
     for kernel in (QJSKUnaligned(), WeisfeilerLehmanKernel(3)):
         default = kernel.gram(probe_graphs, normalize=True)
-        sunk = kernel.gram(probe_graphs, normalize=True, sink=DenseSink())
+        sunk = kernel.gram(probe_graphs, normalize=True, ctx=into(DenseSink()))
         assert np.allclose(sunk, default, atol=1e-12, rtol=0.0), kernel.name

@@ -1,4 +1,5 @@
-"""Tests for experiment configuration and the kernel factory."""
+"""Tests for experiment configuration and the roster kernel factory
+(:func:`repro.kernels.registry.lenient_spec`)."""
 
 import pytest
 
@@ -14,8 +15,9 @@ from repro.experiments.config import (
     full_scale,
     haqjsk_levels,
 )
-from repro.experiments.kernel_zoo import INDEFINITE_KERNELS, make_kernel
+from repro.experiments.table4 import INDEFINITE_KERNELS
 from repro.kernels.base import GraphKernel
+from repro.kernels.registry import lenient_spec
 
 
 class TestConfig:
@@ -60,25 +62,25 @@ class TestConfig:
 class TestKernelZoo:
     @pytest.mark.parametrize("name", TABLE4_KERNELS)
     def test_factory_builds_all(self, name):
-        kernel = make_kernel(name, n_prototypes=8)
+        kernel = lenient_spec(name, n_prototypes=8).make()
         assert isinstance(kernel, GraphKernel)
 
     def test_rejects_unknown(self):
         with pytest.raises(KernelError):
-            make_kernel("NOT_A_KERNEL")
+            lenient_spec("NOT_A_KERNEL").make()
 
     def test_indefinite_set_members_exist(self):
         assert INDEFINITE_KERNELS <= set(TABLE4_KERNELS)
 
     def test_haqjsk_prototype_override(self):
-        kernel = make_kernel("HAQJSK(A)", n_prototypes=17)
+        kernel = lenient_spec("HAQJSK(A)", n_prototypes=17).make()
         assert kernel.aligner.n_prototypes == 17
 
     @pytest.mark.parametrize("name", ["HAQJSK-L(A)", "HAQJSK-L(D)"])
     def test_attributed_variants_registered(self, name):
         """The Section V future-work kernels are part of the zoo (used by
         the Table I property experiment)."""
-        kernel = make_kernel(name, n_prototypes=8)
+        kernel = lenient_spec(name, n_prototypes=8).make()
         assert isinstance(kernel, GraphKernel)
         assert kernel.name == name
         assert "Vertex Labels" in kernel.traits.structure_patterns
@@ -87,4 +89,4 @@ class TestKernelZoo:
         from repro.experiments.properties import PROPERTY_KERNELS
 
         for name in PROPERTY_KERNELS:
-            assert isinstance(make_kernel(name, n_prototypes=4), GraphKernel)
+            assert isinstance(lenient_spec(name, n_prototypes=4).make(), GraphKernel)

@@ -10,6 +10,7 @@ collection semantics would silently change the cached entries.
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 from repro.errors import KernelError
 from repro.graphs import generators as gen
 from repro.kernels import (
@@ -74,19 +75,21 @@ def new_graphs():
 @pytest.mark.parametrize("kernel", ZOO, ids=ZOO_IDS)
 class TestExtensionMatchesFullGram:
     def test_extend_matches_scratch(self, kernel, engine, old_graphs, new_graphs):
-        full = kernel.gram(old_graphs + new_graphs, engine=engine)
-        cached = kernel.gram(old_graphs, engine=engine)
-        extended = kernel.gram_extend(cached, old_graphs, new_graphs, engine=engine)
+        ctx = ExecutionContext(engine=engine)
+        full = kernel.gram(old_graphs + new_graphs, ctx=ctx)
+        cached = kernel.gram(old_graphs, ctx=ctx)
+        extended = kernel.gram_extend(cached, old_graphs, new_graphs, ctx=ctx)
         assert extended.shape == full.shape
         assert np.allclose(extended, full, atol=ATOL, rtol=0.0), kernel.name
 
     def test_repeated_extension(self, kernel, engine, old_graphs, new_graphs):
         """Extending twice (one newcomer at a time) still matches scratch."""
-        full = kernel.gram(old_graphs + new_graphs, engine=engine)
-        gram = kernel.gram(old_graphs, engine=engine)
+        ctx = ExecutionContext(engine=engine)
+        full = kernel.gram(old_graphs + new_graphs, ctx=ctx)
+        gram = kernel.gram(old_graphs, ctx=ctx)
         graphs = list(old_graphs)
         for newcomer in new_graphs:
-            gram = kernel.gram_extend(gram, graphs, [newcomer], engine=engine)
+            gram = kernel.gram_extend(gram, graphs, [newcomer], ctx=ctx)
             graphs.append(newcomer)
         assert np.allclose(gram, full, atol=ATOL, rtol=0.0), kernel.name
 
@@ -106,9 +109,10 @@ class TestFrozenPrototypeExtension:
         self, make, engine, old_graphs, new_graphs
     ):
         kernel = make().freeze(old_graphs)
-        full = kernel.gram(old_graphs + new_graphs, engine=engine)
-        cached = kernel.gram(old_graphs, engine=engine)
-        extended = kernel.gram_extend(cached, old_graphs, new_graphs, engine=engine)
+        ctx = ExecutionContext(engine=engine)
+        full = kernel.gram(old_graphs + new_graphs, ctx=ctx)
+        cached = kernel.gram(old_graphs, ctx=ctx)
+        extended = kernel.gram_extend(cached, old_graphs, new_graphs, ctx=ctx)
         assert np.allclose(extended, full, atol=ATOL, rtol=0.0), kernel.name
 
 

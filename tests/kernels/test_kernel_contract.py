@@ -29,7 +29,7 @@ from repro.kernels import (
 from repro.utils.linalg import is_positive_semidefinite
 
 
-def kernel_zoo():
+def kernel_roster():
     return [
         HAQJSKKernelA(n_prototypes=8, n_levels=2, max_layers=4, seed=0),
         HAQJSKKernelD(n_prototypes=8, n_levels=2, max_layers=4, seed=0),
@@ -49,7 +49,7 @@ def kernel_zoo():
     ]
 
 
-ZOO = kernel_zoo()
+ZOO = kernel_roster()
 ZOO_IDS = [k.name for k in ZOO]
 
 #: Kernels that are exactly invariant to vertex relabelling of one graph.

@@ -130,6 +130,7 @@ class TestGraphKernelEntryPoint:
         assert 0.0 <= result.mean_accuracy <= 1.0
 
     def test_engine_choice_does_not_change_result(self):
+        from repro.api import ExecutionContext
         from repro.kernels import QJSKUnaligned
 
         graphs, labels = self._collection()
@@ -137,9 +138,11 @@ class TestGraphKernelEntryPoint:
             ensure_psd=True, n_folds=3, n_repeats=2, seed=0
         )
         serial = cross_validate_graph_kernel(
-            QJSKUnaligned(), graphs, labels, engine="serial", **kwargs
+            QJSKUnaligned(), graphs, labels,
+            ctx=ExecutionContext(engine="serial"), **kwargs
         )
         batched = cross_validate_graph_kernel(
-            QJSKUnaligned(), graphs, labels, engine="batched", **kwargs
+            QJSKUnaligned(), graphs, labels,
+            ctx=ExecutionContext(engine="batched"), **kwargs
         )
         assert serial.mean_accuracy == pytest.approx(batched.mean_accuracy)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 from repro.errors import KernelError, NotFittedError, ValidationError
 from repro.graphs import generators as gen
 from repro.kernels import HAQJSKKernelD, QJSKUnaligned, WeisfeilerLehmanKernel
@@ -86,13 +87,21 @@ class TestEngineRouting:
     """The landmark rectangle goes through the pluggable Gram engines."""
 
     def test_backends_agree(self, kernel, graphs):
-        serial = nystrom_gram(kernel, graphs, n_landmarks=5, seed=2, engine="serial")
-        batched = nystrom_gram(kernel, graphs, n_landmarks=5, seed=2, engine="batched")
+        serial = nystrom_gram(
+            kernel, graphs, n_landmarks=5, seed=2,
+            ctx=ExecutionContext(engine="serial"),
+        )
+        batched = nystrom_gram(
+            kernel, graphs, n_landmarks=5, seed=2,
+            ctx=ExecutionContext(engine="batched"),
+        )
         assert np.allclose(serial, batched, atol=1e-9)
 
     def test_engine_stored(self, kernel):
-        model = NystromApproximation(kernel, n_landmarks=3, engine="batched")
-        assert model.engine == "batched"
+        model = NystromApproximation(
+            kernel, n_landmarks=3, ctx=ExecutionContext(engine="batched")
+        )
+        assert model.ctx.engine == "batched"
 
 
 class TestOutOfSampleTransform:

@@ -4,6 +4,7 @@ out-of-core cross-validation, and tile-resumable Nyström fits."""
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 from repro.engine import BatchedEngine, MemmapSink
 from repro.errors import ValidationError
 from repro.graphs import generators as gen
@@ -34,10 +35,11 @@ def collection():
 
 
 def _memmap_gram(kernel, graphs, tmp_path, **gram_kwargs):
-    sink = MemmapSink(str(tmp_path / "gram.npy"))
-    return kernel.gram(
-        graphs, engine=BatchedEngine(tile_size=3), sink=sink, **gram_kwargs
+    ctx = ExecutionContext(
+        engine=BatchedEngine(tile_size=3),
+        sink_factory=lambda: MemmapSink(str(tmp_path / "gram.npy")),
     )
+    return kernel.gram(graphs, ctx=ctx, **gram_kwargs)
 
 
 class TestStreamingConditioner:
@@ -93,9 +95,11 @@ class TestOutOfCoreCV:
         reference = cross_validate_graph_kernel(
             kernel, graphs, labels, n_folds=4, n_repeats=2, seed=3
         )
-        sink = MemmapSink(str(tmp_path / "cv.npy"))
+        ctx = ExecutionContext(
+            sink_factory=lambda: MemmapSink(str(tmp_path / "cv.npy"))
+        )
         out_of_core = cross_validate_graph_kernel(
-            kernel, graphs, labels, n_folds=4, n_repeats=2, seed=3, sink=sink
+            kernel, graphs, labels, n_folds=4, n_repeats=2, seed=3, ctx=ctx
         )
         assert out_of_core.mean_accuracy == reference.mean_accuracy
         assert out_of_core.best_c == reference.best_c
@@ -107,18 +111,37 @@ class TestOutOfCoreCV:
                 QJSKUnaligned(),
                 graphs,
                 labels,
-                sink=MemmapSink(str(tmp_path / "x.npy")),
-                store=ArtifactStore(str(tmp_path / "store")),
+                ctx=ExecutionContext(
+                    sink_factory=lambda: MemmapSink(str(tmp_path / "x.npy")),
+                    store=ArtifactStore(str(tmp_path / "store")),
+                ),
             )
+
+    def test_ensure_psd_out_of_core_refused(self, collection, tmp_path):
+        """The CV wrapper refuses through the same ExecutionContext.validate
+        error as gram, naming the offending fields."""
+        graphs, labels = collection
+        kernel = QJSKUnaligned()
+        ctx = ExecutionContext(
+            sink_factory=lambda: MemmapSink(str(tmp_path / "psd.npy"))
+        )
+        with pytest.raises(ValidationError, match="offending fields"):
+            cross_validate_graph_kernel(
+                kernel, graphs, labels, ctx=ctx, ensure_psd=True,
+                n_folds=4, n_repeats=1, seed=3,
+            )
+        with pytest.raises(ValidationError, match="offending fields"):
+            kernel.gram(graphs, ensure_psd=True, ctx=ctx)
 
     def test_store_miss_is_tile_checkpointed(self, collection, tmp_path):
         """A CV run with a store leaves per-tile artifacts behind (the
         kill-resume substrate), and reruns reproduce the result."""
         graphs, labels = collection
         store = ArtifactStore(str(tmp_path / "store"))
+        ctx = ExecutionContext(store=store)
         kernel = QJSKUnaligned()
         first = cross_validate_graph_kernel(
-            kernel, graphs, labels, n_folds=4, n_repeats=1, seed=3, store=store
+            kernel, graphs, labels, n_folds=4, n_repeats=1, seed=3, ctx=ctx
         )
         from repro.store import tile_keyer_for
 
@@ -129,7 +152,7 @@ class TestOutOfCoreCV:
             "gram-tile", keyer.key(first_tile, first_tile, diagonal=True)
         )
         again = cross_validate_graph_kernel(
-            kernel, graphs, labels, n_folds=4, n_repeats=1, seed=3, store=store
+            kernel, graphs, labels, n_folds=4, n_repeats=1, seed=3, ctx=ctx
         )
         assert again.mean_accuracy == first.mean_accuracy
 
@@ -140,7 +163,7 @@ class TestNystromTileCheckpoint:
         the N·m stage tile by tile instead of recomputing it."""
         graphs, _ = collection
         store = ArtifactStore(str(tmp_path / "store"))
-        engine = BatchedEngine(tile_size=4)
+        ctx = ExecutionContext(engine=BatchedEngine(tile_size=4), store=store)
 
         # The counter lives outside the instance so both runs share one
         # class (tile keys hash the kernel class + public configuration).
@@ -156,7 +179,7 @@ class TestNystromTileCheckpoint:
 
         kernel = _Counting()
         fitted = NystromApproximation(
-            kernel, n_landmarks=5, seed=0, engine=engine, store=store
+            kernel, n_landmarks=5, seed=0, ctx=ctx
         ).fit(graphs)
         assert calls["n"] > 0
 
@@ -175,7 +198,7 @@ class TestNystromTileCheckpoint:
 
         calls["n"] = 0
         refit = NystromApproximation(
-            _Counting(), n_landmarks=5, seed=0, engine=engine, store=store
+            _Counting(), n_landmarks=5, seed=0, ctx=ctx
         ).fit(graphs)
         assert calls["n"] == 0  # every tile restored, nothing recomputed
         assert np.allclose(

@@ -18,6 +18,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 from repro.errors import KernelError, ServingError, ValidationError
 from repro.graphs import generators as gen
 from repro.kernels import HAQJSKKernelD, QJSKUnaligned, WeisfeilerLehmanKernel
@@ -28,6 +29,9 @@ from repro.store import ArtifactStore
 #: Fixed box constraint so the transductive baseline and the bundle train
 #: the same machine (C selection uses randomised inner folds).
 C = 10.0
+
+#: The serial backend: the counting kernels below count ``pair_value``.
+SERIAL = ExecutionContext(engine="serial")
 
 
 def _make_collection():
@@ -123,10 +127,29 @@ class TestServingEquivalence:
         train_graphs, train_y, new_graphs, _ = split
         kernel = _serving_kernels(train_graphs)["HAQJSK(D)-frozen"]
         bundle = train_bundle(kernel, train_graphs, train_y, c=C)
-        serial = PredictionService(bundle, engine="serial").predict(new_graphs)
-        batched = PredictionService(bundle, engine="batched").predict(new_graphs)
+        serial = PredictionService(bundle, ctx=SERIAL).predict(new_graphs)
+        batched = PredictionService(
+            bundle, ctx=ExecutionContext(engine="batched")
+        ).predict(new_graphs)
         assert np.array_equal(serial.labels, batched.labels)
         assert np.allclose(serial.margins, batched.margins, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "ctx",
+        [
+            ExecutionContext(),
+            ExecutionContext(engine="batched"),
+            ExecutionContext(tile_size=16),
+        ],
+        ids=["default", "by-name", "tile-size"],
+    )
+    def test_info_names_the_resolved_engine(self, split, ctx, monkeypatch):
+        """One engine, one name: a default context, a named engine and a
+        materialised (tile-size) engine all report the backend that runs."""
+        monkeypatch.delenv("REPRO_GRAM_ENGINE", raising=False)
+        train_graphs, train_y, _, _ = split
+        bundle = train_bundle(WeisfeilerLehmanKernel(2), train_graphs, train_y, c=C)
+        assert PredictionService(bundle, ctx=ctx).info()["engine"] == "batched"
 
     def test_conditioned_rows_use_training_statistics(self, split):
         """The inductive-conditioning contract, row by row."""
@@ -165,7 +188,7 @@ class TestServingEquivalence:
         train_graphs, train_y, _, _ = split
         kernel = _CountingQJSK()
         service = PredictionService(
-            train_bundle(kernel, train_graphs, train_y, c=C), engine="serial"
+            train_bundle(kernel, train_graphs, train_y, c=C), ctx=SERIAL
         )
         before = kernel.pair_calls
         service.predict([])
@@ -192,11 +215,9 @@ class TestPairBudget:
     def test_predict_costs_exactly_n_times_delta(self, split):
         train_graphs, train_y, new_graphs, _ = split
         kernel = _CountingQJSK()
-        bundle = train_bundle(
-            kernel, train_graphs, train_y, c=C, engine="serial"
-        )
+        bundle = train_bundle(kernel, train_graphs, train_y, c=C, ctx=SERIAL)
         n, delta = len(train_graphs), len(new_graphs)
-        service = PredictionService(bundle, engine="serial")
+        service = PredictionService(bundle, ctx=SERIAL)
 
         kernel.pair_calls = 0
         service.predict(new_graphs)
@@ -212,10 +233,10 @@ class TestPairBudget:
         train_graphs, train_y, new_graphs, _ = split
         kernel = _CountingQJSK()
         bundle = train_bundle(
-            kernel, train_graphs, train_y, c=C, engine="serial", normalize=True
+            kernel, train_graphs, train_y, c=C, ctx=SERIAL, normalize=True
         )
         n, delta = len(train_graphs), len(new_graphs)
-        service = PredictionService(bundle, engine="serial")
+        service = PredictionService(bundle, ctx=SERIAL)
         kernel.pair_calls = 0
         service.predict(new_graphs)
         assert kernel.pair_calls == n * delta + delta
@@ -328,14 +349,24 @@ class TestTrainValidation:
     def test_gram_cached_in_store(self, split, tmp_path):
         """Retraining over the same collection hits the Gram artifact."""
         train_graphs, train_y, _, _ = split
-        store = ArtifactStore(str(tmp_path / "store"))
+        ctx = SERIAL.replace(store=ArtifactStore(str(tmp_path / "store")))
         first = _CountingQJSK()
-        train_bundle(first, train_graphs, train_y, c=C, store=store, engine="serial")
+        train_bundle(first, train_graphs, train_y, c=C, ctx=ctx)
         assert first.pair_calls > 0
 
         second = _CountingQJSK()
-        train_bundle(second, train_graphs, train_y, c=C, store=store, engine="serial")
+        train_bundle(second, train_graphs, train_y, c=C, ctx=ctx)
         assert second.pair_calls == 0  # same content key: Gram from store
+
+    @pytest.mark.parametrize("checkpoint", [True, False])
+    def test_gram_follows_tile_checkpoint(self, split, tmp_path, checkpoint):
+        """The training Gram commits per-tile artifacts exactly when the
+        context asks for tile checkpointing."""
+        train_graphs, train_y, _, _ = split
+        store = ArtifactStore(str(tmp_path / "store"))
+        ctx = ExecutionContext(store=store, tile_checkpoint=checkpoint)
+        train_bundle(QJSKUnaligned(), train_graphs, train_y, c=C, ctx=ctx)
+        assert bool(store.list_keys("gram-tile")) is checkpoint
 
 
 class TestConcurrentUse:

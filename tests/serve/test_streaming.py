@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 from repro.errors import ValidationError
 from repro.graphs import generators as gen
 from repro.kernels import QJSKUnaligned, WeisfeilerLehmanKernel
@@ -96,7 +97,9 @@ class TestMaxBlockGraphs:
         bundle = train_bundle(
             _Counting(), train_graphs, train_y, c=C, normalize=True
         )
-        service = PredictionService(bundle, engine="serial", max_block_graphs=2)
+        service = PredictionService(
+            bundle, ctx=ExecutionContext(engine="serial"), max_block_graphs=2
+        )
         calls["n"] = 0
         service.predict(newcomers)
         assert calls["n"] == len(newcomers) * len(train_graphs) + len(newcomers)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 from repro.errors import ValidationError
 from repro.graphs import generators as gen
 from repro.graphs.hashing import collection_digest, graph_digest
@@ -86,6 +87,8 @@ class TestKernelFingerprint:
         assert QJSKUnaligned().fingerprint() != WeisfeilerLehmanKernel(3).fingerprint()
 
     def test_engine_is_excluded(self):
+        # Kernels pickled into older bundles still carry an ``engine``
+        # attribute; scheduling never changes values, so it stays out.
         a = QJSKUnaligned()
         b = QJSKUnaligned()
         b.engine = "process"
@@ -252,16 +255,18 @@ class TestIncrementalGram:
         root = str(tmp_path / "store")
         store = ArtifactStore(root)
         kernel = _CountingKernel()
-        IncrementalGram(kernel, graphs, store=store)
+        IncrementalGram(kernel, graphs, ctx=ExecutionContext(store=store))
         assert kernel.gram_calls == 1
-        restarted = IncrementalGram(kernel, graphs, store=ArtifactStore(root))
+        restarted = IncrementalGram(
+            kernel, graphs, ctx=ExecutionContext(store=ArtifactStore(root))
+        )
         assert kernel.gram_calls == 1  # loaded, not recomputed
         assert np.allclose(restarted.gram, QJSKUnaligned().gram(graphs))
 
     def test_extended_gram_is_persisted(self, tmp_path, graphs):
         store = ArtifactStore(str(tmp_path / "store"))
         kernel = QJSKUnaligned()
-        inc = IncrementalGram(kernel, graphs[:2], store=store)
+        inc = IncrementalGram(kernel, graphs[:2], ctx=ExecutionContext(store=store))
         inc.extend(graphs[2:])
         key = gram_key(kernel, graphs)
         assert np.allclose(store.get_array("gram", key), inc.gram)
@@ -270,7 +275,7 @@ class TestIncrementalGram:
         """Disk growth stays bounded: initial + latest Gram only."""
         store = ArtifactStore(str(tmp_path / "store"))
         kernel = QJSKUnaligned()
-        inc = IncrementalGram(kernel, graphs[:1], store=store)
+        inc = IncrementalGram(kernel, graphs[:1], ctx=ExecutionContext(store=store))
         inc.extend(graphs[1:2])
         inc.extend(graphs[2:3])
         inc.extend(graphs[3:])
@@ -293,13 +298,13 @@ class TestMLRouting:
         ]
         graphs = class_a + class_b
         labels = [0] * 5 + [1] * 5
-        store = ArtifactStore(str(tmp_path / "store"))
+        ctx = ExecutionContext(store=ArtifactStore(str(tmp_path / "store")))
         kernel = _CountingKernel()
         first = cross_validate_graph_kernel(
-            kernel, graphs, labels, n_folds=2, n_repeats=1, seed=0, store=store
+            kernel, graphs, labels, n_folds=2, n_repeats=1, seed=0, ctx=ctx
         )
         second = cross_validate_graph_kernel(
-            kernel, graphs, labels, n_folds=2, n_repeats=1, seed=0, store=store
+            kernel, graphs, labels, n_folds=2, n_repeats=1, seed=0, ctx=ctx
         )
         assert kernel.gram_calls == 1
         assert first.mean_accuracy == second.mean_accuracy
@@ -309,11 +314,12 @@ class TestMLRouting:
 
         store = ArtifactStore(str(tmp_path / "store"))
         kernel = QJSKUnaligned()
+        ctx = ExecutionContext(store=store)
         first = NystromApproximation(
-            kernel, n_landmarks=2, seed=0, store=store
+            kernel, n_landmarks=2, seed=0, ctx=ctx
         ).fit(graphs)
         second = NystromApproximation(
-            kernel, n_landmarks=2, seed=0, store=store
+            kernel, n_landmarks=2, seed=0, ctx=ctx
         ).fit(graphs)
         assert np.allclose(first.approximate_gram(), second.approximate_gram())
         assert store.has(
@@ -324,13 +330,9 @@ class TestMLRouting:
     def test_table4_cell_resumes_from_store(self, tmp_path, monkeypatch):
         from repro.experiments.table4 import evaluate_cell
 
-        store = ArtifactStore(str(tmp_path / "store"))
-        first = evaluate_cell(
-            "QJSK", "MUTAG", seed=0, n_repeats=1, store=store
-        )
-        second = evaluate_cell(
-            "QJSK", "MUTAG", seed=0, n_repeats=1, store=store
-        )
+        ctx = ExecutionContext(store=ArtifactStore(str(tmp_path / "store")))
+        first = evaluate_cell("QJSK", "MUTAG", seed=0, n_repeats=1, ctx=ctx)
+        second = evaluate_cell("QJSK", "MUTAG", seed=0, n_repeats=1, ctx=ctx)
         assert first["gram_cached"] is False
         assert second["gram_cached"] is True
         assert first["accuracy"] == second["accuracy"]

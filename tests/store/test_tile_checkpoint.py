@@ -10,12 +10,20 @@ without ever touching the prior matrix.
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 from repro.engine import BatchedEngine, DenseSink, MemmapSink, SerialEngine, TilePlan
 from repro.errors import ValidationError
 from repro.graphs import generators as gen
 from repro.kernels import HAQJSKKernelD, QJSKUnaligned, WeisfeilerLehmanKernel
 from repro.store import ArtifactStore, CheckpointSink, TileKeyer, tile_keyer_for
 from repro.utils.rng import as_rng, spawn_seed
+
+
+def on(engine, sink=None, store=None) -> ExecutionContext:
+    """A context computing on ``engine``, streaming into the single-use
+    ``sink`` or checkpointing into ``store`` when given."""
+    factory = None if sink is None else (lambda: sink)
+    return ExecutionContext(engine=engine, sink_factory=factory, store=store)
 
 
 @pytest.fixture()
@@ -146,17 +154,17 @@ class TestCheckpointResume:
             store, tile_keyer_for(kernel, graphs), survive=survive
         )
         with pytest.raises(KeyboardInterrupt):
-            kernel.gram(graphs, engine=engine, sink=dying)
+            kernel.gram(graphs, ctx=on(engine, dying))
         assert dying.tiles_computed == survive
 
         kernel = _CountingQJSK()
         resumed_sink = CheckpointSink(store, tile_keyer_for(kernel, graphs))
-        resumed = kernel.gram(graphs, engine=engine, sink=resumed_sink)
+        resumed = kernel.gram(graphs, ctx=on(engine, resumed_sink))
         assert resumed_sink.tiles_restored == survive
         assert resumed_sink.tiles_computed == plan_tiles - survive
         assert kernel.block_calls == plan_tiles - survive
 
-        reference = QJSKUnaligned().gram(graphs, engine=engine)
+        reference = QJSKUnaligned().gram(graphs, ctx=on(engine))
         assert np.array_equal(np.asarray(resumed), reference)
 
     def test_resume_into_memmap(self, store, graphs, tmp_path):
@@ -169,16 +177,16 @@ class TestCheckpointResume:
             inner=MemmapSink(str(tmp_path / "a.npy")),
         )
         with pytest.raises(KeyboardInterrupt):
-            kernel.gram(graphs, engine=engine, sink=dying)
+            kernel.gram(graphs, ctx=on(engine, dying))
         sink = CheckpointSink(
             store, tile_keyer_for(kernel, graphs),
             inner=MemmapSink(str(tmp_path / "b.npy")),
         )
-        resumed = kernel.gram(graphs, engine=engine, sink=sink)
+        resumed = kernel.gram(graphs, ctx=on(engine, sink))
         assert sink.tiles_restored == 5
         assert isinstance(resumed, np.memmap)
         assert np.array_equal(
-            np.asarray(resumed), kernel.gram(graphs, engine=engine)
+            np.asarray(resumed), kernel.gram(graphs, ctx=on(engine))
         )
 
     def test_float32_tiles_resume_byte_identical(self, store, graphs):
@@ -190,15 +198,15 @@ class TestCheckpointResume:
         keyer = tile_keyer_for(kernel, graphs, dtype="float32")
         dying = _DyingSink(store, keyer, survive=3, dtype="float32")
         with pytest.raises(KeyboardInterrupt):
-            kernel.gram(graphs, engine=engine, sink=dying)
+            kernel.gram(graphs, ctx=on(engine, dying))
         sink = CheckpointSink(store, keyer, dtype="float32")
-        resumed = np.asarray(kernel.gram(graphs, engine=engine, sink=sink))
+        resumed = np.asarray(kernel.gram(graphs, ctx=on(engine, sink)))
         clean_store = ArtifactStore(store.root + "-clean")
         clean_sink = CheckpointSink(clean_store, keyer, dtype="float32")
-        clean = np.asarray(kernel.gram(graphs, engine=engine, sink=clean_sink))
+        clean = np.asarray(kernel.gram(graphs, ctx=on(engine, clean_sink)))
         assert np.array_equal(resumed, clean)
         # Pinned cast tolerance against the full-precision Gram.
-        exact = kernel.gram(graphs, engine=engine)
+        exact = kernel.gram(graphs, ctx=on(engine))
         assert np.allclose(resumed, exact, atol=1e-6, rtol=1e-6)
         assert np.array_equal(resumed, exact.astype(np.float32).astype(float))
 
@@ -214,28 +222,28 @@ class TestCheckpointResume:
         f32 = CheckpointSink(
             store, tile_keyer_for(kernel, graphs), dtype="float32"
         )
-        kernel.gram(graphs, engine=engine, sink=f32)
+        kernel.gram(graphs, ctx=on(engine, f32))
         assert f32.tiles_computed == 10
         # Matches the explicit-dtype keyer (the documented pairing)...
         explicit = CheckpointSink(
             store, tile_keyer_for(kernel, graphs, dtype="float32"),
             dtype="float32",
         )
-        kernel.gram(graphs, engine=engine, sink=explicit)
+        kernel.gram(graphs, ctx=on(engine, explicit))
         assert explicit.tiles_restored == 10
         # ...and a default full-precision sink misses all of them.
         f64 = CheckpointSink(store, tile_keyer_for(kernel, graphs))
-        gram = kernel.gram(graphs, engine=engine, sink=f64)
+        gram = kernel.gram(graphs, ctx=on(engine, f64))
         assert f64.tiles_restored == 0
         assert f64.tiles_computed == 10
         assert np.array_equal(
-            np.asarray(gram), kernel.gram(graphs, engine=engine)
+            np.asarray(gram), kernel.gram(graphs, ctx=on(engine))
         )
 
     def test_discard_tiles(self, store, graphs):
         kernel = QJSKUnaligned()
         sink = CheckpointSink(store, tile_keyer_for(kernel, graphs))
-        kernel.gram(graphs, engine=BatchedEngine(tile_size=4), sink=sink)
+        kernel.gram(graphs, ctx=on(BatchedEngine(tile_size=4), sink))
         keyer = tile_keyer_for(kernel, graphs)
         key = keyer.key((0, 4), (0, 4), diagonal=True)
         assert store.has("gram-tile", key)
@@ -253,41 +261,41 @@ class TestTileGranularExtend:
         engine = BatchedEngine(tile_size=4)
         kernel = QJSKUnaligned()
         first = CheckpointSink(store, tile_keyer_for(kernel, graphs))
-        kernel.gram(graphs, engine=engine, sink=first)
+        kernel.gram(graphs, ctx=on(engine, first))
         assert first.tiles_computed == 10  # 13 graphs / tile 4 -> 4 ranges
 
         grown = list(graphs) + list(newcomers)
         second = CheckpointSink(store, tile_keyer_for(kernel, grown))
         counted = _CountingQJSK()
-        result = counted.gram(grown, engine=engine, sink=second)
+        result = counted.gram(grown, ctx=on(engine, second))
         # 17 graphs -> ranges (0,4)(4,8)(8,12)(12,16)(16,17): 15 tiles.
         # Reusable: pairs among the first three (unchanged) ranges = 6;
         # the old partial range (12,13) moved, so its tiles recompute.
         assert second.tiles_restored == 6
         assert second.tiles_computed == 9
         assert counted.block_calls == 9
-        reference = QJSKUnaligned().gram(grown, engine=engine)
+        reference = QJSKUnaligned().gram(grown, ctx=on(engine))
         assert np.array_equal(np.asarray(result), reference)
 
     def test_gram_extend_with_store_checkpoints_blocks(
         self, store, graphs, newcomers
     ):
-        """gram_extend(store=...) commits its cross/diagonal tiles, so a
+        """gram_extend with ctx.store commits its cross/diagonal tiles, so a
         second identical extension restores everything."""
         kernel = _CountingQJSK()
         engine = BatchedEngine(tile_size=4)
-        cached = kernel.gram(graphs, engine=engine)
+        cached = kernel.gram(graphs, ctx=on(engine))
         extended = kernel.gram_extend(
-            cached, graphs, newcomers, engine=engine, store=store
+            cached, graphs, newcomers, ctx=on(engine, store=store)
         )
         kernel.block_calls = 0
         again = kernel.gram_extend(
-            cached, graphs, newcomers, engine=engine, store=store
+            cached, graphs, newcomers, ctx=on(engine, store=store)
         )
         assert kernel.block_calls == 0  # every block tile came from disk
         assert np.array_equal(extended, again)
         full = QJSKUnaligned().gram(
-            list(graphs) + list(newcomers), engine=engine
+            list(graphs) + list(newcomers), ctx=on(engine)
         )
         assert np.allclose(extended, full, atol=1e-10, rtol=0.0)
 
@@ -296,7 +304,7 @@ class TestMemmapArtifacts:
     def test_memmap_sink_roundtrips_through_store(self, store, graphs):
         kernel = WeisfeilerLehmanKernel(3)
         sink = store.memmap_sink("gram", "wl-demo")
-        gram = kernel.gram(graphs, sink=sink, engine=BatchedEngine(tile_size=4))
+        gram = kernel.gram(graphs, ctx=on(BatchedEngine(tile_size=4), sink))
         mapped = store.get_memmap("gram", "wl-demo")
         assert isinstance(mapped, np.memmap)
         assert np.array_equal(np.asarray(mapped), np.asarray(gram))
@@ -328,13 +336,13 @@ class TestMemmapArtifacts:
 
         sink.write = dying_write  # instance-level patch; sink is discarded
         with pytest.raises(_Dies):
-            kernel.gram(graphs, engine=plan_tile, sink=sink)
+            kernel.gram(graphs, ctx=on(plan_tile, sink))
         assert store.get_memmap("gram", "staged-demo") is None
         assert store.get_array("gram", "staged-demo") is None
 
         # A completed run publishes atomically on commit.
         done = store.memmap_sink("gram", "staged-demo")
-        gram = kernel.gram(graphs, engine=plan_tile, sink=done)
+        gram = kernel.gram(graphs, ctx=on(plan_tile, done))
         published = store.get_memmap("gram", "staged-demo")
         assert np.array_equal(np.asarray(published), np.asarray(gram))
 
