@@ -2,10 +2,10 @@
 
 scikit-learn is not available in the reproduction environment, so the
 κ-means step of paper Eq. (13) is implemented here. The implementation is
-deterministic for a fixed seed, handles empty clusters by re-seeding them on
-the farthest points, and supports warm starts (used to keep prototype
-indexings consistent across DB-representation dimensions; see
-:mod:`repro.alignment.prototypes`).
+deterministic for a fixed seed, re-seeds empty clusters on the farthest
+points (which does not guarantee non-empty clusters when points repeat),
+and supports warm starts (used to keep prototype indexings consistent
+across DB-representation dimensions; see :mod:`repro.alignment.prototypes`).
 """
 
 from __future__ import annotations
@@ -50,12 +50,48 @@ class KMeansResult:
         )
 
 
-def _pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, computed stably via the expansion trick."""
-    p_sq = np.sum(points**2, axis=1)[:, None]
-    c_sq = np.sum(centers**2, axis=1)[None, :]
+def _pairwise_sq_dists(
+    points: np.ndarray,
+    centers: np.ndarray,
+    points_sq: "np.ndarray | None" = None,
+    out: "np.ndarray | None" = None,
+) -> np.ndarray:
+    """Squared Euclidean distances, computed stably via the expansion trick.
+
+    ``(p² + c²) − 2·(x·c)``, clipped at 0. Callers that reuse one point set
+    pass its squared norms ``points_sq`` (``np.sum(points**2, axis=1)``)
+    and an ``(n, k)`` buffer ``out``; the arithmetic is the same either way.
+    """
+    if points_sq is None:
+        points_sq = np.sum(points**2, axis=1)
+    centers_sq = np.sum(centers**2, axis=1)
+    out = np.add(points_sq[:, None], centers_sq[None, :], out=out)
     cross = points @ centers.T
-    return np.clip(p_sq + c_sq - 2.0 * cross, 0.0, None)
+    cross *= 2.0
+    out -= cross
+    return np.clip(out, 0.0, None, out=out)
+
+
+def cluster_means(
+    points: np.ndarray, assignments: np.ndarray, initial: np.ndarray
+) -> np.ndarray:
+    """Per-cluster means of ``points``; empty clusters keep ``initial``'s row.
+
+    One stable sort lays each cluster's points out contiguously in their
+    original order, so each mean reduces the same values in the same order
+    as ``points[assignments == c].mean(axis=0)``: bitwise the same result,
+    without a boolean mask per cluster. The sort key is the narrowest
+    unsigned type that holds the cluster indices, so that numpy can
+    radix-sort it.
+    """
+    counts = np.bincount(assignments, minlength=len(initial))
+    ends = np.cumsum(counts)
+    key = assignments.astype(np.min_scalar_type(len(initial)))
+    grouped = np.take(points, np.argsort(key, kind="stable"), axis=0)
+    means = initial.copy()
+    for c in np.flatnonzero(counts):
+        means[c] = grouped[ends[c] - counts[c] : ends[c]].mean(axis=0)
+    return means
 
 
 def kmeans_plusplus_init(
@@ -66,7 +102,8 @@ def kmeans_plusplus_init(
     centers = np.empty((n_clusters, points.shape[1]))
     first = int(rng.integers(0, n))
     centers[0] = points[first]
-    closest_sq = _pairwise_sq_dists(points, centers[:1]).ravel()
+    points_sq = np.sum(points**2, axis=1)
+    closest_sq = _pairwise_sq_dists(points, centers[:1], points_sq).ravel()
     for i in range(1, n_clusters):
         total = float(closest_sq.sum())
         if total <= 0:
@@ -76,7 +113,7 @@ def kmeans_plusplus_init(
         probs = closest_sq / total
         chosen = int(rng.choice(n, p=probs))
         centers[i] = points[chosen]
-        new_sq = _pairwise_sq_dists(points, centers[i : i + 1]).ravel()
+        new_sq = _pairwise_sq_dists(points, centers[i : i + 1], points_sq).ravel()
         closest_sq = np.minimum(closest_sq, new_sq)
     return centers
 
@@ -131,15 +168,21 @@ def kmeans(
     else:
         centers = kmeans_plusplus_init(arr, n_clusters, rng)
 
+    points_sq = np.sum(arr**2, axis=1)
+    distances = np.empty((n, n_clusters))
     assignments = np.full(n, -1, dtype=int)
     converged = False
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        distances = _pairwise_sq_dists(arr, centers)
+        _pairwise_sq_dists(arr, centers, points_sq, out=distances)
         new_assignments = np.argmin(distances, axis=1)
 
-        # Re-seed empty clusters on the points farthest from their centers,
-        # so the requested cluster count is honoured.
+        # Re-seed empty clusters on the points farthest from their centers.
+        # This does not guarantee that every cluster ends non-empty: a
+        # victim may be the only member of its cluster, which then empties,
+        # and repeated rows tie between centers (argmin keeps the lowest
+        # index). With duplicate points a fit can finish with clusters no
+        # point maps to.
         counts = np.bincount(new_assignments, minlength=n_clusters)
         empties = np.flatnonzero(counts == 0)
         if empties.size:
@@ -151,12 +194,8 @@ def kmeans(
                 victim = int(order[slot])
                 new_assignments[victim] = empty
                 centers[empty] = arr[victim]
-            counts = np.bincount(new_assignments, minlength=n_clusters)
 
-        moved = float("inf")
-        new_centers = centers.copy()
-        for c in np.flatnonzero(counts > 0):
-            new_centers[c] = arr[new_assignments == c].mean(axis=0)
+        new_centers = cluster_means(arr, new_assignments, centers)
         moved = float(np.max(np.abs(new_centers - centers))) if centers.size else 0.0
 
         stable = np.array_equal(new_assignments, assignments)
@@ -166,7 +205,7 @@ def kmeans(
             converged = True
             break
 
-    final_dists = _pairwise_sq_dists(arr, centers)
+    final_dists = _pairwise_sq_dists(arr, centers, points_sq, out=distances)
     inertia = float(final_dists[np.arange(n), assignments].sum())
     return KMeansResult(centers, assignments, inertia, iteration, converged)
 

@@ -39,6 +39,7 @@ from repro.backend import active_policy
 from repro.backend.policy import DEFAULT_CHUNK_ELEMENTS
 from repro.backend.support import support_entropies
 from repro.alignment.depth_based import DBRepresentationExtractor
+from repro.alignment.kmeans import cluster_means
 from repro.alignment.prototypes import PrototypeHierarchy, fit_prototype_hierarchy
 from repro.alignment.transform import (
     AlignedGraphStructures,
@@ -369,14 +370,9 @@ class HierarchicalAligner:
         column ``insert_at``, i.e. *before* any static label columns so
         the layout matches the dimension-(k+1) slice.
         """
-        assignments = hierarchy.assign_level1(pooled_k)
         centers_k = hierarchy.centers[0]
-        m1 = centers_k.shape[0]
-        new_column = np.zeros(m1)
-        for cluster in range(m1):
-            members = assignments == cluster
-            if members.any():
-                new_column[cluster] = float(new_values[members].mean())
+        assignments = hierarchy.assign_level1(pooled_k)
+        new_column = cluster_means(new_values, assignments, np.zeros(len(centers_k)))
         return np.hstack(
             [
                 centers_k[:, :insert_at],

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AlignmentError
+from repro.alignment import correspondence_matrices, prototypes
 from repro.alignment.kmeans import assign_to_centers, kmeans, kmeans_plusplus_init
+from repro.graphs import generators as gen
+from repro.kernels import HAQJSKKernelD
 
 
 def blobs(seed: int = 0, per: int = 20):
@@ -80,6 +83,64 @@ class TestKMeans:
         assert "KMeansResult" in repr(result)
 
 
+class TestRepeatedRows:
+    """Re-seeding does not keep every cluster populated when rows repeat.
+
+    Duplicates tie between equal centers (argmin keeps the lowest index),
+    and a re-seed victim can be the last member of its own cluster. The fit
+    must still be well formed, and HAQJSK(D)'s aligned density matrices
+    must be exactly zero on the prototypes no vertex maps to: support
+    compression (``repro.backend.support``) solves only the rest.
+    """
+
+    def test_fit_with_an_empty_cluster_is_well_formed(self):
+        points = np.repeat([[0.0], [1.0], [2.0]], 5, axis=0)
+        result = kmeans(points, 8, seed=0)
+        assert result.centers.shape == (8, 1)
+        assert np.all(np.isfinite(result.centers))
+        # An empty cluster's center keeps its last value, a data row.
+        assert all(np.any(np.all(points == c, axis=1)) for c in result.centers)
+        counts = np.bincount(result.assignments, minlength=8)
+        assert result.assignments.shape == (15,)
+        assert result.assignments.max() < 8
+        assert counts.min() == 0 and counts.sum() == 15
+        residual = points - result.centers[result.assignments]
+        assert result.inertia == pytest.approx(float(np.sum(residual**2)))
+        assert 1 <= result.n_iterations <= 100
+
+    def test_haqjsk_density_is_zero_on_unmapped_prototypes(self, monkeypatch):
+        empty_clusters = []
+
+        def spying_kmeans(points, n_clusters, **kwargs):
+            result = kmeans(points, n_clusters, **kwargs)
+            counts = np.bincount(result.assignments, minlength=len(result.centers))
+            empty_clusters.append(int(np.sum(counts == 0)))
+            return result
+
+        monkeypatch.setattr(prototypes, "kmeans", spying_kmeans)
+        # Vertex-transitive graphs: every vertex of a graph shares one row.
+        graphs = [
+            gen.cycle_graph(5), gen.cycle_graph(6), gen.cycle_graph(7),
+            gen.complete_graph(4), gen.complete_graph(5), gen.star_graph(5),
+        ]
+        kernel = HAQJSKKernelD(n_prototypes=8, n_levels=2, seed=0).freeze(graphs)
+        assert max(empty_clusters) > 0
+        system = kernel.aligner.frozen_
+        mapped_by_collection = np.zeros(8, dtype=bool)
+        for graph, (_, densities) in zip(graphs, kernel.prepare(graphs)):
+            rows = kernel.aligner._quantized(system.extractor.transform(graph))
+            for level, rho in enumerate(densities):
+                mapped = np.zeros(rho.shape[0], dtype=bool)
+                for k, hierarchy in enumerate(system.hierarchies, start=1):
+                    c_levels = correspondence_matrices(rows[:, :k], hierarchy)
+                    mapped |= c_levels[level].any(axis=0)
+                assert np.all(rho[~mapped] == 0.0)
+                assert np.all(rho[:, ~mapped] == 0.0)
+                if level == 0:
+                    mapped_by_collection |= mapped
+        assert not mapped_by_collection.all()
+
+
 class TestInit:
     def test_plusplus_centers_are_points(self):
         points = blobs(4)
@@ -137,5 +198,6 @@ def test_kmeans_invariants(n_points, n_clusters, seed):
     assert result.assignments.min() >= 0
     assert result.assignments.max() < k
     assert result.inertia >= 0.0
-    # Every cluster is non-empty (reseeding guarantees it).
+    # Distinct continuous points leave no cluster empty here. Re-seeding
+    # alone does not guarantee that: see TestRepeatedRows.
     assert len(set(result.assignments.tolist())) == k

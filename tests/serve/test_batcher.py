@@ -194,13 +194,19 @@ class TestFailureModes:
             batcher.close()
 
     def test_timeout_raises_named_error(self):
+        release = threading.Event()
+
         def stuck_predict(graphs):
-            time.sleep(5.0)
+            release.wait(timeout=10)
             return fake_predict(graphs)
 
         with MicroBatcher(stuck_predict, window_ms=1.0) as batcher:
-            with pytest.raises(ServeTimeoutError, match="within 0.1s"):
-                batcher.submit([1], timeout=0.1)
+            try:
+                with pytest.raises(ServeTimeoutError, match="within 0.1s"):
+                    batcher.submit([1], timeout=0.1)
+            finally:
+                # close() joins the dispatcher, which is inside predict.
+                release.set()
 
     def test_predict_error_fans_out_to_every_waiter(self):
         def broken_predict(graphs):
