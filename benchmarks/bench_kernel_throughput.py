@@ -34,9 +34,9 @@ ENGINE_BACKENDS = ("serial", "batched", "process")
 #: Pairwise kernels with a vectorized block path worth tracking over time.
 ENGINE_KERNELS = ("HAQJSK(A)", "HAQJSK(D)", "QJSK", "JTQK")
 
-#: Compute-policy rows of the backend/precision bench: the float64/eig
-#: reference, the CLI-requested policy (--backend/--precision/--entropy),
-#: and the forced eigenvalue-free Chebyshev path.
+#: Compute-policy rows of the precision bench: the float64/eig
+#: reference, the CLI-requested policy (--precision/--entropy), and the
+#: forced eigenvalue-free Chebyshev path.
 POLICY_ROWS = ("reference", "requested", "chebyshev")
 
 #: Kernels the compute-policy axis measures: QJSK (large padded stacks —
@@ -125,7 +125,6 @@ def test_bench_engine_backends(
 def _requested_policy(config) -> ComputePolicy:
     """The ComputePolicy the CLI options describe."""
     values = {
-        "backend": config.getoption("--backend"),
         "precision": config.getoption("--precision"),
         "entropy": config.getoption("--entropy"),
     }
@@ -164,7 +163,7 @@ def _policy_bench_state():
 def test_bench_compute_policies(
     name, row, engine_probe_graphs, _policy_bench_state, benchmark, request
 ):
-    """Backend/precision axis of the Gram hot path (ISSUE satellite).
+    """Precision/entropy axis of the Gram hot path.
 
     Each row runs the same batched tile stream under one compute policy
     and emits a machine-readable JSON record (``extra_info["policy_row"]``)

@@ -16,21 +16,14 @@ import pytest
 def pytest_addoption(parser):
     """Compute-policy axis for the throughput benches.
 
-    ``--backend`` / ``--precision`` / ``--entropy`` select the
-    :class:`repro.backend.ComputePolicy` the backend benches measure in
+    ``--precision`` / ``--entropy`` select the
+    :class:`repro.backend.ComputePolicy` the policy benches measure in
     addition to the float64/eig reference; ``--chebyshev-degree``
     overrides the approximation degree. Example::
 
-        pytest benchmarks/bench_kernel_throughput.py \
-            --backend numpy --precision float32
+        pytest benchmarks/bench_kernel_throughput.py --precision float32
     """
     group = parser.getgroup("repro compute policy")
-    group.addoption(
-        "--backend",
-        action="store",
-        default="numpy",
-        help="array backend to benchmark (numpy, the only one shipped)",
-    )
     group.addoption(
         "--precision",
         action="store",
@@ -42,8 +35,8 @@ def pytest_addoption(parser):
         action="store",
         default="auto",
         help="entropy path for the requested-policy row (eig/chebyshev/"
-        "auto); 'auto' routes large stacks eigenvalue-free when the "
-        "backend prefers it (the float32 fast path)",
+        "auto); 'auto' routes large stacks eigenvalue-free at float32 "
+        "(the float32 fast path)",
     )
     group.addoption(
         "--chebyshev-degree",

@@ -29,12 +29,7 @@ import copy
 import os
 from dataclasses import dataclass, replace
 
-from repro.backend import (
-    BACKEND_ENV_VAR,
-    ENTROPY_ENV_VAR,
-    PRECISION_ENV_VAR,
-    ComputePolicy,
-)
+from repro.backend import ENTROPY_ENV_VAR, PRECISION_ENV_VAR, ComputePolicy
 from repro.engine.base import (
     ENGINE_ENV_VAR,
     GramEngine,
@@ -89,14 +84,13 @@ class ExecutionContext:
         historical default (``gram`` raw, the CV protocol normalised),
         ``True``/``False`` pins the policy for every call through this
         context unless the call site overrides it explicitly.
-    backend / precision / entropy:
+    precision / entropy:
         Compute-policy knobs (see :class:`repro.backend.ComputePolicy`):
-        the array backend (``"numpy"``), the device precision
-        (``"float64"`` / ``"float32"``) and the entropy path (``"eig"`` /
-        ``"chebyshev"`` / ``"auto"``). ``None`` falls back to the
-        ``REPRO_BACKEND`` / ``REPRO_PRECISION`` / ``REPRO_ENTROPY``
-        environment, else the bit-stable numpy/float64/eig reference.
-        Field values are validated at construction.
+        the compute precision (``"float64"`` / ``"float32"``) and the
+        entropy path (``"eig"`` / ``"chebyshev"`` / ``"auto"``). ``None``
+        falls back to the ``REPRO_PRECISION`` / ``REPRO_ENTROPY``
+        environment, else the bit-stable float64/eig reference. Field
+        values are validated at construction.
     """
 
     engine: "GramEngine | str | None" = None
@@ -106,7 +100,6 @@ class ExecutionContext:
     tile_checkpoint: bool = True
     normalize: "bool | None" = None
     ensure_psd: "bool | None" = None
-    backend: "str | None" = None
     precision: "str | None" = None
     entropy: "str | None" = None
 
@@ -130,14 +123,9 @@ class ExecutionContext:
                 f"{type(self.sink_factory).__name__} (a sink instance is "
                 "single-use — wrap it: sink_factory=lambda: sink)"
             )
-        # A typo'd backend/precision/entropy raises a named BackendError.
-        if (
-            self.backend is not None
-            or self.precision is not None
-            or self.entropy is not None
-        ):
+        # A typo'd precision/entropy raises a named BackendError.
+        if self.has_compute_fields():
             ComputePolicy(
-                backend=self.backend or "numpy",
                 precision=self.precision or "float64",
                 entropy=self.entropy or "eig",
             )
@@ -177,7 +165,6 @@ class ExecutionContext:
 
             values["store"] = ArtifactStore(root)
         for env_var, field in (
-            (BACKEND_ENV_VAR, "backend"),
             (PRECISION_ENV_VAR, "precision"),
             (ENTROPY_ENV_VAR, "entropy"),
         ):
@@ -230,11 +217,7 @@ class ExecutionContext:
 
     def has_compute_fields(self) -> bool:
         """Whether any compute-policy knob is explicitly set."""
-        return (
-            self.backend is not None
-            or self.precision is not None
-            or self.entropy is not None
-        )
+        return self.precision is not None or self.entropy is not None
 
     def compute_policy(self) -> ComputePolicy:
         """The :class:`~repro.backend.ComputePolicy` this context selects.
@@ -246,7 +229,6 @@ class ExecutionContext:
         overrides = {
             field: value
             for field, value in (
-                ("backend", self.backend),
                 ("precision", self.precision),
                 ("entropy", self.entropy),
             )
@@ -317,10 +299,10 @@ class ExecutionContext:
         ``sink_factory`` is code, not data — it is recorded by class
         name only, and :meth:`from_record` refuses records carrying one
         (rebuild the factory at the call site instead).
-        ``backend`` / ``precision`` / ``entropy`` are recorded
-        *resolved* (explicit field, else environment, else reference
-        default): the record describes the compute policy that actually
-        ran, and resolution is a fixed point so records round-trip.
+        ``precision`` / ``entropy`` are recorded *resolved* (explicit
+        field, else environment, else reference default): the record
+        describes the compute policy that actually ran, and resolution is
+        a fixed point so records round-trip.
         """
         sink_name = None
         if self.sink_factory is not None:
@@ -337,14 +319,19 @@ class ExecutionContext:
             "tile_checkpoint": bool(self.tile_checkpoint),
             "normalize": self.normalize,
             "ensure_psd": self.ensure_psd,
-            "backend": policy.backend,
             "precision": policy.precision,
             "entropy": policy.entropy,
         }
 
     @classmethod
     def from_record(cls, record: dict) -> "ExecutionContext":
-        """Rebuild a context from :meth:`to_record` output."""
+        """Rebuild a context from :meth:`to_record` output.
+
+        Records written while contexts still had an array-backend field
+        (bundles, report footers) carry ``"backend": "numpy"``. Numpy is
+        what runs now, so that value is accepted and dropped; any other
+        backend is refused.
+        """
         if not isinstance(record, dict):
             raise ValidationError(
                 f"an ExecutionContext record must be a dict, got "
@@ -359,6 +346,13 @@ class ExecutionContext:
         if extras:
             raise ValidationError(
                 f"unexpected ExecutionContext record keys {sorted(extras)}"
+            )
+        backend = record.get("backend", "numpy")
+        if backend != "numpy":
+            raise ValidationError(
+                f"ExecutionContext record field 'backend' is {backend!r}: "
+                "computation runs on numpy only, so records naming another "
+                "array backend cannot be rebuilt"
             )
         if record.get("sink") is not None:
             raise ValidationError(
@@ -378,7 +372,6 @@ class ExecutionContext:
             tile_checkpoint=bool(record.get("tile_checkpoint", True)),
             normalize=record.get("normalize"),
             ensure_psd=record.get("ensure_psd"),
-            backend=record.get("backend"),
             precision=record.get("precision"),
             entropy=record.get("entropy"),
         )

@@ -1,47 +1,30 @@
-"""Pluggable array backends with a mixed-precision compute policy.
+"""The numpy compute path behind the kernels, with a mixed-precision policy.
 
 The kernel hot paths (stacked Hermitian eigenvalues, entropy reductions,
-mixed-state assembly, matmul) dispatch through an
-:class:`~repro.backend.base.ArrayBackend` selected by a
-:class:`~repro.backend.policy.ComputePolicy`:
+mixed-state assembly, matmul) run through a
+:class:`~repro.backend.policy.ComputePolicy` that picks the compute
+precision and the entropy path:
 
     from repro.backend import ComputePolicy, policy_scope
 
-    fast = ComputePolicy(backend="numpy", precision="float32",
-                         entropy="auto")
+    fast = ComputePolicy(precision="float32", entropy="auto")
     with policy_scope(fast):
         gram = kernel.gram(graphs)          # float32 tiles, float64 sums
 
 or, end to end, through the execution context:
 
-    ctx = ExecutionContext(backend="numpy", precision="float32")
+    ctx = ExecutionContext(precision="float32", entropy="auto")
 
-Backend: ``numpy``, the only one shipped; the :class:`ArrayBackend`
-protocol and :func:`register_backend` keep the seam open, and an
-unknown name raises a named :class:`~repro.errors.BackendError` listing
-the registered backends. The default policy (numpy / float64 / eig) is the
-exact reference: mixed states are solved on their exact support
-(:mod:`repro.backend.support`, ≤1e-12 from the dense solve) and every
-engine and tiling agrees bitwise; the float32 and Chebyshev fast paths
-trade documented tolerance tiers (README "Backends & precision") for
-throughput.
+The default policy (float64 / eig) is the exact reference: mixed states
+are solved on their exact support (:mod:`repro.backend.support`, ≤1e-12
+from the dense solve) and every engine and tiling agrees bitwise; the
+float32 and Chebyshev fast paths trade documented tolerance tiers
+(README "Backends & precision") for throughput.
 """
 
 from __future__ import annotations
 
-from repro.backend.base import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
-    ArrayBackend,
-    available_backends,
-    default_backend_name,
-    register_backend,
-    resolve_backend,
-)
 from repro.backend.chebyshev import chebyshev_entropies
-
-# Importing the implementation module registers it.
-from repro.backend import numpy_backend  # noqa: F401
 from repro.backend.policy import (
     DEFAULT_CHEBYSHEV_DEGREE,
     ENTROPY_ENV_VAR,
@@ -56,9 +39,6 @@ from repro.backend.policy import (
 )
 
 __all__ = [
-    "ArrayBackend",
-    "BACKENDS",
-    "BACKEND_ENV_VAR",
     "ComputePolicy",
     "DEFAULT_CHEBYSHEV_DEGREE",
     "ENTROPY_ENV_VAR",
@@ -66,12 +46,8 @@ __all__ = [
     "PRECISION_ENV_VAR",
     "REFERENCE_POLICY",
     "active_policy",
-    "available_backends",
     "chebyshev_entropies",
     "collect_phase_timings",
-    "default_backend_name",
     "policy_scope",
-    "register_backend",
-    "resolve_backend",
     "scoped_policy",
 ]

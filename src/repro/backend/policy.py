@@ -1,22 +1,21 @@
-"""ComputePolicy — which backend, precision, and entropy path a tile uses.
+"""ComputePolicy — which precision and entropy path a tile uses.
 
 A :class:`ComputePolicy` is a small frozen value (picklable — it crosses
 process boundaries with the process engine's tile tasks) bundling the
-three compute knobs:
+compute knobs of the numpy hot path:
 
-* ``backend`` — an :data:`~repro.backend.base.BACKENDS` name;
-* ``precision`` — the *device compute* dtype (``float64``/``float32``).
-  Accumulation is always float64: reductions return host float64 and the
-  engine sink upcasts every tile block before placement, so low-precision
-  round-off stays per-entry and never compounds across tiles;
+* ``precision`` — the *compute* dtype (``float64``/``float32``) of the
+  stacks the eigensolver or Chebyshev recurrence runs on. Accumulation
+  is always float64: reductions return float64 and the engine sink
+  upcasts every tile block before placement, so low-precision round-off
+  stays per-entry and never compounds across tiles;
 * ``entropy`` — ``eig`` (stacked ``eigvalsh``, the reference),
   ``chebyshev`` (the eigenvalue-free path of
-  :mod:`repro.backend.chebyshev`), or ``auto`` (ask the backend per tile
-  via :meth:`~repro.backend.base.ArrayBackend.prefers_eig_free`, gated by
-  ``approx_min_dim`` — small matrices stay exact).
+  :mod:`repro.backend.chebyshev`), or ``auto`` (Chebyshev at float32
+  only, gated by ``approx_min_dim`` — small matrices stay exact).
 
-The **default policy is the reference**: ``numpy``/``float64``/``eig``.
-Mixed states whose exact support is far smaller than their edge (see
+The **default policy is the reference**: ``float64``/``eig``. Mixed
+states whose exact support is far smaller than their edge (see
 :mod:`repro.backend.support`) are solved on that support and agree with
 the dense solve to ~1e-14; all other mixed states run the historical
 dense arithmetic bit for bit. A pair's solve depends only on its own two
@@ -40,29 +39,26 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.backend.base import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
-    ArrayBackend,
-    available_backends,
-    check_precision,
-    resolve_backend,
-)
 from repro.backend.chebyshev import chebyshev_entropies
 from repro.backend.support import (
     SUPPORT_MIN_DIM,
+    eig_entropies,
     gather_offsets,
     support_buckets,
     support_masks,
     take_principal,
 )
 from repro.errors import BackendError
+from repro.utils.linalg import symmetrize as _symmetrize
 
-#: Environment variable selecting the process-wide device precision.
+#: Environment variable selecting the process-wide compute precision.
 PRECISION_ENV_VAR = "REPRO_PRECISION"
 
 #: Environment variable selecting the process-wide entropy path.
 ENTROPY_ENV_VAR = "REPRO_ENTROPY"
+
+#: Precision names a policy accepts, and the dtypes they compute in.
+_DTYPES = {"float64": np.float64, "float32": np.float32}
 
 #: Entropy-path names a policy accepts.
 ENTROPY_PATHS = ("eig", "chebyshev", "auto")
@@ -72,39 +68,44 @@ ENTROPY_PATHS = ("eig", "chebyshev", "auto")
 DEFAULT_CHEBYSHEV_DEGREE = 16
 
 #: Memory budget (float64 elements, ~64 MB) for one batched intermediate:
-#: every chunked gather / ``eigvalsh`` / broadcast loop in the backend and
+#: every chunked gather / ``eigvalsh`` / broadcast loop in the policy and
 #: the kernels sizes its stacks by it. Only memory depends on it — each
 #: matrix is solved on its own, so moving a chunk boundary changes no
 #: value.
 DEFAULT_CHUNK_ELEMENTS = 1 << 23
+
+#: Element budget per Chebyshev sub-batch. The recurrence keeps ``K + 1``
+#: polynomial stacks alive at once and is cache-bound, not flop-bound: at
+#: a 256k-element sub-batch the live float32 stacks (~1 MB each) stay
+#: cache-resident, which is worth ~1.7x over whole-batch evaluation at
+#: m ~ 26-64 (whole-batch barely ties eigvalsh).
+APPROX_CHUNK_ELEMENTS = 1 << 18
 
 _STATE = threading.local()
 
 
 @dataclass(frozen=True)
 class ComputePolicy:
-    """Frozen backend + precision + entropy-path selection.
+    """Frozen precision + entropy-path selection.
 
     ``approx_min_dim`` is the smallest matrix edge the ``auto`` entropy
     mode may approximate; forced ``chebyshev`` applies from ``m > 2``
     (1x1/2x2 spectra are closed-form or trivially cheap exactly).
     """
 
-    backend: str = "numpy"
     precision: str = "float64"
     entropy: str = "eig"
     chebyshev_degree: int = DEFAULT_CHEBYSHEV_DEGREE
     approx_min_dim: int = 16
 
     def __post_init__(self) -> None:
-        if isinstance(self.backend, ArrayBackend):
-            object.__setattr__(self, "backend", self.backend.name)
-        if not isinstance(self.backend, str) or self.backend not in BACKENDS:
+        precision = str(self.precision).strip().lower()
+        if precision not in _DTYPES:
             raise BackendError(
-                f"unknown array backend {self.backend!r}; registered: "
-                f"{', '.join(available_backends())}"
+                f"unknown precision {self.precision!r}; expected one of "
+                f"{', '.join(_DTYPES)}"
             )
-        object.__setattr__(self, "precision", check_precision(self.precision))
+        object.__setattr__(self, "precision", precision)
         if self.entropy not in ENTROPY_PATHS:
             raise BackendError(
                 f"unknown entropy path {self.entropy!r}; expected one of "
@@ -129,12 +130,11 @@ class ComputePolicy:
     def from_env(cls, **overrides) -> "ComputePolicy":
         """The policy the ``REPRO_*`` environment describes.
 
-        Reads ``REPRO_BACKEND``, ``REPRO_PRECISION`` and
-        ``REPRO_ENTROPY``; keyword ``overrides`` replace fields after.
+        Reads ``REPRO_PRECISION`` and ``REPRO_ENTROPY``; keyword
+        ``overrides`` replace fields after.
         """
         values: dict = {}
         for env_var, field in (
-            (BACKEND_ENV_VAR, "backend"),
             (PRECISION_ENV_VAR, "precision"),
             (ENTROPY_ENV_VAR, "entropy"),
         ):
@@ -149,22 +149,13 @@ class ComputePolicy:
         return replace(self, **changes)
 
     def describe(self) -> str:
-        """``backend/precision/entropy`` — the report-footer form."""
-        return f"{self.backend}/{self.precision}/{self.entropy}"
+        """``precision/entropy`` — the report-footer form."""
+        return f"{self.precision}/{self.entropy}"
 
     @property
     def is_reference(self) -> bool:
-        """True for the bit-stable numpy/float64/eig reference policy."""
-        return (
-            self.backend == "numpy"
-            and self.precision == "float64"
-            and self.entropy == "eig"
-        )
-
-    @property
-    def array_backend(self) -> ArrayBackend:
-        """The resolved backend instance (may raise ``BackendError``)."""
-        return resolve_backend(self.backend)
+        """True for the bit-stable float64/eig reference policy."""
+        return self.precision == "float64" and self.entropy == "eig"
 
     # ------------------------------------------------------------------ #
     # The hot-path primitives kernels call
@@ -176,24 +167,26 @@ class ComputePolicy:
             return False
         if self.entropy == "chebyshev":
             return True
-        return m >= self.approx_min_dim and self.array_backend.prefers_eig_free(
-            m, self.precision
-        )
+        # auto. Measured on the reference box: float32 matmuls run ~3.5x
+        # faster than float64 while LAPACK's float32 eigvalsh does not
+        # beat the float64 solver at all, so the K matmuls of the
+        # Chebyshev path only pay off in float32 and only once eig's m^3
+        # dominates.
+        return m >= self.approx_min_dim and self.precision == "float32"
 
     def entropies(self, stack, *, symmetrize: bool = True) -> np.ndarray:
-        """Batched von Neumann entropies of a host ``(..., m, m)`` stack.
+        """Batched von Neumann entropies of a ``(..., m, m)`` stack.
 
         ``symmetrize`` mirrors the two historical call sites: the QJSK
         path symmetrises like :func:`von_neumann_entropies`, the HAQJSK
         fast path feeds symmetric-by-construction stacks directly.
-        Returns host float64.
+        Returns float64.
         """
-        backend = self.array_backend
         with _phase("assembly"):
-            device = backend.asarray(stack, self.precision)
+            cast = as_precision(stack, self.precision)
             if symmetrize:
-                device = backend.symmetrize(device)
-        return self._device_entropies(backend, device)
+                cast = _symmetrize(cast)
+        return self._entropies(cast)
 
     def mixed_entropies(
         self,
@@ -210,15 +203,13 @@ class ComputePolicy:
         The tile workhorse. Each pair is solved on the union of its two
         exact supports, rounded up to a bucket (see
         :mod:`repro.backend.support`): its principal submatrices are
-        gathered on the host, cross to the device at the policy's
-        precision and mix there, and the entropy path (``uses_approx``)
-        is chosen on the bucket's edge. Pairs in the dense bucket take the
-        full-edge route: each host stack crosses to the device once and
-        every chunk gathers, mixes and reduces in device arrays. Chunking
-        by ``chunk_elements`` bounds every gathered intermediate
-        regardless of pair count.
+        gathered from the float64 stacks, cast to the policy's precision
+        and mixed, and the entropy path (``uses_approx``) is chosen on the
+        bucket's edge. Pairs in the dense bucket take the full-edge route:
+        each stack is cast once and every chunk gathers, mixes and reduces
+        at the policy's precision. Chunking by ``chunk_elements`` bounds
+        every gathered intermediate regardless of pair count.
         """
-        backend = self.array_backend
         m = int(stack_a.shape[-1])
         idx_a = np.asarray(idx_a)
         idx_b = np.asarray(idx_b)
@@ -234,11 +225,11 @@ class ComputePolicy:
             buckets = [(m, np.arange(idx_a.size), None)]
         if any(gather is None for _, _, gather in buckets):
             with _phase("assembly"):
-                device_a = backend.asarray(stack_a, self.precision)
-                device_b = (
-                    device_a
+                cast_a = as_precision(stack_a, self.precision)
+                cast_b = (
+                    cast_a
                     if stack_b is stack_a
-                    else backend.asarray(stack_b, self.precision)
+                    else as_precision(stack_b, self.precision)
                 )
         for size, positions, gather in buckets:
             rows_a = idx_a[positions]
@@ -248,69 +239,78 @@ class ComputePolicy:
                 stop = min(start + chunk, positions.size)
                 with _phase("assembly"):
                     if gather is None:
-                        part_a = backend.take(device_a, rows_a[start:stop])
-                        part_b = backend.take(device_b, rows_b[start:stop])
+                        part_a = cast_a[rows_a[start:stop]]
+                        part_b = cast_b[rows_b[start:stop]]
                     else:
                         offsets = gather_offsets(gather[start:stop], m)
-                        part_a = backend.asarray(
+                        part_a = as_precision(
                             take_principal(stack_a, rows_a[start:stop], offsets),
                             self.precision,
                         )
-                        part_b = backend.asarray(
+                        part_b = as_precision(
                             take_principal(stack_b, rows_b[start:stop], offsets),
                             self.precision,
                         )
-                    mixed = backend.mix(part_a, part_b)
+                    mixed = mix(part_a, part_b)
                     if symmetrize:
-                        mixed = backend.symmetrize(mixed)
-                out[positions[start:stop]] = self._device_entropies(backend, mixed)
+                        mixed = _symmetrize(mixed)
+                out[positions[start:stop]] = self._entropies(mixed)
         return out
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Host-in, host-float64-out matrix product at device precision."""
-        backend = self.array_backend
+        """Matrix product at the policy's precision, returned as float64."""
         with _phase("assembly"):
-            device_a = backend.asarray(a, self.precision)
-            device_b = backend.asarray(b, self.precision)
+            cast_a = as_precision(a, self.precision)
+            cast_b = as_precision(b, self.precision)
         with _phase("matmul"):
-            product = backend.matmul(device_a, device_b)
+            product = np.matmul(cast_a, cast_b)
         with _phase("reduce"):
-            return np.asarray(backend.to_numpy(product), dtype=np.float64)
+            return np.asarray(product, dtype=np.float64)
 
-    def _device_entropies(self, backend, device) -> np.ndarray:
-        """Entropy reduction of an already-assembled device stack."""
-        m = int(device.shape[-1])
-        if self.uses_approx(m):
-            with _phase("eig"):
-                return self._approx_entropies(backend, device, m)
+    def _entropies(self, stack: np.ndarray) -> np.ndarray:
+        """Entropies of an assembled stack at the policy's precision."""
+        m = int(stack.shape[-1])
         with _phase("eig"):
-            values = backend.eigvalsh(device)
-        with _phase("reduce"):
-            return backend.entropy_reduce(values)
+            if self.uses_approx(m):
+                return self._approx_entropies(stack, m)
+            return eig_entropies(stack)
 
-    def _approx_entropies(self, backend, device, m: int) -> np.ndarray:
-        """Chebyshev entropies, sub-batched to the backend's cache budget.
+    def _approx_entropies(self, stack: np.ndarray, m: int) -> np.ndarray:
+        """Chebyshev entropies in sub-batches of
+        :data:`APPROX_CHUNK_ELEMENTS`.
 
         Per-matrix arithmetic is independent of the batch split, so the
         result is bitwise the same as whole-batch evaluation — the split
-        only keeps the recurrence's working set cache-resident on CPUs
-        (device backends return a 0 budget and take one launch).
+        only keeps the recurrence's working set cache-resident.
         """
-        budget = backend.approx_chunk_elements(self.precision)
-        batch = int(device.shape[0]) if device.ndim == 3 else 0
-        chunk = budget // (m * m) if budget else 0
-        if device.ndim != 3 or chunk < 1 or batch <= chunk:
-            return chebyshev_entropies(backend, device, self.chebyshev_degree)
+        batch = int(stack.shape[0]) if stack.ndim == 3 else 0
+        chunk = APPROX_CHUNK_ELEMENTS // (m * m)
+        if stack.ndim != 3 or chunk < 1 or batch <= chunk:
+            return chebyshev_entropies(stack, self.chebyshev_degree)
         out = np.empty(batch)
         for start in range(0, batch, chunk):
             stop = min(start + chunk, batch)
             out[start:stop] = chebyshev_entropies(
-                backend, device[start:stop], self.chebyshev_degree
+                stack[start:stop], self.chebyshev_degree
             )
         return out
 
 
-#: The bit-stable reference policy (numpy / float64 / eig).
+def as_precision(array, precision: str) -> np.ndarray:
+    """``array`` as an ndarray of the ``precision`` dtype (no copy when it
+    already is one)."""
+    return np.asarray(array, dtype=_DTYPES[precision])
+
+
+def mix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mixed states ``(a + b) / 2`` (the QJSD assembly primitive), at the
+    operands' dtype."""
+    mixed = a + b
+    mixed *= np.asarray(0.5, dtype=mixed.dtype)
+    return mixed
+
+
+#: The bit-stable reference policy (float64 / eig).
 REFERENCE_POLICY = ComputePolicy()
 
 
@@ -323,8 +323,8 @@ def active_policy() -> ComputePolicy:
     """The innermost :func:`policy_scope` policy, else the environment's.
 
     Kernels call this once per tile; outside any scope the policy comes
-    from ``REPRO_BACKEND`` / ``REPRO_PRECISION`` / ``REPRO_ENTROPY`` so
-    standalone ``block_values`` calls honour the environment too.
+    from ``REPRO_PRECISION`` / ``REPRO_ENTROPY`` so standalone
+    ``block_values`` calls honour the environment too.
     """
     policy = getattr(_STATE, "policy", None)
     return policy if policy is not None else ComputePolicy.from_env()
@@ -367,11 +367,12 @@ def policy_scope(policy: "ComputePolicy | None"):
 def collect_phase_timings():
     """Collect per-phase wall-clock seconds for this thread.
 
-    Yields a dict accumulating ``{"assembly": s, "eig": s, "reduce": s}``
-    (plus ``"matmul"`` for the JTQK pair stage) across every policy call
-    inside the block. GPU backends execute asynchronously, so device
-    phases measure submission time there; on the NumPy backend the split
-    is exact.
+    Yields a dict accumulating ``{"assembly": s, "eig": s}`` across
+    every entropy call inside the block (``"eig"`` covers the eigensolve
+    or Chebyshev recurrence together with its entropy sum), plus
+    ``"matmul"`` and ``"reduce"`` (the float64 upcast of the product) for
+    the JTQK pair stage. Every phase runs synchronously on the calling
+    thread, so the split is exact.
     """
     previous = getattr(_STATE, "timings", None)
     timings: dict = {}

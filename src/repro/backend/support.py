@@ -120,23 +120,30 @@ def take_principal(
     return np.ascontiguousarray(stack).reshape(-1).take(base + offsets)
 
 
+def eig_entropies(stack: np.ndarray) -> np.ndarray:
+    """Float64 von Neumann entropies ``-sum safe_xlogx(eigvalsh)`` of
+    a symmetric ``(..., m, m)`` stack — the one eigensolver entropy path
+    (the reference policy and :func:`support_entropies` both call it).
+
+    :func:`~repro.utils.linalg.safe_xlogx` clips tiny negative eigenvalues
+    to zero and upcasts once, so a float32 stack rounds only its
+    eigenvalues, never the float64 sum.
+    """
+    return -safe_xlogx(np.linalg.eigvalsh(stack)).sum(axis=-1)
+
+
 def support_entropies(stack: np.ndarray) -> np.ndarray:
-    """Host float64 von Neumann entropies of an ``(n, m, m)`` stack, each
+    """Float64 von Neumann entropies of an ``(n, m, m)`` stack, each
     matrix solved on its own support bucket (dense-bucket matrices get the
     dense ``eigvalsh`` arithmetic bit for bit)."""
     m = int(stack.shape[-1])
     if m < SUPPORT_MIN_DIM:
-        return _entropies(stack)
+        return eig_entropies(stack)
     out = np.empty(stack.shape[0])
     for size, positions, gather in support_buckets(support_masks(stack)):
         if gather is None:
             sub = stack[positions]
         else:
             sub = take_principal(stack, positions, gather_offsets(gather, m))
-        out[positions] = _entropies(sub)
+        out[positions] = eig_entropies(sub)
     return out
-
-
-def _entropies(stack: np.ndarray) -> np.ndarray:
-    # safe_xlogx clips tiny negative eigenvalues to zero itself.
-    return -safe_xlogx(np.linalg.eigvalsh(stack)).sum(axis=-1)

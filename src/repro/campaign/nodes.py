@@ -21,15 +21,16 @@ from dataclasses import dataclass, field
 from repro.errors import CampaignError
 from repro.store.artifacts import artifact_key
 
-#: Bump to invalidate every previously recorded node key.
-_NODE_KEY_VERSION = "campaign-node-v1"
+#: Bump to invalidate every previously recorded node key (v2: the
+#: array-backend field left the context slice).
+_NODE_KEY_VERSION = "campaign-node-v2"
 
 #: ExecutionContext record fields that change computed *values*. The
 #: complement — engine, tile size, store address, sinks, checkpointing —
 #: is scheduling and persistence, which the engine-equivalence tests pin
 #: to identical results, so it must NOT enter a node key: moving a
 #: campaign to another store or engine must skip, not recompute.
-_VALUE_FIELDS = ("normalize", "ensure_psd", "backend", "precision", "entropy")
+_VALUE_FIELDS = ("normalize", "ensure_psd", "precision", "entropy")
 
 
 def context_cache_record(ctx) -> dict:

@@ -149,7 +149,7 @@ def check_fingerprint_boundary(ctx):
                     rule, node,
                     f"key function {func.name}() reads schedule-only field "
                     f".{node.attr} — only value-relevant fields (normalize, "
-                    "ensure_psd, backend, precision, entropy) may enter a "
+                    "ensure_psd, precision, entropy) may enter a "
                     "content key",
                 )
             elif (
@@ -360,19 +360,20 @@ def check_sqlite_discipline(ctx):
 # REPRO006 — float64 accumulation in backend reductions
 # --------------------------------------------------------------------- #
 
-#: ArrayBackend reduction methods contracted to return host float64
-#: (backend/base.py: "Reductions (device in, host float64 out)").
-_REDUCTIONS = frozenset({"entropy_reduce", "trace", "pair_trace", "gershgorin"})
+#: Reductions in ``repro.backend`` contracted to return float64 whatever
+#: the compute precision: the eigensolver entropy sum (support.py) and
+#: the Chebyshev trace and spectral-bound reductions (chebyshev.py).
+_REDUCTIONS = frozenset({"eig_entropies", "trace", "pair_trace", "gershgorin"})
 
 
 @register_rule(
     "REPRO006",
     name="float64-accumulation",
     rationale=(
-        "Backend reductions accumulate and return host float64 even when "
-        "device compute runs float32 — the mixed-precision accuracy tiers "
+        "Backend reductions accumulate and return float64 even when "
+        "compute runs float32 — the mixed-precision accuracy tiers "
         "(DESIGN.md 'why accumulation stays float64', PR 6) assume tile "
-        "sums never inherit device round-off. A float32 accumulator "
+        "sums never inherit float32 round-off. A float32 accumulator "
         "silently breaks the documented 1e-5 tier."
     ),
 )
@@ -393,7 +394,7 @@ def check_float64_accumulation(ctx):
                 yield ctx.finding(
                     rule, node,
                     f"float32 in reduction {func.name}() — backend "
-                    "reductions accumulate and return host float64",
+                    "reductions accumulate and return float64",
                 )
 
 

@@ -10,7 +10,7 @@ else it reads from the store it is already pointed at.
 
 Pinning engine, tile size, and compute policy in the record is what
 makes K-worker convergence byte-identical: tile values depend on the
-backend's batching arithmetic and on the tile boundaries, so every
+engine's batching arithmetic and on the tile boundaries, so every
 worker must compute every tile exactly the way the single-process
 reference would. The job id hashes the full record — two jobs differing
 only in tile size are different jobs with disjoint tile keys.
@@ -38,8 +38,9 @@ JOB_KIND = "job"
 #: Store kind holding the pickled input collection of a job.
 JOB_INPUT_KIND = "job-input"
 
-#: Record-schema version; bump on incompatible layout changes.
-_JOB_VERSION = "job-v1"
+#: Record-schema version; bump on incompatible layout changes (v2: the
+#: array-backend field is gone).
+_JOB_VERSION = "job-v2"
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ class JobSpec:
     n_graphs: int
     engine: str
     tile_size: int
-    backend: str
     precision: str
     entropy: str
     normalize: bool = False
@@ -99,9 +99,7 @@ class JobSpec:
         return KernelSpec.from_dict(self.kernel_spec).make()
 
     def compute_policy(self) -> ComputePolicy:
-        return ComputePolicy(
-            backend=self.backend, precision=self.precision, entropy=self.entropy
-        )
+        return ComputePolicy(precision=self.precision, entropy=self.entropy)
 
     def resolved_engine(self):
         """A fresh engine instance pinned to the job's tile size."""
@@ -150,7 +148,6 @@ def job_spec_for(
         n_graphs=len(graphs),
         engine=engine.name,
         tile_size=engine.resolved_tile_size(),
-        backend=policy.backend,
         precision=policy.precision,
         entropy=policy.entropy,
         normalize=bool(ctx.policy(normalize, "normalize", False)),

@@ -136,7 +136,7 @@ class GramEngine(abc.ABC):
 
         def place(key, block):
             # Accumulation point: blocks land in float64 regardless of the
-            # policy's device precision, so low-precision round-off stays
+            # policy's compute precision, so low-precision round-off stays
             # per-entry and never compounds across tiles.
             sink.write(key[0], key[1], np.asarray(block, dtype=float))
 

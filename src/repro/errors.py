@@ -46,12 +46,11 @@ class KernelSpecError(KernelError, ValueError):
 
 
 class BackendError(KernelError):
-    """An array backend is unknown, unavailable, or misconfigured.
+    """A compute policy is misconfigured.
 
-    Raised by :func:`repro.backend.resolve_backend` both for typos (the
-    message lists the registered names) and for optional backends whose
-    library is not importable in this environment — callers never see a
-    raw :class:`ImportError` from backend selection.
+    Raised by :class:`repro.backend.ComputePolicy` for an unknown
+    precision or entropy path (the message lists the accepted names) and
+    for a degenerate Chebyshev degree or ``approx_min_dim``.
     """
 
 

@@ -42,10 +42,10 @@ def gram_tile() -> str:
 
 
 def compute_backend() -> str:
-    """The resolved compute policy, ``backend/precision/entropy`` form.
+    """The resolved compute policy, ``precision/entropy`` form.
 
-    Resolved from ``REPRO_BACKEND`` / ``REPRO_PRECISION`` /
-    ``REPRO_ENTROPY`` (reference defaults when unset); every saved report
+    Resolved from ``REPRO_PRECISION`` / ``REPRO_ENTROPY`` (reference
+    defaults when unset); every saved report
     records it so a float32 or Chebyshev run is distinguishable from the
     bit-stable reference in the footer.
     """

@@ -537,7 +537,7 @@ class _HAQJSKBase(PairwiseKernel):
         fancy indexing, and one batched entropy reduction per chunk —
         dispatched through the ambient
         :class:`~repro.backend.ComputePolicy` for ``m > 2``, while the
-        deepest 1x1/2x2 levels keep the exact closed-form host spectra —
+        deepest 1x1/2x2 levels keep the exact closed-form spectra —
         yields all mixed entropies; per-graph entropies come precomputed
         from ``prepare``. Chunking bounds every intermediate by the
         memory budget. Taking an explicit pair list lets diagonal Gram
@@ -577,8 +577,8 @@ class _HAQJSKBase(PairwiseKernel):
                 np.clip(divergence, 0.0, QJSD_MAX, out=divergence)
                 values += np.exp(-divergence)
                 continue
-            # 1x1/2x2 spectra are closed-form on the host — cheaper than
-            # any device round-trip and exact to machine epsilon.
+            # 1x1/2x2 spectra are closed-form — cheaper than a batched
+            # eigensolve and exact to machine epsilon.
             chunk = max(1, DEFAULT_CHUNK_ELEMENTS // max(1, m * m))
             for start in range(0, n_pairs, chunk):
                 stop = min(start + chunk, n_pairs)

@@ -219,8 +219,8 @@ class JensenTsallisQKernel(PairwiseKernel):
 
         The per-level cross products — the only pairwise cost — run
         through the ambient :class:`~repro.backend.ComputePolicy`, so a
-        float32 (or GPU) backend accelerates the matmul while all the
-        entropy algebra stays in host float64.
+        float32 policy accelerates the matmul while all the entropy
+        algebra stays in float64.
         """
         policy = active_policy()
         totals_a = stack_a.sum(axis=-1)  # (n_a, L)

@@ -49,8 +49,7 @@ def _mixed_entropies_for_pairs(
     """Entropies of the mixed states ``(rho_idx_a[p] + sigma_idx_b[p]) / 2``.
 
     Dispatched through the ambient :class:`~repro.backend.ComputePolicy`:
-    the gather/mix/reduce pipeline runs on the policy's backend at its
-    device precision. A pair of graphs much smaller than the tile's
+    the gather/mix/reduce pipeline runs at the policy's precision. A pair of graphs much smaller than the tile's
     padded edge is solved on its own vertex rows, so the padding beyond
     them never reaches the eigensolver (see :mod:`repro.backend.support`).
     """

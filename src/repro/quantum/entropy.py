@@ -51,10 +51,10 @@ def von_neumann_entropies(stack: np.ndarray, *, policy=None) -> np.ndarray:
     Inputs are symmetrised exactly like :func:`repro.utils.linalg.eigh_sorted`
     so a stacked call agrees with the scalar path to solver round-off.
 
-    ``policy`` selects the array backend, device precision and entropy
-    path (:class:`repro.backend.ComputePolicy`); ``None`` uses the
-    ambient :func:`repro.backend.active_policy`, which defaults to the
-    bit-stable numpy/float64/eig reference.
+    ``policy`` selects the compute precision and entropy path
+    (:class:`repro.backend.ComputePolicy`); ``None`` uses the ambient
+    :func:`repro.backend.active_policy`, which defaults to the bit-stable
+    float64/eig reference.
     """
     arr = np.asarray(stack, dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
@@ -70,7 +70,6 @@ def von_neumann_entropies_approx(
     stack: np.ndarray,
     *,
     degree: "int | None" = None,
-    backend: str = "numpy",
     precision: str = "float32",
 ) -> np.ndarray:
     """Eigenvalue-free batched von Neumann entropies (Chebyshev path).
@@ -87,7 +86,6 @@ def von_neumann_entropies_approx(
             f"expected a (..., n, n) stack of square matrices, got {arr.shape}"
         )
     policy = ComputePolicy(
-        backend=backend,
         precision=precision,
         entropy="chebyshev",
         chebyshev_degree=DEFAULT_CHEBYSHEV_DEGREE if degree is None else degree,

@@ -20,7 +20,7 @@ def symmetrize(stack: np.ndarray) -> np.ndarray:
     """``(A + A^T) / 2`` over the last two axes of a matrix (stack).
 
     The one symmetrisation everybody shares: :func:`eigh_sorted`, the
-    batched entropies, and the backend device paths all wash out round-off
+    batched entropies, and the compute policy's stacks all wash out round-off
     asymmetry with exactly this arithmetic, so their eigenvalues agree
     bit-for-bit on the same input. Works on a single ``(n, n)`` matrix or
     any ``(..., n, n)`` stack; dtype is preserved.

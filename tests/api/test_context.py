@@ -165,6 +165,38 @@ class TestRecord:
             ExecutionContext.from_record({"engine": None, "bogus": 1})
 
 
+class TestRecordMigration:
+    """Records written while contexts had an array-backend field."""
+
+    #: A context record as written before the field was removed.
+    PARENT_RECORD = {
+        "engine": "batched",
+        "tile_size": 16,
+        "store": None,
+        "sink": None,
+        "tile_checkpoint": True,
+        "normalize": True,
+        "ensure_psd": None,
+        "backend": "numpy",
+        "precision": "float32",
+        "entropy": "auto",
+    }
+
+    def test_parent_record_rebuilds_the_same_context(self):
+        rebuilt = ExecutionContext.from_record(dict(self.PARENT_RECORD))
+        assert rebuilt == ExecutionContext(
+            engine="batched", tile_size=16, normalize=True,
+            precision="float32", entropy="auto",
+        )
+        expected = {k: v for k, v in self.PARENT_RECORD.items() if k != "backend"}
+        assert rebuilt.to_record() == expected
+
+    def test_other_backend_refused(self):
+        record = dict(self.PARENT_RECORD, backend="torch")
+        with pytest.raises(ValidationError, match="'torch'"):
+            ExecutionContext.from_record(record)
+
+
 class TestAsContext:
     def test_none_is_the_default_context(self):
         assert as_context(None, owner="x") == ExecutionContext()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.backend import chebyshev_entropies, resolve_backend
+from repro.backend import chebyshev_entropies
 from repro.errors import BackendError
 from repro.utils.linalg import safe_xlogx
 
@@ -20,20 +20,17 @@ def _exact(stack):
     return -safe_xlogx(values).sum(axis=-1)
 
 
-BACKEND = resolve_backend("numpy")
-
-
 class TestChebyshevAccuracy:
     def test_default_degree_within_documented_tier(self):
         stack = _psd_stack()
-        approx = chebyshev_entropies(BACKEND, stack, 16)
+        approx = chebyshev_entropies(stack, 16)
         np.testing.assert_allclose(approx, _exact(stack), atol=1e-2)
 
     def test_error_shrinks_with_degree(self):
         stack = _psd_stack()
         exact = _exact(stack)
         errors = [
-            np.abs(chebyshev_entropies(BACKEND, stack, d) - exact).max()
+            np.abs(chebyshev_entropies(stack, d) - exact).max()
             for d in (8, 16, 32)
         ]
         assert errors[1] < errors[0]
@@ -42,8 +39,7 @@ class TestChebyshevAccuracy:
 
     def test_float32_stack_within_tier(self):
         stack = _psd_stack()
-        device = BACKEND.asarray(stack, "float32")
-        approx = chebyshev_entropies(BACKEND, device, 16)
+        approx = chebyshev_entropies(stack.astype(np.float32), 16)
         assert approx.dtype == np.float64
         np.testing.assert_allclose(approx, _exact(stack), atol=1e-2)
 
@@ -54,8 +50,8 @@ class TestChebyshevAccuracy:
         stack = _psd_stack(batch=8, m=12)
         padded = np.zeros((8, 20, 20))
         padded[:, :12, :12] = stack
-        direct = chebyshev_entropies(BACKEND, stack, 24)
-        via_pad = chebyshev_entropies(BACKEND, padded, 24)
+        direct = chebyshev_entropies(stack, 24)
+        via_pad = chebyshev_entropies(padded, 24)
         np.testing.assert_allclose(via_pad, direct, atol=1e-3)
         np.testing.assert_allclose(via_pad, _exact(stack), atol=1e-3)
 
@@ -63,20 +59,20 @@ class TestChebyshevAccuracy:
         # A rank-one projector has entropy exactly 0.
         v = np.ones(16) / 4.0
         rho = np.outer(v, v)[None]
-        approx = chebyshev_entropies(BACKEND, rho, 16)
+        approx = chebyshev_entropies(rho, 16)
         assert abs(float(approx[0])) < 2e-2
 
     def test_maximally_mixed_state_exact_regime(self):
         m = 16
         rho = (np.eye(m) / m)[None]
-        approx = chebyshev_entropies(BACKEND, rho, 16)
+        approx = chebyshev_entropies(rho, 16)
         np.testing.assert_allclose(approx, [np.log(m)], atol=1e-6)
 
     def test_all_zero_matrix_entropy_zero(self):
         stack = np.zeros((3, 10, 10))
-        approx = chebyshev_entropies(BACKEND, stack, 16)
+        approx = chebyshev_entropies(stack, 16)
         np.testing.assert_allclose(approx, np.zeros(3), atol=1e-10)
 
     def test_degenerate_degree_rejected(self):
         with pytest.raises(BackendError, match="degree"):
-            chebyshev_entropies(BACKEND, _psd_stack(batch=2, m=4), 1)
+            chebyshev_entropies(_psd_stack(batch=2, m=4), 1)

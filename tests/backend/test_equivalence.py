@@ -2,9 +2,9 @@
 
 The documented tolerance tiers (README "Backends & precision"):
 
-* ``numpy/float64/eig`` — the reference; bit-stable (1e-10 against the
+* ``float64/eig`` — the reference; bit-stable (1e-10 against the
   historical arithmetic, and engines agree bitwise with each other);
-* ``numpy/float32/eig`` — Gram entries within ``1e-5`` of the reference;
+* ``float32/eig`` — Gram entries within ``1e-5`` of the reference;
 * Chebyshev (``entropy="chebyshev"`` / ``auto`` at float32) — Gram
   entries within ``2e-2`` of the reference at the default degree.
 """
@@ -154,7 +154,7 @@ class TestContextThreading:
 
     def test_context_record_carries_resolved_policy(self):
         record = ExecutionContext(precision="float32").to_record()
-        assert record["backend"] == "numpy"
+        assert "backend" not in record
         assert record["precision"] == "float32"
         assert record["entropy"] == "eig"
         rebuilt = ExecutionContext.from_record(record)
@@ -167,13 +167,12 @@ class TestContextThreading:
         assert ctx.precision == "float32"
         assert ctx.entropy == "auto"
         policy = ctx.compute_policy()
-        assert policy.describe() == "numpy/float32/auto"
+        assert policy.describe() == "float32/auto"
 
     def test_context_rejects_unknown_backend_at_construction(self):
-        from repro.errors import BackendError
-
-        with pytest.raises(BackendError, match="numpy"):
-            ExecutionContext(backend="not-a-backend")
+        # The array-backend field is gone: naming one is a TypeError.
+        with pytest.raises(TypeError, match="backend"):
+            ExecutionContext(backend="numpy")
 
     def test_reference_context_still_validates(self):
         ctx = ExecutionContext()
@@ -190,7 +189,7 @@ class TestContextThreading:
             ctx=ExecutionContext(precision="float32"),
         )
         assert bundle.context_record["precision"] == "float32"
-        assert bundle.context_record["backend"] == "numpy"
+        assert "backend" not in bundle.context_record
 
 
 def _pool_blocked() -> bool:

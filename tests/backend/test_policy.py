@@ -10,11 +10,13 @@ from repro.backend import (
     REFERENCE_POLICY,
     ComputePolicy,
     active_policy,
+    chebyshev_entropies,
     collect_phase_timings,
     policy_scope,
     scoped_policy,
 )
-from repro.errors import BackendError
+from repro.backend.policy import APPROX_CHUNK_ELEMENTS
+from repro.errors import BackendError, KernelError
 from repro.utils.linalg import safe_xlogx
 
 
@@ -35,12 +37,17 @@ class TestConstruction:
     def test_defaults_are_the_reference(self):
         policy = ComputePolicy()
         assert policy.is_reference
-        assert policy.describe() == "numpy/float64/eig"
+        assert policy.describe() == "float64/eig"
         assert policy.chebyshev_degree == DEFAULT_CHEBYSHEV_DEGREE
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(BackendError, match="numpy"):
-            ComputePolicy(backend="not-a-backend")
+        # The array-backend setting is gone: naming one is a TypeError,
+        # never silently ignored.
+        with pytest.raises(TypeError, match="backend"):
+            ComputePolicy(backend="numpy")
+
+    def test_backend_error_is_a_kernel_error(self):
+        assert issubclass(BackendError, KernelError)
 
     def test_unknown_precision_rejected(self):
         with pytest.raises(BackendError, match="float64"):
@@ -55,16 +62,15 @@ class TestConstruction:
             ComputePolicy(chebyshev_degree=1)
 
     def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
         monkeypatch.setenv("REPRO_PRECISION", "float32")
         monkeypatch.setenv("REPRO_ENTROPY", "auto")
         policy = ComputePolicy.from_env()
-        assert policy.describe() == "numpy/float32/auto"
+        assert policy.describe() == "float32/auto"
         # Overrides beat environment.
         assert ComputePolicy.from_env(precision="float64").precision == "float64"
 
     def test_from_env_defaults_to_reference(self, monkeypatch):
-        for var in ("REPRO_BACKEND", "REPRO_PRECISION", "REPRO_ENTROPY"):
+        for var in ("REPRO_PRECISION", "REPRO_ENTROPY"):
             monkeypatch.delenv(var, raising=False)
         assert ComputePolicy.from_env() == REFERENCE_POLICY
 
@@ -147,8 +153,19 @@ class TestEntropyDispatch:
         auto64 = ComputePolicy(precision="float32", entropy="auto")
         assert auto64.uses_approx(32)
         assert not auto64.uses_approx(8)  # below approx_min_dim
-        # float64 numpy never prefers the eig-free path on CPU.
+        # auto at float64 never takes the eig-free path.
         assert not ComputePolicy(entropy="auto").uses_approx(64)
+
+    def test_chebyshev_sub_batches_match_whole_batch(self):
+        # More matrices than one APPROX_CHUNK_ELEMENTS sub-batch holds:
+        # the split only bounds the working set, never a value.
+        m = 64
+        stack = _psd_stack(batch=APPROX_CHUNK_ELEMENTS // (m * m) + 5, m=m)
+        approx = ComputePolicy(precision="float32", entropy="chebyshev")
+        whole = chebyshev_entropies(
+            stack.astype(np.float32), approx.chebyshev_degree
+        )
+        assert approx.entropies(stack, symmetrize=False).tobytes() == whole.tobytes()
 
     def test_matmul_matches_numpy_at_float64(self):
         rng = np.random.default_rng(3)

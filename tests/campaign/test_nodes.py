@@ -72,6 +72,17 @@ def test_context_cache_record_accepts_ctx_dict_and_none():
     assert set(context_cache_record(None)) == set(from_ctx)
 
 
+def test_parent_format_record_has_the_same_slice():
+    # Records written while contexts had a ``backend`` field carry it as
+    # "numpy"; it is not part of the value slice, so such a record keys
+    # its node exactly like the context it rebuilds to.
+    ctx = ExecutionContext(normalize=True, precision="float32")
+    parent_record = dict(ctx.to_record(), backend="numpy")
+    assert context_cache_record(parent_record) == context_cache_record(ctx)
+    assert "backend" not in context_cache_record(parent_record)
+    assert node_key("cell", ctx=parent_record) == node_key("cell", ctx=ctx)
+
+
 # ---------------------------------------------------------------------- #
 # CampaignNode / Campaign validation
 # ---------------------------------------------------------------------- #

@@ -1,15 +1,15 @@
 """Fixture: float64 reductions; float32 elsewhere is legal (REPRO006).
 
-Device *compute* may run float32 — the contract binds only the
-reduction methods, which must accumulate and return host float64.
+Compute may run float32 — the contract binds only the reduction
+functions, which must accumulate and return float64.
 """
 
 import numpy as np
 
 
-class Backend:
-    def trace(self, matrix):
-        return float(np.trace(matrix, dtype=np.float64))
+def trace(matrix):
+    return float(np.trace(matrix, dtype=np.float64))
 
-    def to_device(self, array):
-        return np.asarray(array, dtype=np.float32)
+
+def as_float32(array):
+    return np.asarray(array, dtype=np.float32)

@@ -3,7 +3,6 @@
 import numpy as np
 
 
-class Backend:
-    def trace(self, matrix):
-        # repro-lint: ignore[REPRO006]
-        return float(np.trace(matrix, dtype=np.float32))
+def trace(matrix):
+    # repro-lint: ignore[REPRO006]
+    return float(np.trace(matrix, dtype=np.float32))

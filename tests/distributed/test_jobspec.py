@@ -40,8 +40,8 @@ class TestJobSpec:
         assert spec.tile_size == 2
         assert spec.n_graphs == len(graphs)
         # Compute policy resolves to the reference defaults here.
-        assert spec.backend == "numpy"
         assert spec.precision == "float64"
+        assert spec.entropy == "eig"
 
     def test_job_id_depends_on_schedule(self, graphs, ctx):
         a = job_spec_for("WLSK", graphs, ctx=ctx)
@@ -59,11 +59,29 @@ class TestJobSpec:
         with pytest.raises(DistributedError, match="version"):
             JobSpec.from_record(record)
 
-    def test_malformed_record_refused(self):
+    def test_malformed_record_refused(self, graphs, ctx):
         with pytest.raises(DistributedError):
             JobSpec.from_record("not a dict")
+        record = job_spec_for("WLSK", graphs, ctx=ctx).to_record()
         with pytest.raises(DistributedError, match="malformed"):
-            JobSpec.from_record({"version": "job-v1", "surprise": 1})
+            JobSpec.from_record({"version": record["version"], "surprise": 1})
+
+    def test_v2_record_carries_no_backend(self, graphs, ctx):
+        record = job_spec_for("WLSK", graphs, ctx=ctx).to_record()
+        assert record["version"] == "job-v2"
+        assert "backend" not in record
+        record["backend"] = "numpy"
+        with pytest.raises(DistributedError, match="malformed"):
+            JobSpec.from_record(record)
+
+    def test_v1_record_with_backend_refused(self, graphs, ctx):
+        # A record written while job specs still carried the array-backend
+        # field: its version names the old layout, so it is refused with
+        # the version message rather than half-read.
+        record = job_spec_for("WLSK", graphs, ctx=ctx).to_record()
+        record.update(version="job-v1", backend="numpy")
+        with pytest.raises(DistributedError, match="job-v1"):
+            JobSpec.from_record(record)
 
     def test_dense_replay_kernels_refused(self, graphs, ctx):
         # Core variants recompute the full matrix before any tile

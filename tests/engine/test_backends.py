@@ -185,7 +185,7 @@ class TestHierarchyLevelValidation:
 
 
 class TestEngineResolution:
-    def test_available_backends(self):
+    def test_available_engines(self):
         assert {"serial", "batched", "process"} <= set(available_engines())
 
     def test_resolve_by_name(self):
