@@ -168,7 +168,8 @@ def test_bench_ablation_gram_conditioning(mutag, benchmark):
     scores = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info.update(scores)
     # Conditioning must never hurt badly; on compressed Gram matrices it
-    # is the difference between chance and signal (see EXPERIMENTS.md).
+    # is the difference between chance and signal (the repro.ml.kernel_utils
+    # module docstring explains why).
     assert scores["condition=True"] >= scores["condition=False"] - 5.0
 
 

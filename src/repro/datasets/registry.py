@@ -45,7 +45,7 @@ from repro.utils.validation import check_in_range
 #: Paper Table II, verbatim. COLLAB's class count is printed as 2 in the
 #: paper but the dataset (Yanardag & Vishwanathan 2015) has 3 classes and
 #: the paper's accuracy (~79%) matches 3-class results; we follow the
-#: dataset (see EXPERIMENTS.md note).
+#: dataset.
 PAPER_STATISTICS = {
     "MUTAG": DatasetStatistics("MUTAG", 28, 17.93, 19.79, 188, 7, 2, "Bio"),
     "PPIs": DatasetStatistics("PPIs", 218, 109.63, 531.50, 219, None, 5, "Bio"),

@@ -1,11 +1,11 @@
 """Experiment scales and kernel/model rosters.
 
-The paper-scale Table IV/V runs take hours (see DESIGN.md §5); the default
-harness therefore runs *scaled* dataset sizes that preserve every dataset's
-class structure. Set ``REPRO_FULL_SCALE=1`` to run at the paper's sizes.
+The paper-scale Table IV/V runs take hours; the default harness therefore
+runs *scaled* dataset sizes that preserve every dataset's class structure.
+Set ``REPRO_FULL_SCALE=1`` to run at the paper's sizes.
 
-All scales live here so the benchmarks, the CLI runner and EXPERIMENTS.md
-agree on exactly what was run.
+All scales live here so the benchmarks and the CLI runner agree on exactly
+what was run.
 """
 
 from __future__ import annotations

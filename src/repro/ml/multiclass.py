@@ -12,8 +12,8 @@ import itertools
 import numpy as np
 
 from repro.errors import NotFittedError, ValidationError
-from repro.ml.svm import BinarySVM
-from repro.utils.validation import check_in_range
+from repro.ml.svm import BinarySVM, fit_machines
+from repro.utils.validation import check_in_range, check_positive_int
 
 
 class KernelSVC:
@@ -27,8 +27,8 @@ class KernelSVC:
 
     def __init__(self, c: float = 1.0, *, tol: float = 1e-3, max_iter: int = 100_000):
         self.c = check_in_range(c, "c", low=0.0, high=np.inf, low_inclusive=False)
-        self.tol = tol
-        self.max_iter = max_iter
+        self.tol = check_in_range(tol, "tol", low=0.0, high=1.0, low_inclusive=False)
+        self.max_iter = check_positive_int(max_iter, "max_iter", minimum=1)
         self.classes_: "np.ndarray | None" = None
         self._machines: "list[tuple] | None" = None
         self._n_train: int = 0
@@ -41,18 +41,7 @@ class KernelSVC:
             raise ValidationError(
                 f"kernel {k_matrix.shape} incompatible with labels {y.shape}"
             )
-        self.classes_ = np.unique(y)
-        if self.classes_.size < 2:
-            raise ValidationError("need at least two classes")
-        self._n_train = y.size
-        self._machines = []
-        for class_a, class_b in itertools.combinations(self.classes_, 2):
-            member_mask = (y == class_a) | (y == class_b)
-            indices = np.flatnonzero(member_mask)
-            binary_labels = np.where(y[indices] == class_a, 1.0, -1.0)
-            machine = BinarySVM(self.c, tol=self.tol, max_iter=self.max_iter)
-            machine.fit(k_matrix[np.ix_(indices, indices)], binary_labels)
-            self._machines.append((class_a, class_b, indices, machine))
+        fit_svcs(k_matrix, y, [(self, np.arange(y.size))])
         return self
 
     def vote_margins(self, kernel_rows: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -116,3 +105,35 @@ class KernelSVC:
         """Mean accuracy on the given test rows."""
         predictions = self.predict(kernel_rows)
         return float(np.mean(predictions == np.asarray(labels)))
+
+
+def fit_svcs(gram: np.ndarray, labels, jobs) -> None:
+    """Fit several one-vs-one models with one lockstep SMO solve.
+
+    ``jobs`` holds ``(model, rows)`` pairs. Each :class:`KernelSVC` ends
+    as ``model.fit(gram[np.ix_(rows, rows)], labels[rows])`` would leave
+    it, bit for bit, but the binary machines of all the models train
+    together in :func:`repro.ml.svm.fit_machines`, which gathers their
+    sub-matrices from ``gram`` one chunk at a time.
+    """
+    y_all = np.asarray(labels)
+    problems = []
+    fitted = []
+    for model, rows in jobs:
+        rows = np.asarray(rows)
+        y = y_all[rows]
+        classes = np.unique(y)
+        if classes.size < 2:
+            raise ValidationError("need at least two classes")
+        machines = []
+        for class_a, class_b in itertools.combinations(classes, 2):
+            indices = np.flatnonzero((y == class_a) | (y == class_b))
+            machine = BinarySVM(model.c, tol=model.tol, max_iter=model.max_iter)
+            problems.append(
+                (machine, rows[indices], np.where(y[indices] == class_a, 1.0, -1.0))
+            )
+            machines.append((class_a, class_b, indices, machine))
+        fitted.append((model, classes, y.size, machines))
+    fit_machines(gram, problems)
+    for model, classes, n_train, machines in fitted:
+        model.classes_, model._n_train, model._machines = classes, n_train, machines

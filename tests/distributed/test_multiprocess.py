@@ -59,7 +59,12 @@ def test_sigkill_mid_run_still_byte_identical(tmp_path, mutag_graphs, ctx):
         for i in range(3)
     ]
     try:
-        time.sleep(1.0)
+        # Kill w0 only once it holds a lease, so the steal path always runs.
+        deadline = time.monotonic() + 120
+        while "w0" not in job.progress()["workers"]:
+            assert procs[0].poll() is None, "w0 exited before taking a lease"
+            assert time.monotonic() < deadline, "w0 never took a lease"
+            time.sleep(0.05)
         procs[0].kill()  # SIGKILL: no cleanup, leases left dangling
         job.wait(timeout=180)
     finally:
