@@ -94,7 +94,9 @@ def on(engine, sink=None) -> ExecutionContext:
 
 
 @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
-def test_memmap_matches_dense_to_1e12(tmp_path, normalize):
+def test_memmap_is_byte_identical_to_dense(tmp_path, normalize):
+    """Both Grams run the same tile scheduler and post-pass; only the sink
+    differs, so the bytes must agree."""
     kernel = _DotKernel()
     graphs = _probe_graphs(500)
     engine = BatchedEngine(tile_size=64)
@@ -105,7 +107,7 @@ def test_memmap_matches_dense_to_1e12(tmp_path, normalize):
         normalize=normalize,
     )
     assert isinstance(mapped, np.memmap)
-    assert np.allclose(np.asarray(mapped), dense, atol=ATOL, rtol=0.0)
+    assert np.array_equal(np.asarray(mapped), dense)
 
 
 def test_float32_storage_halves_footprint(tmp_path):

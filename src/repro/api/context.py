@@ -35,7 +35,7 @@ from repro.engine.base import (
     GramEngine,
     resolve_engine,
 )
-from repro.engine.tiles import TILE_ENV_VAR, GramSink
+from repro.engine.tiles import TILE_ENV_VAR, DenseSink, GramSink
 from repro.errors import ValidationError
 
 #: Environment variable pointing the harness at a persistent store
@@ -75,7 +75,9 @@ class ExecutionContext:
     sink_factory:
         Zero-argument callable producing a fresh
         :class:`~repro.engine.tiles.GramSink` per matrix (sinks are
-        single-use). Mutually exclusive with ``store``.
+        single-use); ``None`` means a fresh in-memory
+        :class:`~repro.engine.tiles.DenseSink`. Mutually exclusive with
+        ``store``.
     tile_checkpoint:
         Whether store-backed miss computations commit finished tiles
         (kill → resume at tile granularity). Ignored without a store.
@@ -199,8 +201,6 @@ class ExecutionContext:
                 "not both (offending fields: store, sink_factory)"
             )
         effective_psd = self.ensure_psd if ensure_psd is None else ensure_psd
-        if sink is None and self.sink_factory is None:
-            return self
         out_of_core = sink is not None and not getattr(sink, "in_memory", True)
         if effective_psd and out_of_core:
             raise ValidationError(
@@ -260,10 +260,12 @@ class ExecutionContext:
             resolved.policy = self.compute_policy()
         return resolved
 
-    def make_sink(self) -> "GramSink | None":
-        """A fresh sink from the factory, or ``None``."""
+    def make_sink(self) -> GramSink:
+        """A fresh sink from the factory, or a fresh in-memory
+        :class:`~repro.engine.tiles.DenseSink` — every Gram streams its
+        tiles into a sink."""
         if self.sink_factory is None:
-            return None
+            return DenseSink()
         sink = self.sink_factory()
         if not isinstance(sink, GramSink):
             raise ValidationError(

@@ -9,8 +9,8 @@ store's lease table. It owns the three bookends of a distributed Gram:
 * **watch** — poll the tile ledger (``done/total``) and the lease table
   (active workers) until every tile of the plan is committed;
 * **assemble** — restore the committed tiles through a dense sink (the
-  same mirroring the live engines use) and apply the job's post-pass,
-  reproducing ``kernel.gram(graphs, ctx=ctx)`` byte-for-byte.
+  same mirroring the live engines use) and run ``kernel.gram``'s own
+  post-pass, reproducing ``kernel.gram(graphs, ctx=ctx)`` byte-for-byte.
 
 :func:`run_distributed_gram` strings the three together around locally
 spawned worker subprocesses — the one-call form the smoke tests, the CI
@@ -25,6 +25,7 @@ import time
 
 import numpy as np
 
+from repro.engine.tiles import DenseSink
 from repro.errors import DistributedError, ValidationError
 from repro.store.artifacts import ArtifactStore, gram_key
 from repro.store.backends import DirectoryBackend
@@ -159,10 +160,12 @@ class DistributedJob:
         """The finished Gram, byte-identical to the single-process run.
 
         Restores every committed tile through a dense sink (off-diagonal
-        mirroring identical to the live engines), then applies the dense
-        gram path's post-pass: the ``(K + Kᵀ)/2`` symmetrisation (exact
-        identity here — tiles are symmetric by construction) and, when
-        the job was submitted with ``normalize``, cosine normalisation.
+        mirroring identical to the live engines), then runs the post-pass
+        every :meth:`~repro.kernels.base.GraphKernel.gram` ends with: the
+        shape check, tile-wise cosine normalisation when the job was
+        submitted with ``normalize``, and the sink's commit. Workers
+        compute the same tiles the single-process scheduler does, so the
+        bytes match.
 
         ``persist=True`` additionally commits the result under its
         whole-Gram content key, so any later ``kernel.gram(graphs,
@@ -170,7 +173,7 @@ class DistributedJob:
         tile sets are then reclaimed, mirroring
         :func:`~repro.store.artifacts.store_backed_gram`.
         """
-        from repro.kernels.base import normalize_gram
+        from repro.kernels.base import _finish_gram
 
         if not self.ledger.complete():
             snapshot = self.progress()
@@ -179,17 +182,24 @@ class DistributedJob:
                 f"{snapshot['total'] - snapshot['done']} of "
                 f"{snapshot['total']} tiles still pending"
             )
+        sink = DenseSink()
         try:
-            matrix = np.asarray(self.ledger.restore_into(), dtype=float)
+            matrix = self.ledger.restore_into(sink)
         except ValidationError as exc:
             # A tile vanished between the completeness probe and the
             # restore (foreign sweep) — surface it as the job's problem.
             raise DistributedError(
                 f"job {self.job_id} lost tiles during assembly: {exc}"
             ) from exc
-        matrix = (matrix + matrix.T) / 2.0
-        if self.spec.normalize:
-            matrix = normalize_gram(matrix)
+        matrix = _finish_gram(
+            matrix,
+            sink,
+            len(self.graphs),
+            owner=f"job {self.job_id}",
+            normalize=self.spec.normalize,
+            ensure_psd=False,
+            tile_size=self.plan.tile_size,
+        )
         if persist:
             key = gram_key(
                 self.kernel,

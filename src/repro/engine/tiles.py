@@ -5,11 +5,13 @@ into which contiguous ``(row_range, col_range)`` tiles) and consumed by a
 :class:`GramSink` (where finished tiles go). The engines schedule the
 plan's tiles — serially, batched, or across worker processes — and stream
 each finished ``(rows, cols, block)`` into the sink, so the *unit of
-scheduling and storage is the tile*, never the full matrix:
+scheduling and storage is the tile*, never the full matrix. This is the
+only way a Gram is built: every sink receives the same tiles, so a Gram's
+bytes do not depend on where it is assembled:
 
 ``DenseSink``
-    An in-memory float64 ndarray — today's behaviour, and the default
-    whenever no sink is passed.
+    An in-memory float64 ndarray — the sink of every Gram whose
+    execution context names no sink factory.
 ``MemmapSink``
     A ``np.memmap`` over an ``.npy`` file (NumPy-format header, so the
     artifact store and plain ``np.load`` read it back), for Gram matrices
@@ -199,8 +201,8 @@ def stream_tiles(plan: TilePlan, sink: GramSink, block_fn) -> "np.ndarray":
 
 
 class DenseSink(GramSink):
-    """In-memory accumulation — the default, and exactly the historical
-    behaviour of the engines before tile streams existed."""
+    """In-memory accumulation — the default sink of ``kernel.gram`` /
+    ``cross_gram`` and of an engine call given no sink."""
 
     def _allocate(self, plan: TilePlan) -> None:
         self.matrix = np.zeros(plan.shape)

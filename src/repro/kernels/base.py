@@ -18,7 +18,7 @@ import numpy as np
 from repro.api.context import as_context
 from repro.engine.base import GramEngine, resolve_engine, tile_ranges
 from repro.engine.tiles import GramSink, TilePlan, stream_tiles
-from repro.errors import KernelError
+from repro.errors import KernelError, ValidationError
 from repro.graphs.graph import Graph
 from repro.store.fingerprints import config_fingerprint
 from repro.utils.linalg import clip_to_psd
@@ -43,8 +43,11 @@ class KernelTraits:
 class GraphKernel(abc.ABC):
     """Base class: a positive (semi-)definite similarity between graphs.
 
-    Subclasses implement :meth:`_compute_gram`; the public :meth:`gram`
-    adds input validation, optional cosine normalisation and optional PSD
+    Subclasses stream the raw Gram's tiles into a sink through
+    :meth:`_compute_gram_into` (the feature-map and pairwise families), or
+    implement :meth:`_compute_gram` for the dense-replay fallback. The
+    public :meth:`gram` adds input validation and one post-pass over the
+    sink's matrix: optional cosine normalisation and optional PSD
     projection (used for the indefinite baselines before the SVM).
     """
 
@@ -89,16 +92,18 @@ class GraphKernel(abc.ABC):
             execution knobs as one value (``None`` means the defaults):
             the Gram backend and tile size (see :mod:`repro.engine`), a
             store, and a ``sink_factory`` — the destination of the tile
-            stream (see :mod:`repro.engine.tiles`). Without a sink the
-            Gram is an in-memory ndarray; a
-            :class:`~repro.engine.tiles.MemmapSink` assembles it out of
-            core (bounded peak memory at any ``N``); a
+            stream (see :mod:`repro.engine.tiles`). Without a factory the
+            tiles land in a fresh in-memory
+            :class:`~repro.engine.tiles.DenseSink`; a
+            :class:`~repro.engine.tiles.MemmapSink` assembles the Gram out
+            of core (bounded peak memory at any ``N``); a
             :class:`~repro.store.tiles.CheckpointSink` additionally
             persists finished tiles so a killed run resumes at tile
-            granularity. Raw *kernel values* stream into the sink;
-            ``normalize`` is then applied tile-wise in place (works on
-            memmaps without densifying), while ``ensure_psd`` — a global
-            eigendecomposition — is refused for out-of-core sinks.
+            granularity. Every sink receives the same tiles, so the bytes
+            do not depend on the sink. Raw *kernel values* stream into the
+            sink; ``normalize`` is then applied tile-wise in place (works
+            on memmaps without densifying), while ``ensure_psd`` — a
+            global eigendecomposition — is refused for out-of-core sinks.
         """
         ctx = as_context(ctx, owner=f"{self.name}.gram")
         if ctx.store is not None:
@@ -123,55 +128,26 @@ class GraphKernel(abc.ABC):
         sink = ctx.make_sink()
         normalize = ctx.policy(normalize, "normalize", False)
         ensure_psd = ctx.policy(ensure_psd, "ensure_psd", False)
+        # The ensure_psd × out-of-core-sink refusal happens here.
         ctx.validate(ensure_psd=ensure_psd, sink=sink)
         self._check_graphs(graphs)
-        if sink is None:
-            matrix = np.asarray(
-                self._compute_gram(list(graphs), engine=engine), dtype=float
-            )
-            n = len(graphs)
-            if matrix.shape != (n, n):
-                raise KernelError(
-                    f"{self.name}: _compute_gram returned shape {matrix.shape}, "
-                    f"expected ({n}, {n})"
-                )
-            matrix = (matrix + matrix.T) / 2.0
-            if normalize:
-                matrix = normalize_gram(matrix)
-            if ensure_psd:
-                # One eigendecomposition serves both the PSD check and (when
-                # needed) the projection — see clip_to_psd.
-                matrix = clip_to_psd(matrix)
-            return matrix
-        # The ensure_psd × out-of-core-sink refusal already happened in
-        # ctx.validate() above.
         matrix = self._compute_gram_into(list(graphs), sink, engine)
-        n = len(graphs)
-        if getattr(matrix, "shape", None) != (n, n):
-            raise KernelError(
-                f"{self.name}: tiled Gram has shape "
-                f"{getattr(matrix, 'shape', None)}, expected ({n}, {n})"
-            )
-        # Tiles arrive symmetric by construction (diagonal tiles mirror
-        # their upper triangle, off-diagonals are mirrored by the sink),
-        # so the dense path's global (K + Kᵀ)/2 pass has nothing to do.
-        if normalize:
-            matrix = normalize_gram_inplace_tiled(
-                matrix, tile_size=resolve_engine(engine).resolved_tile_size()
-            )
-        if ensure_psd:
-            matrix = clip_to_psd(np.asarray(matrix, dtype=float))
-        # Post-processing is done: a staged sink may now publish its
-        # backing file atomically.
-        sink.commit()
-        return matrix
+        return _finish_gram(
+            matrix,
+            sink,
+            len(graphs),
+            owner=self.name,
+            normalize=normalize,
+            ensure_psd=ensure_psd,
+            tile_size=resolve_engine(engine).resolved_tile_size(),
+        )
 
     @property
     def streams_tiles(self) -> bool:
         """True when this kernel computes genuinely tile-at-a-time.
 
         Kernels on the generic dense-replay fallback (the core-variant
-        wrappers) accept sinks for API uniformity but recompute the full
+        wrappers, DGK) accept sinks for API uniformity but recompute the full
         matrix before any tile streams — wrapping them in a
         :class:`~repro.store.tiles.CheckpointSink` would commit tiles
         that can never save recomputation. Checkpointing callers consult
@@ -189,16 +165,32 @@ class GraphKernel(abc.ABC):
     ):
         """Subclass hook: stream the raw Gram's tiles into ``sink``.
 
-        The generic fallback computes the dense matrix and replays it as
-        tiles — correct for any kernel (the core-variant wrappers override
-        ``_compute_gram`` wholesale), though without the bounded-memory
-        benefit; the pairwise and feature-map families override this with
-        genuinely tile-at-a-time computation.
+        The generic fallback is the dense replay: it computes the matrix
+        with :meth:`_compute_gram`, symmetrises it and replays it as tiles
+        — correct for any kernel, though without the bounded-memory
+        benefit. Only the kernels that really build a dense matrix (the
+        core-variant wrappers, DGK) use it; the pairwise and feature-map
+        families override this with genuinely tile-at-a-time computation.
         """
         matrix = np.asarray(self._compute_gram(graphs, engine=engine), dtype=float)
+        n = len(graphs)
+        if matrix.shape != (n, n):
+            raise KernelError(
+                f"{self.name}: _compute_gram returned shape {matrix.shape}, "
+                f"expected ({n}, {n})"
+            )
         matrix = (matrix + matrix.T) / 2.0
-        plan = TilePlan.gram(len(graphs), resolve_engine(engine).resolved_tile_size())
+        plan = TilePlan.gram(n, resolve_engine(engine).resolved_tile_size())
         return replay_tiles(matrix, plan, sink)
+
+    def _compute_gram(
+        self, graphs: "list[Graph]", *, engine: "GramEngine | str | None" = None
+    ) -> np.ndarray:
+        """Subclass hook of the dense replay: the raw Gram as one matrix."""
+        raise KernelError(
+            f"{self.name}: {type(self).__name__} implements neither "
+            f"_compute_gram_into nor _compute_gram"
+        )
 
     def gram_extend(
         self,
@@ -212,7 +204,13 @@ class GraphKernel(abc.ABC):
         new ``(N, ΔN)`` cross block and ``(ΔN, ΔN)`` diagonal block.
 
         ``ctx`` (an :class:`~repro.api.context.ExecutionContext`) selects
-        the backend and store.
+        the backend. Both new blocks are computed in memory; a context
+        carrying a store is refused with a
+        :class:`~repro.errors.ValidationError`. To grow a persisted Gram,
+        call ``gram(old_graphs + new_graphs, ctx=ctx)``, which reuses the
+        stored tiles of ``gram(old_graphs, ctx=ctx)`` (see
+        :mod:`repro.store.tiles`); to keep a growing raw Gram in a store,
+        use :class:`repro.store.IncrementalGram`.
 
         ``cached_gram`` must be the *raw* output of
         ``gram(old_graphs, normalize=False, ensure_psd=False)`` (cosine
@@ -224,21 +222,19 @@ class GraphKernel(abc.ABC):
         ``O((N+ΔN)²)`` — the serving workload of a growing collection
         against a fixed reference set.
 
-        With ``ctx.store`` (:class:`repro.store.ArtifactStore`), the new
-        blocks are computed through tile-checkpointing sinks: every
-        finished tile commits before the next is computed, so a killed
-        extension resumes at tile granularity, and tiles persisted by a
-        prior checkpointed run over the same graph slices are reused
-        instead of recomputed. (The prior *matrix* is never needed — tile
-        keys address slice content directly; see
-        :mod:`repro.store.tiles`.)
-
         Raises a :class:`~repro.errors.KernelError` when this kernel's
         values depend on the whole collection (HAQJSK's prototype system,
         shared-decay random walks, ...): extending such a Gram would
         silently invalidate the cached ``N × N`` block.
         """
         ctx = as_context(ctx, owner=f"{self.name}.gram_extend")
+        if ctx.store is not None:
+            raise ValidationError(
+                f"{self.name}.gram_extend computes in memory and takes no "
+                f"store: grow a persisted Gram with gram(old + new, ctx=ctx), "
+                f"which reuses the stored tiles, or keep a growing raw Gram "
+                f"with repro.store.IncrementalGram (offending field: store)"
+            )
         self._check_graphs(old_graphs)
         self._check_graphs(new_graphs)
         if not self.collection_independent:
@@ -256,8 +252,7 @@ class GraphKernel(abc.ABC):
                 f"expected ({n_old}, {n_old}) for {n_old} old graphs"
             )
         cross, diagonal = self._extension_blocks(
-            list(old_graphs), list(new_graphs), ctx.engine_argument(),
-            store=ctx.store,
+            list(old_graphs), list(new_graphs), ctx.engine_argument()
         )
         cross = np.asarray(cross, dtype=float)
         diagonal = np.asarray(diagonal, dtype=float)
@@ -279,12 +274,10 @@ class GraphKernel(abc.ABC):
         old_graphs: "list[Graph]",
         new_graphs: "list[Graph]",
         engine: "GramEngine | str | None",
-        store=None,
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Subclass hook: the ``(N, ΔN)`` cross and ``(ΔN, ΔN)`` diagonal
         blocks of the extended Gram. Only called after the
-        collection-independence gate in :meth:`gram_extend` passed;
-        ``store`` (when given) requests tile-checkpointed computation."""
+        collection-independence gate in :meth:`gram_extend` passed."""
         raise KernelError(
             f"{self.name}: no incremental Gram path is implemented for "
             f"{type(self).__name__}"
@@ -314,12 +307,6 @@ class GraphKernel(abc.ABC):
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
-    @abc.abstractmethod
-    def _compute_gram(
-        self, graphs: "list[Graph]", *, engine: "GramEngine | str | None" = None
-    ) -> np.ndarray:
-        """Subclass hook: the raw (unnormalised) Gram matrix."""
-
     @staticmethod
     def _check_graphs(graphs) -> None:
         if not isinstance(graphs, (list, tuple)) or len(graphs) == 0:
@@ -344,14 +331,6 @@ class FeatureMapKernel(GraphKernel):
     #: features *sample* from collection-shared randomness must override
     #: this back to False — see GraphletKernel.)
     collection_independent = True
-
-    def _compute_gram(
-        self, graphs: "list[Graph]", *, engine: "GramEngine | str | None" = None
-    ) -> np.ndarray:
-        # Engine selection is accepted for API uniformity but moot here:
-        # an explicit feature map makes the Gram a single (BLAS) matmul.
-        features = self.feature_matrix(graphs)
-        return features @ features.T
 
     def _compute_gram_into(
         self,
@@ -387,8 +366,9 @@ class FeatureMapKernel(GraphKernel):
 
         The backend (accepted for signature parity with the pairwise
         family; only its tile size matters — each tile is one matmul)
-        and sink come from ``ctx``. With a sink, the rectangle streams
-        tile-by-tile instead of materialising at once.
+        and sink come from ``ctx``; the rectangle streams tile-by-tile
+        into the sink, a fresh :class:`~repro.engine.tiles.DenseSink`
+        when the context has no factory.
         """
         ctx = as_context(ctx, owner=f"{self.name}.cross_gram")
         sink = ctx.make_sink()
@@ -398,8 +378,6 @@ class FeatureMapKernel(GraphKernel):
         features = self.feature_matrix(list(graphs_a) + list(graphs_b))
         fa = features[: len(graphs_a)]
         fb = features[len(graphs_a) :]
-        if sink is None:
-            return fa @ fb.T
         plan = TilePlan.cross(
             len(graphs_a),
             len(graphs_b),
@@ -418,12 +396,9 @@ class FeatureMapKernel(GraphKernel):
         old_graphs: "list[Graph]",
         new_graphs: "list[Graph]",
         engine: "GramEngine | str | None",
-        store=None,
     ) -> "tuple[np.ndarray, np.ndarray]":
         # One shared feature space over old + new (vocabulary union); the
         # old block's inner products are untouched by the extra columns.
-        # No tile checkpointing: both blocks are single matmuls, cheaper
-        # than the round trip a checkpoint would add.
         features = self.feature_matrix(old_graphs + new_graphs)
         old_features = features[: len(old_graphs)]
         new_features = features[len(old_graphs) :]
@@ -440,12 +415,6 @@ class PairwiseKernel(GraphKernel):
     batchable additionally override :meth:`block_values` so the batched and
     process backends can evaluate whole tiles with array operations.
     """
-
-    def _compute_gram(
-        self, graphs: "list[Graph]", *, engine: "GramEngine | str | None" = None
-    ) -> np.ndarray:
-        states = self._prepared_states(graphs)
-        return resolve_engine(engine).gram(self, states)
 
     def _compute_gram_into(
         self,
@@ -568,9 +537,10 @@ class PairwiseKernel(GraphKernel):
         here can differ from its value under a different collection,
         exactly as in the paper's protocol. The evaluation itself goes
         through the same engine backends as :meth:`gram`, so Nyström
-        landmark columns get the batched path too; with a sink (from
-        ``ctx.sink_factory``) the rectangle streams tile-by-tile
-        (out-of-core / checkpointed).
+        landmark columns get the batched path too; the rectangle streams
+        tile-by-tile into the sink from ``ctx.sink_factory`` (out-of-core
+        / checkpointed), else into a fresh
+        :class:`~repro.engine.tiles.DenseSink`.
         """
         ctx = as_context(ctx, owner=f"{self.name}.cross_gram")
         sink = ctx.make_sink()
@@ -583,8 +553,7 @@ class PairwiseKernel(GraphKernel):
         result = resolve_engine(ctx.engine_argument()).cross_gram(
             self, states_a, states_b, sink=sink
         )
-        if sink is not None:
-            sink.commit()
+        sink.commit()
         return result
 
     def _extension_blocks(
@@ -592,40 +561,21 @@ class PairwiseKernel(GraphKernel):
         old_graphs: "list[Graph]",
         new_graphs: "list[Graph]",
         engine: "GramEngine | str | None",
-        store=None,
     ) -> "tuple[np.ndarray, np.ndarray]":
         # Preparation is (re)run over old + new as one collection — it is
         # linear and cheap relative to the pair stage, and for
         # collection-independent kernels (the gram_extend gate) it yields
         # the same pair values as any other collection. Only the N·ΔN
         # cross pairs and the ΔN(ΔN+1)/2 new diagonal pairs are evaluated,
-        # through the same engine backends as a full Gram; a store makes
-        # both blocks tile-checkpointed (kill-resume at tile granularity,
-        # slice-keyed tile reuse across prior checkpointed runs).
-        states = self.prepare(old_graphs + new_graphs)
-        if len(states) != len(old_graphs) + len(new_graphs):
-            raise KernelError(
-                f"{self.name}: prepare() returned {len(states)} states for "
-                f"{len(old_graphs) + len(new_graphs)} graphs"
-            )
+        # through the same engine backends as a full Gram.
+        states = self._prepared_states(old_graphs + new_graphs)
         resolved = resolve_engine(engine)
         old_states = states[: len(old_graphs)]
         new_states = states[len(old_graphs) :]
-        cross_sink = diagonal_sink = None
-        if store is not None:
-            from repro.store.tiles import CheckpointSink, tile_keyer_for
-
-            cross_sink = CheckpointSink(
-                store, tile_keyer_for(self, old_graphs, new_graphs)
-            )
-            diagonal_sink = CheckpointSink(
-                store, tile_keyer_for(self, new_graphs)
-            )
-        cross = resolved.cross_gram(
-            self, old_states, new_states, sink=cross_sink
+        return (
+            resolved.cross_gram(self, old_states, new_states),
+            resolved.gram(self, new_states),
         )
-        diagonal = resolved.gram(self, new_states, sink=diagonal_sink)
-        return cross, diagonal
 
 
 def cosine_scale(diagonal: np.ndarray) -> np.ndarray:
@@ -634,8 +584,8 @@ def cosine_scale(diagonal: np.ndarray) -> np.ndarray:
     Non-positive self-similarities (possible for indefinite baselines)
     are treated as 1 to avoid dividing by zero; the properties bench
     reports them. This is *the* diagonal-scale policy: whole-matrix
-    normalisation (:func:`normalize_gram`), tile-wise normalisation of
-    out-of-core Grams, and the serving path's ``K(new, train)`` rows all
+    normalisation (:func:`normalize_gram`), the tile-wise normalisation
+    every ``gram`` runs, and the serving path's ``K(new, train)`` rows all
     scale through it, so train- and serving-time cosine geometry agree by
     construction.
     """
@@ -675,8 +625,8 @@ def normalize_gram_inplace_tiled(matrix, *, tile_size: int):
     at a time.
 
     Peak extra memory is ``O(N)`` for the diagonal scales plus one tile —
-    never the matrix — so this is the ``normalize=True`` path for
-    out-of-core Grams. Entry-for-entry the arithmetic matches
+    never the matrix — so this is the ``normalize=True`` path of every
+    Gram, in memory or out of core. Entry-for-entry the arithmetic matches
     :func:`normalize_gram` (each cell computes ``(K_ij * s_i) * s_j``).
     """
     n = matrix.shape[0]
@@ -695,11 +645,47 @@ def normalize_gram_inplace_tiled(matrix, *, tile_size: int):
     return matrix
 
 
+def _finish_gram(
+    matrix,
+    sink: GramSink,
+    n: int,
+    *,
+    owner: str,
+    normalize: bool,
+    ensure_psd: bool,
+    tile_size: int,
+):
+    """The one post-pass of every ``(n, n)`` Gram, once ``sink`` holds
+    all its tiles.
+
+    :meth:`GraphKernel.gram` and the distributed assembly both end here,
+    so a Gram's bytes never depend on which of them built it. Tiles
+    arrive symmetric by construction (diagonal tiles mirror their upper
+    triangle, the sink mirrors off-diagonals), so no ``(K + Kᵀ)/2`` pass
+    is needed.
+    """
+    if getattr(matrix, "shape", None) != (n, n):
+        raise KernelError(
+            f"{owner}: tiled Gram has shape "
+            f"{getattr(matrix, 'shape', None)}, expected ({n}, {n})"
+        )
+    if normalize:
+        matrix = normalize_gram_inplace_tiled(matrix, tile_size=tile_size)
+    if ensure_psd:
+        # One eigendecomposition serves both the PSD check and (when
+        # needed) the projection — see clip_to_psd.
+        matrix = clip_to_psd(np.asarray(matrix, dtype=float))
+    # Post-processing is done: a staged sink may now publish its backing
+    # file atomically.
+    sink.commit()
+    return matrix
+
+
 def replay_tiles(matrix: np.ndarray, plan: TilePlan, sink: GramSink):
     """Feed an already-computed matrix through a sink tile-by-tile.
 
-    The adapter for code paths that still produce dense matrices (the
-    core-variant wrappers' level-summed Grams): downstream sinks see the
+    The adapter for the kernels that build dense matrices (the
+    core-variant wrappers' level-summed Grams, DGK): downstream sinks see the
     same tile stream a streaming computation would emit, so memmap
     assembly works uniformly — only the bounded-memory property is
     (necessarily) absent (and checkpointing callers skip such kernels,

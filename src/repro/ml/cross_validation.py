@@ -194,7 +194,9 @@ def cross_validate_graph_kernel(
     (``n_folds``, ``n_repeats``, ``seed``, ...). ``normalize`` defaults
     to the context policy, else on — the paper's protocol.
 
-    The context's fields select the execution strategy:
+    The Gram step is one ``kernel.gram(..., ctx=ctx)`` call, so the
+    context's fields select the execution strategy exactly as they do
+    for :meth:`~repro.kernels.base.GraphKernel.gram`:
 
     * ``ctx.store`` (a :class:`repro.store.ArtifactStore`) makes the
       Gram step persistent: the matrix is fetched by content key —
@@ -217,27 +219,13 @@ def cross_validate_graph_kernel(
       other readers expect to contain raw kernel values.
     """
     from repro.api.context import as_context
-    from repro.store import store_backed_gram
 
     ctx = as_context(ctx, owner="cross_validate_graph_kernel")
     normalize = ctx.policy(normalize, "normalize", True)
     ensure_psd = ctx.policy(ensure_psd, "ensure_psd", False)
-    if ctx.sink_factory is not None:
-        # gram() refuses a sink together with a store, and ensure_psd
-        # against an out-of-core sink, through ctx.validate().
-        gram = kernel.gram(
-            list(graphs), normalize=normalize, ensure_psd=ensure_psd, ctx=ctx
-        )
-    else:
-        gram = store_backed_gram(
-            kernel,
-            list(graphs),
-            ctx.store,
-            normalize=normalize,
-            ensure_psd=ensure_psd,
-            tile_checkpoint=ctx.tile_checkpoint,
-            ctx=ctx,
-        )
+    gram = kernel.gram(
+        list(graphs), normalize=normalize, ensure_psd=ensure_psd, ctx=ctx
+    )
     if condition:
         # The same fit/transform object the serving path uses
         # (repro.serve), so protocol runs and bundles condition Grams

@@ -35,7 +35,6 @@ from repro.kernels.base import GraphKernel, normalize_gram
 from repro.ml.cross_validation import DEFAULT_C_GRID, select_c
 from repro.ml.kernel_utils import GramConditioner
 from repro.ml.multiclass import KernelSVC
-from repro.store import store_backed_gram
 
 #: Artifact-store kind under which bundles are persisted.
 BUNDLE_KIND = "bundle"
@@ -270,9 +269,7 @@ def train_bundle(
         from repro.kernels.registry import as_spec
 
         spec_record = as_spec(spec).resolved().to_dict()
-    raw = store_backed_gram(
-        kernel, graphs, ctx.store, tile_checkpoint=ctx.tile_checkpoint, ctx=ctx
-    )
+    raw = kernel.gram(graphs, normalize=False, ensure_psd=False, ctx=ctx)
     train_diagonal = np.array(np.diag(raw), dtype=float)
     gram = normalize_gram(raw) if normalize else np.asarray(raw, dtype=float)
     conditioner = GramConditioner(center=condition, scale=condition)

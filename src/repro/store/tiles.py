@@ -360,7 +360,8 @@ class TileLedger:
         fresh :class:`~repro.engine.tiles.DenseSink`; symmetric
         off-diagonal mirroring happens in the sink exactly as in a live
         computation, so the assembled matrix is byte-identical to the
-        single-process result.
+        single-process result. The sink is not committed: the caller
+        commits it once any post-processing is done.
         """
         sink = DenseSink() if sink is None else sink
         sink.open(self.plan)
@@ -376,6 +377,4 @@ class TileLedger:
                 f"cannot assemble: {missing} of {self.total()} tiles are "
                 f"not committed yet (store {self.store.address!r})"
             )
-        matrix = sink.finalize()
-        sink.commit()
-        return matrix
+        return sink.finalize()

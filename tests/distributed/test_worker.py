@@ -35,7 +35,7 @@ def reference_gram(name, graphs, ctx, **kwargs):
 
 
 class TestSingleWorker:
-    @pytest.mark.parametrize("kernel_name", ["WLSK", "QJSK"])
+    @pytest.mark.parametrize("kernel_name", ["WLSK", "QJSK", "GCGK"])
     def test_byte_identical_to_session(self, graphs, ctx, kernel_name):
         store = ArtifactStore(f"mem:single-{kernel_name}")
         job = DistributedJob.submit(store, kernel_name, graphs, ctx=ctx)

@@ -24,7 +24,7 @@ from repro.engine import (
 )
 from repro.errors import KernelError
 from repro.graphs import generators as gen
-from repro.kernels import QJSKUnaligned, WeisfeilerLehmanKernel
+from repro.kernels import QJSKUnaligned, WeisfeilerLehmanKernel, make
 
 ATOL = 1e-10
 
@@ -206,15 +206,18 @@ class TestTileBoundaryEdgeCases:
 
 @pytest.mark.parametrize("tile", [1, 3, 64])
 def test_feature_map_tiled_path(tile, probe_graphs, tmp_path):
-    """Feature-map kernels stream per-tile matmuls; dense and memmapped
-    results agree with the one-matmul path to strict tolerance."""
-    kernel = WeisfeilerLehmanKernel(3)
-    dense = kernel.gram(probe_graphs, normalize=True)
-    sink = MemmapSink(str(tmp_path / f"wl-{tile}.npy"))
-    tiled = kernel.gram(
-        probe_graphs, normalize=True, ctx=into(sink, BatchedEngine(tile_size=tile))
-    )
-    assert np.allclose(np.asarray(tiled), dense, atol=1e-12, rtol=0.0)
+    """Feature-map kernels stream per-tile matmuls; the in-memory and
+    memmapped Grams at one tile size are the same bytes. GCGK's
+    histograms are normalised floats, so a one-matmul path would differ
+    from per-tile products in the last ulp; WLSK counts integers."""
+    for kernel in (WeisfeilerLehmanKernel(3), make("GCGK")):
+        engine = BatchedEngine(tile_size=tile)
+        dense = kernel.gram(
+            probe_graphs, normalize=True, ctx=ExecutionContext(engine=engine)
+        )
+        sink = MemmapSink(str(tmp_path / f"{kernel.name}-{tile}.npy"))
+        tiled = kernel.gram(probe_graphs, normalize=True, ctx=into(sink, engine))
+        assert np.asarray(tiled).tobytes() == dense.tobytes(), kernel.name
 
 
 def test_normalized_memmap_matches_dense(probe_graphs, tmp_path):
@@ -250,10 +253,23 @@ def test_ensure_psd_refused_out_of_core(probe_graphs, tmp_path):
     assert np.allclose(sunk, dense, atol=ATOL, rtol=0.0)
 
 
-def test_dense_sink_path_is_byte_identical_to_default(probe_graphs):
-    """A DenseSink is the sink-less behaviour exactly, for both kernel
-    families."""
-    for kernel in (QJSKUnaligned(), WeisfeilerLehmanKernel(3)):
-        default = kernel.gram(probe_graphs, normalize=True)
-        sunk = kernel.gram(probe_graphs, normalize=True, ctx=into(DenseSink()))
-        assert np.allclose(sunk, default, atol=1e-12, rtol=0.0), kernel.name
+def test_dense_sink_path_is_byte_identical_to_default(probe_graphs, tmp_path):
+    """Every Gram streams its tiles into a sink, so the default context,
+    an explicit DenseSink, a MemmapSink and a store-backed context give
+    the same bytes, for both kernel families, at the default tile size
+    and at one that does not divide n."""
+    kernels = (QJSKUnaligned(), WeisfeilerLehmanKernel(3), make("GCGK"))
+    for tile in (None, 3):
+        base = ExecutionContext(tile_size=tile)
+        for kernel in kernels:
+            label = f"{kernel.name}-{tile}"
+            default = kernel.gram(probe_graphs, normalize=True, ctx=base)
+            path = str(tmp_path / f"{label}.npy")
+            routes = {
+                "dense": base.replace(sink_factory=DenseSink),
+                "memmap": base.replace(sink_factory=lambda: MemmapSink(path)),
+                "store": base.replace(store=f"mem:dense-sink-{label}"),
+            }
+            for route, ctx in routes.items():
+                sunk = kernel.gram(probe_graphs, normalize=True, ctx=ctx)
+                assert np.asarray(sunk).tobytes() == default.tobytes(), (label, route)

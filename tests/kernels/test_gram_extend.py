@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.api import ExecutionContext
-from repro.errors import KernelError
+from repro.errors import KernelError, ValidationError
 from repro.graphs import generators as gen
 from repro.kernels import (
     AlignedSubtreeKernel,
@@ -182,6 +182,16 @@ class TestCollectionDependentRefusals:
 
 
 class TestExtensionValidation:
+    def test_store_context_refused(self, old_graphs, new_graphs):
+        """gram_extend computes in memory; a store context is refused with
+        a named error pointing at the two persistent ways to grow."""
+        kernel = QJSKUnaligned()
+        cached = kernel.gram(old_graphs)
+        ctx = ExecutionContext(store="mem:gram-extend-refusal")
+        hint = r"gram\(old \+ new, ctx=ctx\).*IncrementalGram"
+        with pytest.raises(ValidationError, match=hint):
+            kernel.gram_extend(cached, old_graphs, new_graphs, ctx=ctx)
+
     def test_shape_mismatch_rejected(self, old_graphs, new_graphs):
         kernel = QJSKUnaligned()
         bad = np.zeros((2, 2))

@@ -190,7 +190,8 @@ class TestArtifactStore:
 
 
 class _CountingKernel(QJSKUnaligned):
-    """QJSK counting its gram() calls.
+    """QJSK counting the Grams it computes (its tile-stream hook, which
+    every computed Gram runs once; a store hit runs it zero times).
 
     The counter lives in an underscore attribute on purpose: public
     instance attributes are configuration and enter the fingerprint, so a
@@ -202,12 +203,12 @@ class _CountingKernel(QJSKUnaligned):
         self._counter = [0]
 
     @property
-    def gram_calls(self) -> int:
+    def grams_computed(self) -> int:
         return self._counter[0]
 
-    def gram(self, *args, **kwargs):
+    def _compute_gram_into(self, *args, **kwargs):
         self._counter[0] += 1
-        return super().gram(*args, **kwargs)
+        return super()._compute_gram_into(*args, **kwargs)
 
 
 class TestStoreBackedGram:
@@ -216,13 +217,13 @@ class TestStoreBackedGram:
         kernel = _CountingKernel()
         first = store_backed_gram(kernel, graphs, store)
         second = store_backed_gram(kernel, graphs, store)
-        assert kernel.gram_calls == 1
+        assert kernel.grams_computed == 1
         assert np.array_equal(first, second)
 
     def test_none_store_passthrough(self, graphs):
         kernel = _CountingKernel()
         gram = store_backed_gram(kernel, graphs, None)
-        assert kernel.gram_calls == 1
+        assert kernel.grams_computed == 1
         assert gram.shape == (len(graphs), len(graphs))
 
     def test_options_are_part_of_the_key(self, tmp_path, graphs):
@@ -256,11 +257,11 @@ class TestIncrementalGram:
         store = ArtifactStore(root)
         kernel = _CountingKernel()
         IncrementalGram(kernel, graphs, ctx=ExecutionContext(store=store))
-        assert kernel.gram_calls == 1
+        assert kernel.grams_computed == 1
         restarted = IncrementalGram(
             kernel, graphs, ctx=ExecutionContext(store=ArtifactStore(root))
         )
-        assert kernel.gram_calls == 1  # loaded, not recomputed
+        assert kernel.grams_computed == 1  # loaded, not recomputed
         assert np.allclose(restarted.gram, QJSKUnaligned().gram(graphs))
 
     def test_extended_gram_is_persisted(self, tmp_path, graphs):
@@ -306,7 +307,7 @@ class TestMLRouting:
         second = cross_validate_graph_kernel(
             kernel, graphs, labels, n_folds=2, n_repeats=1, seed=0, ctx=ctx
         )
-        assert kernel.gram_calls == 1
+        assert kernel.grams_computed == 1
         assert first.mean_accuracy == second.mean_accuracy
 
     def test_nystrom_reuses_store(self, tmp_path, graphs):

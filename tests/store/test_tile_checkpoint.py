@@ -19,11 +19,11 @@ from repro.store import ArtifactStore, CheckpointSink, TileKeyer, tile_keyer_for
 from repro.utils.rng import as_rng, spawn_seed
 
 
-def on(engine, sink=None, store=None) -> ExecutionContext:
+def on(engine, sink=None) -> ExecutionContext:
     """A context computing on ``engine``, streaming into the single-use
-    ``sink`` or checkpointing into ``store`` when given."""
+    ``sink`` when given."""
     factory = None if sink is None else (lambda: sink)
-    return ExecutionContext(engine=engine, sink_factory=factory, store=store)
+    return ExecutionContext(engine=engine, sink_factory=factory)
 
 
 @pytest.fixture()
@@ -60,10 +60,6 @@ class _CountingQJSK(QJSKUnaligned):
     @property
     def block_calls(self):
         return self._block_calls
-
-    @block_calls.setter
-    def block_calls(self, value):
-        self._block_calls = value
 
     def block_values(self, states_a, states_b):
         self._block_calls += 1
@@ -276,28 +272,6 @@ class TestTileGranularExtend:
         assert counted.block_calls == 9
         reference = QJSKUnaligned().gram(grown, ctx=on(engine))
         assert np.array_equal(np.asarray(result), reference)
-
-    def test_gram_extend_with_store_checkpoints_blocks(
-        self, store, graphs, newcomers
-    ):
-        """gram_extend with ctx.store commits its cross/diagonal tiles, so a
-        second identical extension restores everything."""
-        kernel = _CountingQJSK()
-        engine = BatchedEngine(tile_size=4)
-        cached = kernel.gram(graphs, ctx=on(engine))
-        extended = kernel.gram_extend(
-            cached, graphs, newcomers, ctx=on(engine, store=store)
-        )
-        kernel.block_calls = 0
-        again = kernel.gram_extend(
-            cached, graphs, newcomers, ctx=on(engine, store=store)
-        )
-        assert kernel.block_calls == 0  # every block tile came from disk
-        assert np.array_equal(extended, again)
-        full = QJSKUnaligned().gram(
-            list(graphs) + list(newcomers), ctx=on(engine)
-        )
-        assert np.allclose(extended, full, atol=1e-10, rtol=0.0)
 
 
 class TestMemmapArtifacts:
