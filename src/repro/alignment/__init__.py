@@ -24,7 +24,6 @@ from repro.alignment.prototypes import (
     level_sizes,
 )
 from repro.alignment.transform import (
-    AlignedGraphStructures,
     aligned_adjacency,
     aligned_density,
     average_over_k,
@@ -36,7 +35,6 @@ from repro.alignment.umeyama import (
 )
 
 __all__ = [
-    "AlignedGraphStructures",
     "AttributedDBExtractor",
     "DBRepresentationExtractor",
     "KMeansResult",

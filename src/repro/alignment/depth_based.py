@@ -30,6 +30,16 @@ from repro.utils.validation import check_positive_int
 _ENTROPY_KINDS = ("shannon", "von_neumann")
 
 
+def check_entropy_kind(entropy: str) -> str:
+    """Return ``entropy`` when it names an expansion-subgraph entropy;
+    raise :class:`~repro.errors.ValidationError` otherwise."""
+    if entropy not in _ENTROPY_KINDS:
+        raise ValidationError(
+            f"entropy must be one of {_ENTROPY_KINDS}, got {entropy!r}"
+        )
+    return entropy
+
+
 def _subgraph_entropy(adjacency: np.ndarray, kind: str) -> float:
     """Entropy of one expansion subgraph given its adjacency block."""
     degrees = adjacency.sum(axis=1)
@@ -68,10 +78,7 @@ def db_representations(
     (the entropy flow has simply saturated).
     """
     n_layers = check_positive_int(n_layers, "n_layers", minimum=1)
-    if entropy not in _ENTROPY_KINDS:
-        raise ValidationError(
-            f"entropy must be one of {_ENTROPY_KINDS}, got {entropy!r}"
-        )
+    check_entropy_kind(entropy)
     n = graph.n_vertices
     if n == 0:
         return np.zeros((0, n_layers))
@@ -135,11 +142,7 @@ class DBRepresentationExtractor:
         entropy: str = "shannon",
     ) -> None:
         self.max_layers = check_positive_int(max_layers, "max_layers", minimum=1)
-        if entropy not in _ENTROPY_KINDS:
-            raise ValidationError(
-                f"entropy must be one of {_ENTROPY_KINDS}, got {entropy!r}"
-            )
-        self.entropy = entropy
+        self.entropy = check_entropy_kind(entropy)
         self.n_layers_: "int | None" = None
 
     def fit(self, graphs: "list[Graph]") -> "DBRepresentationExtractor":

@@ -10,6 +10,12 @@ both of size ``|P^{h,k}| x |P^{h,k}|``, shared by every graph in the
 collection. Averaging over the DB dimension k gives the *Hierarchical
 Transitive Aligned* adjacency/density matrices (Eq. 22-25).
 
+Each HAQJSK variant reads one of the two: HAQJSK(A) the aligned
+adjacencies (Eq. 23/26), HAQJSK(D) the aligned densities (Eq. 25/29).
+:meth:`repro.kernels.haqjsk.HierarchicalAligner.transform` therefore
+takes the name of the structure its caller reads and builds only that
+one, from these congruences.
+
 Faithfulness notes (see DESIGN.md):
 
 * Eq. 19/31 literally write ``C^{1,k}ᵀ X C^{h,k}``, which is non-square for
@@ -109,46 +115,3 @@ def average_over_k(matrices: "list[np.ndarray]") -> np.ndarray:
             )
         total += arr
     return total / len(matrices)
-
-
-class AlignedGraphStructures:
-    """The per-graph output of the hierarchical alignment pipeline.
-
-    Attributes
-    ----------
-    adjacency_by_level:
-        ``adjacency_by_level[h-1]`` is the Eq. 23 hierarchical transitive
-        aligned adjacency matrix ``Ā^h_p`` (fixed size ``M_h x M_h``).
-    density_by_level:
-        ``density_by_level[h-1]`` is the Eq. 25 hierarchical transitive
-        aligned density matrix ``ρ̄^h_p``.
-    """
-
-    __slots__ = ("adjacency_by_level", "density_by_level")
-
-    def __init__(self, adjacency_by_level, density_by_level):
-        if len(adjacency_by_level) != len(density_by_level):
-            raise AlignmentError(
-                "adjacency and density level lists must have equal length"
-            )
-        self.adjacency_by_level = adjacency_by_level
-        self.density_by_level = density_by_level
-
-    @property
-    def n_levels(self) -> int:
-        """Number of hierarchy levels H."""
-        return len(self.adjacency_by_level)
-
-    def level_adjacency(self, level: int) -> np.ndarray:
-        """``Ā^h_p`` for 1-based ``level``."""
-        self._check_level(level)
-        return self.adjacency_by_level[level - 1]
-
-    def level_density(self, level: int) -> np.ndarray:
-        """``ρ̄^h_p`` for 1-based ``level``."""
-        self._check_level(level)
-        return self.density_by_level[level - 1]
-
-    def _check_level(self, level: int) -> None:
-        if not (1 <= level <= self.n_levels):
-            raise AlignmentError(f"level must be in 1..{self.n_levels}, got {level}")

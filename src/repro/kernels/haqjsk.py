@@ -11,7 +11,8 @@ Both sum ``exp(-QJSD)`` over hierarchy levels ``h = 1..H``. The alignment
 pipeline (DB representations -> hierarchical prototypes -> correspondence
 matrices -> aligned structures) lives in :class:`HierarchicalAligner` so the
 two kernels, the examples, and the ablation benches share one
-implementation.
+implementation. Each kernel asks the aligner for the one structure it
+reads: (A) the aligned adjacencies, (D) the aligned densities.
 
 Because the prototype system is fitted on the *whole* collection passed to
 ``gram`` (exactly the paper's protocol — alignment is defined over the graph
@@ -38,24 +39,25 @@ from repro.alignment.correspondence import correspondence_matrices
 from repro.backend import active_policy
 from repro.backend.policy import DEFAULT_CHUNK_ELEMENTS
 from repro.backend.support import support_entropies
-from repro.alignment.depth_based import DBRepresentationExtractor
+from repro.alignment.depth_based import DBRepresentationExtractor, check_entropy_kind
 from repro.alignment.kmeans import cluster_means
 from repro.alignment.prototypes import PrototypeHierarchy, fit_prototype_hierarchy
-from repro.alignment.transform import (
-    AlignedGraphStructures,
-    aligned_adjacency,
-    aligned_density,
-)
-from repro.errors import KernelError
+from repro.alignment.transform import aligned_adjacency, aligned_density
+from repro.errors import AlignmentError, KernelError
 from repro.graphs.graph import Graph
 from repro.graphs.hashing import collection_digest
 from repro.kernels.base import KernelTraits, PairwiseKernel
 from repro.kernels.registry import register_kernel, scaled
 from repro.quantum.density import ctqw_density_matrix, graph_density_matrix
 from repro.quantum.divergence import QJSD_MAX
+from repro.quantum.operators import check_hamiltonian
 from repro.utils.linalg import safe_xlogx
 from repro.utils.rng import as_rng, spawn_seed
 from repro.utils.validation import check_in_range, check_positive_int
+
+#: The aligned structures :meth:`HierarchicalAligner.transform` builds.
+ALIGNED_STRUCTURES = ("adjacency", "density")
+
 
 @dataclass
 class FrozenAlignmentSystem:
@@ -111,7 +113,8 @@ class HierarchicalAligner:
        (level-1 count ``n_prototypes``, halving per level for ``n_levels``
        levels) fitted on the pooled vertex representations;
     3. per graph: level-h correspondence matrices and the aligned adjacency
-       / density matrices, averaged over ``k`` (Eq. 22-25).
+       or density matrices, averaged over ``k`` (Eq. 22-25). Only the
+       structure the caller names is built.
 
     Parameters
     ----------
@@ -132,7 +135,9 @@ class HierarchicalAligner:
         Rescale each aligned density matrix to unit trace (Eq. 21 does not
         preserve trace; the QJSD needs density matrices).
     hamiltonian:
-        CTQW Hamiltonian for the original graphs' density matrices.
+        CTQW Hamiltonian for the original graphs' density matrices (and,
+        in HAQJSK(A), for the aligned adjacencies' ones); one of
+        :func:`repro.quantum.available_hamiltonians`.
     extractor:
         Override the vertex-representation extractor. Must provide
         ``fit_transform(graphs) -> list[matrix]`` and ``n_layers_``; may
@@ -174,10 +179,10 @@ class HierarchicalAligner:
             shrink_factor, "shrink_factor", low=0.0, high=1.0, low_inclusive=False
         )
         self.max_layers = check_positive_int(max_layers, "max_layers", minimum=1)
-        self.entropy = entropy
+        self.entropy = check_entropy_kind(entropy)
         self.consistent_across_k = bool(consistent_across_k)
         self.renormalize_density = bool(renormalize_density)
-        self.hamiltonian = hamiltonian
+        self.hamiltonian = check_hamiltonian(hamiltonian)
         self.extractor = extractor
         if quantize_decimals is not None:
             check_positive_int(quantize_decimals, "quantize_decimals", minimum=1)
@@ -214,14 +219,28 @@ class HierarchicalAligner:
         self.frozen_ = None
         return self
 
-    def transform(self, graphs: "list[Graph]") -> "list[AlignedGraphStructures]":
-        """Aligned structures (Eq. 22-25) for every graph.
+    def transform(
+        self, graphs: "list[Graph]", structure: str
+    ) -> "list[list[np.ndarray]]":
+        """One aligned structure (Eq. 22-25) per graph and level.
+
+        ``structure`` names the one the caller reads: ``"adjacency"``
+        builds the Eq. 23 aligned adjacencies ``Ā^h_p`` from the graphs'
+        adjacency matrices, ``"density"`` the Eq. 25 aligned densities
+        ``ρ̄^h_p`` from their CTQW density matrices; the other is never
+        computed. ``result[p][h - 1]`` is graph ``p``'s level-``h``
+        matrix, of the fixed size ``M_h x M_h``.
 
         Unfrozen (the paper's protocol): the prototype system is fitted
         on exactly the graphs passed in, so values are collection-level.
         Frozen: the stored reference system is applied to the graphs
         without refitting.
         """
+        if structure not in ALIGNED_STRUCTURES:
+            raise AlignmentError(
+                f"unknown aligned structure {structure!r}; "
+                f"expected one of {ALIGNED_STRUCTURES}"
+            )
         if not graphs:
             raise KernelError("HierarchicalAligner needs at least one graph")
         if self.frozen_ is not None:
@@ -231,7 +250,7 @@ class HierarchicalAligner:
             ]
         else:
             system, representations = self._fit_system(graphs)
-        return self._apply_system(system, representations, graphs)
+        return self._apply_system(system, representations, graphs, structure)
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -302,52 +321,47 @@ class HierarchicalAligner:
         system: "FrozenAlignmentSystem",
         representations: "list[np.ndarray]",
         graphs: "list[Graph]",
-    ) -> "list[AlignedGraphStructures]":
-        """Align every graph against an (already fitted) prototype system."""
+        structure: str,
+    ) -> "list[list[np.ndarray]]":
+        """Align every graph's ``structure`` against an (already fitted)
+        prototype system."""
         n_layers = system.n_layers
         n_static = system.n_static
-        densities = [
-            graph_density_matrix(g, hamiltonian=self.hamiltonian) for g in graphs
-        ]
-        n_graphs = len(graphs)
-        adjacency_sums = [None] * n_graphs  # per graph: list over levels
-        density_sums = [None] * n_graphs
+        # validate=False below: sources and correspondences are all
+        # constructed here; the checks dominate the congruence otherwise.
+        if structure == "density":
+            sources = [
+                graph_density_matrix(g, hamiltonian=self.hamiltonian) for g in graphs
+            ]
+
+            def congruence(source, c_matrix):
+                return aligned_density(
+                    source,
+                    c_matrix,
+                    renormalize=self.renormalize_density,
+                    validate=False,
+                )
+
+        else:
+            sources = [g.adjacency for g in graphs]
+
+            def congruence(source, c_matrix):
+                return aligned_adjacency(source, c_matrix, validate=False)
+
+        sums = [[None] * self.n_levels for _ in graphs]  # per graph, per level
         for k in range(1, n_layers + 1):
             hierarchy = system.hierarchies[k - 1]
-            for p, graph in enumerate(graphs):
+            for p, source in enumerate(sources):
                 c_levels = correspondence_matrices(
                     self._slice_k(representations[p], k, n_layers, n_static),
                     hierarchy,
                 )
                 for h, c_matrix in enumerate(c_levels):
-                    # validate=False: adjacency/density/correspondence are
-                    # all constructed above; the checks dominate otherwise.
-                    a_hk = aligned_adjacency(
-                        graph.adjacency, c_matrix, validate=False
-                    )
-                    rho_hk = aligned_density(
-                        densities[p],
-                        c_matrix,
-                        renormalize=self.renormalize_density,
-                        validate=False,
-                    )
-                    if adjacency_sums[p] is None:
-                        adjacency_sums[p] = [None] * self.n_levels
-                        density_sums[p] = [None] * self.n_levels
-                    if adjacency_sums[p][h] is None:
-                        adjacency_sums[p][h] = np.zeros_like(a_hk)
-                        density_sums[p][h] = np.zeros_like(rho_hk)
-                    adjacency_sums[p][h] += a_hk
-                    density_sums[p][h] += rho_hk
-
-        structures = []
-        for p in range(n_graphs):
-            adjacency_by_level = [m / n_layers for m in adjacency_sums[p]]
-            density_by_level = [m / n_layers for m in density_sums[p]]
-            structures.append(
-                AlignedGraphStructures(adjacency_by_level, density_by_level)
-            )
-        return structures
+                    aligned = congruence(source, c_matrix)
+                    if sums[p][h] is None:
+                        sums[p][h] = np.zeros_like(aligned)
+                    sums[p][h] += aligned
+        return [[m / n_layers for m in levels] for levels in sums]
 
     @staticmethod
     def _slice_k(
@@ -427,6 +441,10 @@ class _HAQJSKBase(PairwiseKernel):
     """
 
     traits = _HAQJSK_TRAITS
+    #: The aligned structure this variant reads (one of
+    #: ``ALIGNED_STRUCTURES``). A class constant: the configuration
+    #: fingerprint walks instance attributes only.
+    aligned_structure: str
     _extension_hint = (
         "Fit a frozen prototype system on a reference collection first "
         "(kernel.freeze(reference_graphs)) to enter the serving mode in "
@@ -476,8 +494,8 @@ class _HAQJSKBase(PairwiseKernel):
         return {}
 
     def prepare(self, graphs: "list[Graph]") -> list:
-        structures = self.aligner.transform(graphs)
-        all_matrices = [self._level_matrices(s) for s in structures]
+        aligned = self.aligner.transform(graphs, self.aligned_structure)
+        all_matrices = [self._level_matrices(levels) for levels in aligned]
         n_levels = len(all_matrices[0]) if all_matrices else 0
         # One stacked eigvalsh per hierarchy level (every graph's level-h
         # matrix has the same aligned size) instead of a per-matrix loop.
@@ -606,8 +624,9 @@ class _HAQJSKBase(PairwiseKernel):
         (mixed-state eigendecompositions dominate the per-pair cost)."""
         return self._symmetric_from_pairs(states, self._values_for_pairs)
 
-    def _level_matrices(self, structure: AlignedGraphStructures) -> "list[np.ndarray]":
-        raise NotImplementedError
+    def _level_matrices(self, aligned: "list[np.ndarray]") -> "list[np.ndarray]":
+        """Per-level density matrices from the aligned structures."""
+        return aligned
 
 
 @register_kernel(
@@ -626,13 +645,12 @@ class HAQJSKKernelA(_HAQJSKBase):
     """
 
     name = "HAQJSK(A)"
+    aligned_structure = "adjacency"
 
-    def _level_matrices(self, structure: AlignedGraphStructures) -> "list[np.ndarray]":
+    def _level_matrices(self, aligned: "list[np.ndarray]") -> "list[np.ndarray]":
         return [
-            ctqw_density_matrix(
-                structure.level_adjacency(h), hamiltonian=self.aligner.hamiltonian
-            )
-            for h in range(1, structure.n_levels + 1)
+            ctqw_density_matrix(adjacency, hamiltonian=self.aligner.hamiltonian)
+            for adjacency in aligned
         ]
 
 
@@ -647,8 +665,4 @@ class HAQJSKKernelD(_HAQJSKBase):
     """HAQJSK(D): QJSD between aligned density matrices directly (Eq. 29)."""
 
     name = "HAQJSK(D)"
-
-    def _level_matrices(self, structure: AlignedGraphStructures) -> "list[np.ndarray]":
-        return [
-            structure.level_density(h) for h in range(1, structure.n_levels + 1)
-        ]
+    aligned_structure = "density"

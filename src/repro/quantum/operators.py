@@ -53,16 +53,20 @@ def normalized_laplacian_hamiltonian(adjacency: np.ndarray) -> np.ndarray:
     return normalized_laplacian(Graph(arr))
 
 
+def check_hamiltonian(kind: str) -> str:
+    """Return ``kind`` when it names a registered Hamiltonian construction;
+    raise :class:`~repro.errors.ValidationError` listing them otherwise."""
+    if not isinstance(kind, str) or kind not in _HAMILTONIANS:
+        known = ", ".join(sorted(_HAMILTONIANS))
+        raise ValidationError(f"unknown Hamiltonian {kind!r}; known: {known}")
+    return kind
+
+
 def hamiltonian_from_adjacency(
     adjacency: np.ndarray, kind: str = "laplacian"
 ) -> np.ndarray:
     """Build the named Hamiltonian from a (possibly weighted) adjacency."""
-    try:
-        builder = _HAMILTONIANS[kind]
-    except KeyError:
-        known = ", ".join(sorted(_HAMILTONIANS))
-        raise ValidationError(f"unknown Hamiltonian {kind!r}; known: {known}") from None
-    return builder(adjacency)
+    return _HAMILTONIANS[check_hamiltonian(kind)](adjacency)
 
 
 def available_hamiltonians() -> list:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import AlignmentError
+from repro.errors import AlignmentError, ValidationError
 from repro.alignment import correspondence_matrices, prototypes
 from repro.alignment.kmeans import assign_to_centers, kmeans, kmeans_plusplus_init
 from repro.graphs import generators as gen
@@ -77,6 +77,12 @@ class TestKMeans:
     def test_rejects_nan(self):
         with pytest.raises(AlignmentError):
             kmeans(np.asarray([[np.nan, 0.0]]), 1)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, "loose"])
+    def test_rejects_invalid_tol(self, tol):
+        # NaN or a negative tol would switch off the center-movement stop.
+        with pytest.raises(ValidationError, match="tol"):
+            kmeans(blobs(), 3, tol=tol)
 
     def test_result_repr(self):
         result = kmeans(blobs(), 3, seed=0)

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import AlignmentError
 from repro.alignment.correspondence import one_hot
 from repro.alignment.transform import (
-    AlignedGraphStructures,
     aligned_adjacency,
     aligned_density,
     average_over_k,
@@ -82,22 +81,3 @@ class TestAverageOverK:
     def test_rejects_mixed_shapes(self):
         with pytest.raises(AlignmentError):
             average_over_k([np.zeros((2, 2)), np.zeros((3, 3))])
-
-
-class TestAlignedGraphStructures:
-    def test_accessors(self):
-        structure = AlignedGraphStructures(
-            [np.eye(2), np.eye(3)], [np.eye(2) / 2, np.eye(3) / 3]
-        )
-        assert structure.n_levels == 2
-        assert structure.level_adjacency(1).shape == (2, 2)
-        assert structure.level_density(2).shape == (3, 3)
-
-    def test_level_bounds(self):
-        structure = AlignedGraphStructures([np.eye(2)], [np.eye(2) / 2])
-        with pytest.raises(AlignmentError):
-            structure.level_adjacency(2)
-
-    def test_rejects_inconsistent_lists(self):
-        with pytest.raises(AlignmentError):
-            AlignedGraphStructures([np.eye(2)], [])

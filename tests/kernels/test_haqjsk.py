@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.errors import KernelError
+import repro.kernels.haqjsk as haqjsk
+from repro import KernelSpec, Session
+from repro.alignment import prototypes
+from repro.alignment.depth_based import DBRepresentationExtractor
+from repro.errors import AlignmentError, KernelError, ValidationError
 from repro.graphs import generators as gen
 from repro.kernels.haqjsk import (
     HAQJSKKernelA,
@@ -11,6 +15,7 @@ from repro.kernels.haqjsk import (
     HierarchicalAligner,
 )
 from repro.quantum.density import check_density_matrix
+from repro.quantum.operators import hamiltonian_from_adjacency
 from repro.utils.linalg import is_positive_semidefinite
 
 
@@ -30,53 +35,125 @@ def aligner():
 
 class TestHierarchicalAligner:
     def test_fixed_sizes_across_graphs(self, collection, aligner):
-        structures = aligner.transform(collection)
-        for level in range(1, 4):
-            sizes = {s.level_adjacency(level).shape for s in structures}
+        adjacencies = aligner.transform(collection, "adjacency")
+        for level in range(3):
+            sizes = {levels[level].shape for levels in adjacencies}
             assert len(sizes) == 1  # all graphs share the level size
 
     def test_level_sizes_shrink(self, collection, aligner):
-        structure = aligner.transform(collection)[0]
-        sizes = [structure.level_adjacency(h).shape[0] for h in range(1, 4)]
+        levels = aligner.transform(collection, "adjacency")[0]
+        sizes = [matrix.shape[0] for matrix in levels]
+        assert len(sizes) == 3
         assert sizes == sorted(sizes, reverse=True)
 
     def test_aligned_densities_are_density_matrices(self, collection, aligner):
-        for structure in aligner.transform(collection):
-            for level in range(1, structure.n_levels + 1):
-                check_density_matrix(structure.level_density(level))
+        for levels in aligner.transform(collection, "density"):
+            for density in levels:
+                check_density_matrix(density)
 
     def test_aligned_adjacency_nonnegative_symmetric(self, collection, aligner):
-        for structure in aligner.transform(collection):
-            for level in range(1, structure.n_levels + 1):
-                adjacency = structure.level_adjacency(level)
+        for levels in aligner.transform(collection, "adjacency"):
+            for adjacency in levels:
                 assert np.allclose(adjacency, adjacency.T)
                 assert np.all(adjacency >= -1e-12)
 
     def test_edge_mass_conserved(self, collection, aligner):
-        structures = aligner.transform(collection)
-        for graph, structure in zip(collection, structures):
-            total = structure.level_adjacency(1).sum()
-            assert total == pytest.approx(graph.adjacency.sum())
+        adjacencies = aligner.transform(collection, "adjacency")
+        for graph, levels in zip(collection, adjacencies):
+            assert levels[0].sum() == pytest.approx(graph.adjacency.sum())
 
     def test_deterministic(self, collection):
         a = HierarchicalAligner(n_prototypes=8, n_levels=2, max_layers=3, seed=5)
         b = HierarchicalAligner(n_prototypes=8, n_levels=2, max_layers=3, seed=5)
-        sa = a.transform(collection)
-        sb = b.transform(collection)
+        sa = a.transform(collection, "adjacency")
+        sb = b.transform(collection, "adjacency")
         for x, y in zip(sa, sb):
-            assert np.allclose(x.level_adjacency(1), y.level_adjacency(1))
+            assert np.allclose(x[0], y[0])
 
     def test_rejects_empty_collection(self, aligner):
         with pytest.raises(KernelError):
-            aligner.transform([])
+            aligner.transform([], "density")
 
     def test_inconsistent_k_option(self, collection):
         aligner = HierarchicalAligner(
             n_prototypes=8, n_levels=2, max_layers=3, seed=0,
             consistent_across_k=False,
         )
-        structures = aligner.transform(collection)
-        assert len(structures) == len(collection)
+        densities = aligner.transform(collection, "density")
+        assert len(densities) == len(collection)
+
+    def test_rejects_unknown_structure_before_fitting(self, collection, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("k-means ran before the structure was checked")
+
+        monkeypatch.setattr(prototypes, "kmeans", no_fit)
+        with pytest.raises(AlignmentError, match="'both'"):
+            HierarchicalAligner(n_prototypes=8).transform(collection, "both")
+
+
+def _forbid(monkeypatch, *names):
+    """Make the named ``repro.kernels.haqjsk`` functions fail if called."""
+    for name in names:
+        def forbidden(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} was called")
+
+        monkeypatch.setattr(haqjsk, name, forbidden)
+
+
+class TestVariantScopedAlignment:
+    """Each variant builds only the aligned structure it reads."""
+
+    def test_density_variant_skips_adjacency_congruences(self, collection, monkeypatch):
+        kernel = HAQJSKKernelD(n_prototypes=8, n_levels=3, max_layers=4, seed=0)
+        expected = kernel.prepare(collection)
+        _forbid(monkeypatch, "aligned_adjacency")
+        states = kernel.prepare(collection)
+        for (ent_a, mats_a), (ent_b, mats_b) in zip(states, expected):
+            assert ent_a == ent_b
+            assert all(np.array_equal(x, y) for x, y in zip(mats_a, mats_b))
+
+    def test_adjacency_variant_skips_densities(self, collection, monkeypatch):
+        kernel = HAQJSKKernelA(n_prototypes=8, n_levels=3, max_layers=4, seed=0)
+        expected = kernel.gram(collection)
+        _forbid(monkeypatch, "aligned_density", "graph_density_matrix")
+        assert np.array_equal(kernel.gram(collection), expected)
+
+    def test_structure_is_a_class_constant(self):
+        assert HAQJSKKernelA.aligned_structure == "adjacency"
+        assert HAQJSKKernelD.aligned_structure == "density"
+        kernel = HAQJSKKernelD(n_prototypes=8)
+        assert "aligned_structure" not in vars(kernel)
+        assert "aligned_structure" not in vars(kernel.aligner)
+
+
+HAQJSK_NAMES = ["HAQJSK(A)", "HAQJSK(D)", "HAQJSK-L(A)", "HAQJSK-L(D)"]
+
+
+class TestConstructionValidation:
+    """A bad Hamiltonian or entropy fails when the kernel is built, with
+    the error the computation would raise, not after the alignment."""
+
+    @pytest.mark.parametrize("name", HAQJSK_NAMES)
+    def test_unknown_hamiltonian(self, name):
+        with pytest.raises(ValidationError) as deep:
+            hamiltonian_from_adjacency(np.zeros((1, 1)), "bogus")
+        with pytest.raises(ValidationError) as caught:
+            Session().kernel(KernelSpec(name, hamiltonian="bogus"))
+        assert str(caught.value) == str(deep.value)
+
+    @pytest.mark.parametrize("name", HAQJSK_NAMES)
+    def test_unknown_entropy(self, name):
+        with pytest.raises(ValidationError) as deep:
+            DBRepresentationExtractor(entropy="bogus")
+        with pytest.raises(ValidationError) as caught:
+            Session().kernel(KernelSpec(name, entropy="bogus"))
+        assert str(caught.value) == str(deep.value)
+
+    @pytest.mark.parametrize("hamiltonian", ["laplacian", "adjacency", "normalized_laplacian"])
+    def test_registered_hamiltonians_accepted(self, hamiltonian):
+        aligner = HierarchicalAligner(hamiltonian=hamiltonian, entropy="von_neumann")
+        assert aligner.hamiltonian == hamiltonian
+        assert aligner.entropy == "von_neumann"
 
 
 class TestHAQJSKKernels:
