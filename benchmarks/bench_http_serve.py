@@ -1,27 +1,28 @@
-"""HTTP serving benchmarks — micro-batching throughput and tail latency.
+"""HTTP serving benchmarks — continuous-batching throughput and tail latency.
 
 The question the :class:`~repro.serve.batcher.MicroBatcher` design
-(DESIGN.md, "Micro-batching") leaves quantitative: how much sustained
-throughput does request coalescing buy under concurrent traffic, and
-what does it cost the tail? Each run fires ``N_CLIENTS`` client threads
-at a live ``ThreadingHTTPServer`` over a real socket in synchronized
-bursts — every round, all clients send a small ``/predict`` request at
-once (the arrival pattern coalescing targets, and deterministic enough
-to benchmark on a noisy single-core box) — and measures wall-clock
-graphs/sec plus per-request p50/p99 latency. The sweep crosses
-coalescing windows, with ``window 0`` as the no-batching baseline
-(every request pays the small-rectangle cross-block price); the
-coalescing runs size ``max_batch_graphs`` to the burst, so a complete
-burst dispatches immediately and the window only guards stragglers.
+(DESIGN.md, "Continuous batching") leaves quantitative: how much
+sustained throughput does request coalescing buy under concurrent
+traffic, and what does it cost the tail? Each run fires ``N_CLIENTS``
+client threads at a live ``ThreadingHTTPServer`` over a real socket in
+synchronized bursts — every round, all clients send a small ``/predict``
+request at once (the arrival pattern coalescing targets, and
+deterministic enough to benchmark on a noisy single-core box) — and
+measures wall-clock graphs/sec plus per-request p50/p99 latency. The
+sweep runs the server with batching off (the baseline: every request
+pays the small-rectangle cross-block price) and on, where the first
+request of a burst is predicted at once and the rest of the burst
+queues behind it and shares the next predict; ``max_batch_graphs`` is
+sized to the burst, so one drain can take all of it.
 
 Every bench emits a machine-readable JSON record in
-``extra_info["serve_row"]`` (window, clients, graphs, wall-clock,
+``extra_info["serve_row"]`` (batching, clients, graphs, wall-clock,
 graphs/s, p50/p99 ms, coalescing accounting), and asserts the identity
 guarantee: every response's labels must equal a solo
 :meth:`PredictionService.predict` over just that request's graphs — a
 throughput win that changed the answers would be measuring the wrong
-thing. The final test asserts the point of the PR: with >= 8 concurrent
-clients, a coalescing window beats the no-batching baseline.
+thing. The final test asserts the point of batching: with >= 8
+concurrent clients, it beats the no-batching baseline.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from repro.serve import PredictionService, make_server, train_bundle
 from repro.serve.protocol import graph_to_wire
 from repro.store import ArtifactStore
 
-#: Coalescing windows of the sweep; 0 is the no-batching baseline.
-WINDOWS_MS = (0.0, 25.0)
+#: Batching modes of the sweep; ``False`` is the no-batching baseline.
+BATCHING = (False, True)
 
 #: Concurrent client threads — the acceptance bar is "wins at >= 8".
 N_CLIENTS = 8
@@ -55,8 +56,9 @@ REQUESTS_PER_CLIENT = 6
 GRAPHS_PER_REQUEST = 4
 
 #: Cross-run accounting for the final baseline-vs-coalesced assertion,
-#: keyed by window_ms. Populated in sweep order by the parametrized test.
-RESULTS: "dict[float, dict]" = {}
+#: keyed by batching mode. Populated in sweep order by the parametrized
+#: test.
+RESULTS: "dict[bool, dict]" = {}
 
 
 @pytest.fixture(scope="module")
@@ -121,9 +123,9 @@ def _drive_clients(url, wire_bodies):
     """N_CLIENTS threads sending REQUESTS_PER_CLIENT synchronized bursts.
 
     Every round, a barrier releases all clients at once, and each posts
-    one request — bursty concurrent arrivals, the regime the coalescing
-    window exists for (and the window-0 baseline must absorb one request
-    at a time). Returns ``(responses, latencies_seconds, wall_seconds)``
+    one request — bursty concurrent arrivals, the regime batching exists
+    for (and the no-batching baseline must absorb one request at a
+    time). Returns ``(responses, latencies_seconds, wall_seconds)``
     with responses index-aligned to ``wire_bodies``.
     """
     responses: "list[dict | None]" = [None] * len(wire_bodies)
@@ -152,9 +154,9 @@ def _drive_clients(url, wire_bodies):
     return responses, latencies, wall
 
 
-def _measure(store, window_ms, wire_bodies, *, drives=3):
+def _measure(store, batching, wire_bodies, *, drives=3):
     """One warm-up drive plus best-of-``drives`` measured drives against
-    a fresh server at the given window.
+    a fresh server in the given batching mode.
 
     The warm-up absorbs cold-start costs — bundle load, train-state
     preparation, thread/socket spin-up — and taking the best measured
@@ -165,9 +167,9 @@ def _measure(store, window_ms, wire_bodies, *, drives=3):
     server = make_server(
         store,
         default_bundle="bench",
-        batch_window_ms=window_ms,
-        # Sized to the burst: a complete burst dispatches the moment
-        # its last request lands; the window only covers stragglers.
+        batching=batching,
+        # Sized to the burst: the requests queued behind a burst's first
+        # predict all fit in the next one.
         max_batch_graphs=N_CLIENTS * GRAPHS_PER_REQUEST,
         max_queue_graphs=1024,
     ).start()
@@ -183,14 +185,14 @@ def _measure(store, window_ms, wire_bodies, *, drives=3):
     return responses, latencies, wall
 
 
-@pytest.mark.parametrize("window_ms", WINDOWS_MS)
-def test_bench_throughput_vs_window(
-    window_ms, store, request_pool, wire_bodies, reference_labels, benchmark
+@pytest.mark.parametrize("batching", BATCHING)
+def test_bench_throughput_vs_batching(
+    batching, store, request_pool, wire_bodies, reference_labels, benchmark
 ):
     timings = {}
 
     def run():
-        responses, latencies, wall = _measure(store, window_ms, wire_bodies)
+        responses, latencies, wall = _measure(store, batching, wire_bodies)
         timings.update(latencies=latencies, wall=wall)
         return responses
 
@@ -200,15 +202,15 @@ def test_bench_throughput_vs_window(
     # the solo per-request prediction exactly.
     for slot, response in enumerate(responses):
         assert response["labels"] == reference_labels[slot], (
-            f"request {slot} labels diverged under window={window_ms}ms"
+            f"request {slot} labels diverged under batching={batching}"
         )
 
     coalesced_max = max(
         r["batch"]["coalesced_requests"] for r in responses
     )
-    if window_ms > 0:
+    if batching:
         assert coalesced_max > 1, (
-            "8 concurrent clients never shared a batch — the window "
+            "8 concurrent clients never shared a batch — batching "
             "is not coalescing"
         )
     else:
@@ -218,7 +220,7 @@ def test_bench_throughput_vs_window(
     latencies_ms = np.asarray(timings["latencies"]) * 1000.0
     record = {
         "bench": "http_serve",
-        "window_ms": window_ms,
+        "batching": batching,
         "clients": N_CLIENTS,
         "requests": len(request_pool),
         "graphs": total_graphs,
@@ -229,31 +231,27 @@ def test_bench_throughput_vs_window(
         "coalesced_requests_max": int(coalesced_max),
     }
     benchmark.extra_info["serve_row"] = json.dumps(record, sort_keys=True)
-    RESULTS[window_ms] = record
+    RESULTS[batching] = record
 
 
-def test_bench_coalescing_beats_no_batching(store, wire_bodies, benchmark):
-    """The PR's claim: at >= 8 concurrent clients, a coalescing window
-    sustains more graphs/sec than the per-request baseline."""
-    assert set(RESULTS) == set(WINDOWS_MS), (
+def test_bench_batching_beats_no_batching(store, wire_bodies, benchmark):
+    """The claim: at >= 8 concurrent clients, batching sustains more
+    graphs/sec than the per-request baseline."""
+    assert set(RESULTS) == set(BATCHING), (
         "sweep must run before the comparison (file order)"
     )
     total_graphs = len(wire_bodies) * GRAPHS_PER_REQUEST
-    baseline = RESULTS[0.0]["graphs_per_second"]
-    best = max(
-        (RESULTS[w] for w in WINDOWS_MS if w > 0),
-        key=lambda r: r["graphs_per_second"],
-    )
-    coalesced, window_ms = best["graphs_per_second"], best["window_ms"]
+    baseline = RESULTS[False]["graphs_per_second"]
+    coalesced = RESULTS[True]["graphs_per_second"]
     reran = False
     if coalesced <= baseline:
         # The sweep lost — before declaring a regression, verify with a
         # fresh head-to-head: one box-noise outlier during the sweep must
         # not fail CI, but a genuine loss will lose again here.
         reran = True
-        _, _, wall = _measure(store, window_ms, wire_bodies, drives=2)
+        _, _, wall = _measure(store, True, wire_bodies, drives=2)
         coalesced = round(total_graphs / wall, 2)
-        _, _, wall = _measure(store, 0.0, wire_bodies, drives=2)
+        _, _, wall = _measure(store, False, wire_bodies, drives=2)
         baseline = round(total_graphs / wall, 2)
 
     def run():
@@ -261,7 +259,6 @@ def test_bench_coalescing_beats_no_batching(store, wire_bodies, benchmark):
             "bench": "http_serve_comparison",
             "baseline_graphs_per_second": baseline,
             "coalesced_graphs_per_second": coalesced,
-            "coalesced_window_ms": window_ms,
             "reran_head_to_head": reran,
             "speedup": round(coalesced / baseline, 3),
         }
@@ -269,7 +266,7 @@ def test_bench_coalescing_beats_no_batching(store, wire_bodies, benchmark):
     record = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["serve_row"] = json.dumps(record, sort_keys=True)
     assert coalesced > baseline, (
-        f"coalescing (window {window_ms}ms, {coalesced} graphs/s) did not "
-        f"beat the no-batching baseline ({baseline} graphs/s) at "
+        f"batching ({coalesced} graphs/s) did not beat the no-batching "
+        f"baseline ({baseline} graphs/s) at "
         f"{N_CLIENTS} concurrent clients"
     )

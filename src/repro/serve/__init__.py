@@ -18,10 +18,11 @@ silently disagrees with the Gram the SVM was trained on. See the module
 docstring of :mod:`repro.ml.kernel_utils`.
 
 Networked serving lives in :mod:`repro.serve.server`: a stdlib threaded
-HTTP server whose :class:`~repro.serve.batcher.MicroBatcher` coalesces
-concurrent predict requests into one cross-block evaluation — the engine
-is far cheaper per graph on big ``(ΔN, N)`` rectangles — with training
-jobs flowing through the persistent :class:`~repro.jobs.JobQueue`.
+HTTP server whose :class:`~repro.serve.batcher.MicroBatcher` predicts a
+request at once when idle and coalesces the requests that arrive during
+a predict into the next cross-block evaluation — the engine is far
+cheaper per graph on big ``(ΔN, N)`` rectangles — with training jobs
+flowing through the persistent :class:`~repro.jobs.JobQueue`.
 
 CLI: ``python -m repro.serve {train,predict,info,serve}``.
 """

@@ -1,4 +1,4 @@
-"""Micro-batching request coalescing — the serving-throughput core.
+"""Continuous batching of predict requests — the serving-throughput core.
 
 The engine's cross-block math is far cheaper per graph when the
 ``(ΔN, N)`` rectangle is big (``benchmarks/bench_serve.py``: graphs/sec
@@ -6,23 +6,28 @@ rises steeply with batch size — one batched eigendecomposition sweep and
 one conditioning/voting pass amortise over every row). A request-per-call
 server throws that away: each caller pays the one-graph price.
 
-:class:`MicroBatcher` recovers the batch shape from *concurrent* traffic:
+:class:`MicroBatcher` recovers the batch shape from *concurrent* traffic
+without making any request wait for company (continuous batching, as in
+Orca, Yu et al., OSDI 2022):
 
-* a request's graphs enqueue into a coalescing window; the caller blocks
-  on a per-request future;
-* the dispatcher thread wakes on the first enqueue, waits out the window
-  (``window_ms``) while more requests pile in — or cuts it short the
-  moment ``max_batch_graphs`` is reached;
-* it drains the queue into **one** ``predict`` over the concatenated
-  graph list — one cross-block rectangle — and fans the result slices
-  back to each waiter.
+* a request's graphs enqueue and the caller blocks on a per-request
+  future;
+* an idle dispatcher thread wakes on the enqueue and at once drains the
+  queue, FIFO and up to ``max_batch_graphs``, into **one** ``predict``
+  over the concatenated graph list — one cross-block rectangle — then
+  fans the result slices back to each waiter;
+* requests that arrive while that predict computes queue up and form the
+  next batch, which the dispatcher starts as soon as the predict returns.
+
+An idle server therefore adds no wait, and a busy one coalesces exactly
+the requests that would otherwise queue behind each other.
 
 The identity guarantee (tested in ``tests/serve`` and asserted by
 ``benchmarks/bench_http_serve.py``): each waiter's slice equals what a
 solo ``predict`` over just its graphs would have returned, because cross
 rows are computed row-independently — coalescing changes *when* rows are
 computed, never their values' meaning. Batching is therefore a pure
-throughput knob: ``window_ms=0`` degrades to per-request calls.
+throughput switch: ``batching=False`` degrades to per-request calls.
 
 Backpressure is explicit: past ``max_queue_graphs`` queued graphs,
 :meth:`submit` raises :class:`~repro.errors.ServerBusyError` (→ HTTP 503
@@ -34,7 +39,6 @@ caller's latency diverges.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -47,6 +51,13 @@ from repro.errors import (
 
 #: Default seconds a caller waits on its future before giving up.
 DEFAULT_REQUEST_TIMEOUT = 30.0
+
+#: Seconds :meth:`MicroBatcher.close` waits for an in-flight predict
+#: before failing that batch's waiters.
+CLOSE_DRAIN_SECONDS = 5.0
+
+#: ``Retry-After`` seconds a refused request is told to wait.
+RETRY_AFTER_SECONDS = 0.05
 
 
 @dataclass(frozen=True)
@@ -65,14 +76,27 @@ class BatchedPrediction:
 class _Pending:
     """One enqueued request: graphs in, a filled slice (or error) out."""
 
-    __slots__ = ("graphs", "event", "outcome", "error", "enqueued_at")
+    __slots__ = ("graphs", "event", "outcome", "error")
 
     def __init__(self, graphs: list) -> None:
         self.graphs = graphs
         self.event = threading.Event()
         self.outcome: "BatchedPrediction | None" = None
         self.error: "BaseException | None" = None
-        self.enqueued_at = time.monotonic()
+
+    def settle(self, outcome=None, error=None) -> None:
+        """Answer this request unless it already has its answer.
+
+        Callers hold the batcher's lock, so a predict that returns after
+        :meth:`MicroBatcher.close` failed its waiters cannot overwrite
+        that error, and a timed-out waiter reads a settled-or-not state
+        no other thread is changing.
+        """
+        if self.event.is_set():
+            return
+        self.outcome = outcome
+        self.error = error
+        self.event.set()
 
 
 class MicroBatcher:
@@ -85,16 +109,17 @@ class MicroBatcher:
         :meth:`~repro.serve.service.PredictionService.predict`. Must be
         row-independent: the slice of a batched result belonging to a
         request equals the result of predicting that request alone.
-    window_ms:
-        Coalescing window in milliseconds, measured from the first
-        request that opens a batch. ``0`` disables batching entirely —
+    batching:
+        ``True`` runs the dispatcher thread: a request reaching an idle
+        batcher is predicted at once, and requests that arrive during a
+        predict share the next one. ``False`` disables batching —
         :meth:`submit` calls ``predict`` synchronously (the no-batching
         baseline the benchmarks compare against).
     max_batch_graphs:
-        Dispatch early once this many graphs are queued; also the drain
-        bound, so one evaluation never exceeds it (a single oversized
-        request still runs, alone — refusing it would turn a throughput
-        knob into a request-size limit).
+        The drain bound: one evaluation never takes more queued graphs
+        than this (a single oversized request still runs, alone —
+        refusing it would turn a throughput knob into a request-size
+        limit).
     max_queue_graphs:
         Backpressure high-water mark: :meth:`submit` raises
         :class:`ServerBusyError` when accepting the request would leave
@@ -108,13 +133,11 @@ class MicroBatcher:
         self,
         predict,
         *,
-        window_ms: float = 5.0,
+        batching: bool = True,
         max_batch_graphs: int = 64,
         max_queue_graphs: int = 512,
         timeout: float = DEFAULT_REQUEST_TIMEOUT,
     ) -> None:
-        if window_ms < 0:
-            raise ValidationError(f"window_ms must be >= 0, got {window_ms}")
         if max_batch_graphs < 1:
             raise ValidationError(
                 f"max_batch_graphs must be >= 1, got {max_batch_graphs}"
@@ -125,7 +148,7 @@ class MicroBatcher:
                 f"max_batch_graphs ({max_batch_graphs})"
             )
         self.predict = predict
-        self.window_seconds = float(window_ms) / 1000.0
+        self.batching = bool(batching)
         self.max_batch_graphs = int(max_batch_graphs)
         self.max_queue_graphs = int(max_queue_graphs)
         self.timeout = float(timeout)
@@ -133,6 +156,7 @@ class MicroBatcher:
         self._wake = threading.Condition(self._lock)
         self._queue: "deque[_Pending]" = deque()
         self._queued_graphs = 0
+        self._in_flight: "list[_Pending]" = []
         self._closed = False
         self._stats = {
             "requests": 0,
@@ -143,7 +167,7 @@ class MicroBatcher:
             "rejected": 0,
         }
         self._dispatcher: "threading.Thread | None" = None
-        if self.window_seconds > 0:
+        if self.batching:
             self._dispatcher = threading.Thread(
                 target=self._dispatch_loop, name="serve-microbatcher", daemon=True
             )
@@ -159,13 +183,14 @@ class MicroBatcher:
         """Block until this request's slice is ready; return it.
 
         Raises :class:`ServerBusyError` at the high-water mark,
-        :class:`ServeTimeoutError` past the deadline, and re-raises any
-        exception the coalesced ``predict`` call died with (every waiter
-        in the batch sees it).
+        :class:`ServeTimeoutError` past the deadline (a request still
+        queued then is withdrawn, so no batch computes it), and re-raises
+        any exception the coalesced ``predict`` call died with (every
+        waiter in the batch sees it).
         """
         graphs = list(graphs)
         deadline = self.timeout if timeout is None else float(timeout)
-        if self.window_seconds <= 0 or not graphs:
+        if not self.batching or not graphs:
             # No-batching baseline (and the trivial empty request): call
             # through synchronously, still counted in the stats so /info
             # reflects all traffic.
@@ -188,16 +213,22 @@ class MicroBatcher:
                     f"serving queue full ({self._queued_graphs} graphs "
                     f"queued, high-water mark {self.max_queue_graphs}); "
                     "retry shortly",
-                    retry_after=max(self.window_seconds * 2, 0.05),
+                    retry_after=RETRY_AFTER_SECONDS,
                 )
             self._queue.append(pending)
             self._queued_graphs += len(graphs)
             self._wake.notify_all()
         if not pending.event.wait(deadline):
-            raise ServeTimeoutError(
-                f"prediction not ready within {deadline:.1f}s "
-                f"({len(graphs)} graphs submitted)"
-            )
+            with self._lock:
+                if pending in self._queue:
+                    self._queue.remove(pending)
+                    self._queued_graphs -= len(graphs)
+                settled = pending.event.is_set()
+            if not settled:
+                raise ServeTimeoutError(
+                    f"prediction not ready within {deadline:.1f}s "
+                    f"({len(graphs)} graphs submitted)"
+                )
         if pending.error is not None:
             raise pending.error
         assert pending.outcome is not None
@@ -207,7 +238,6 @@ class MicroBatcher:
         """Coalescing accounting for ``/info`` and the benchmarks."""
         with self._lock:
             stats = dict(self._stats)
-        stats["window_ms"] = self.window_seconds * 1000.0
         stats["max_batch_graphs"] = self.max_batch_graphs
         stats["max_queue_graphs"] = self.max_queue_graphs
         requests = stats["requests"] or 1
@@ -216,20 +246,30 @@ class MicroBatcher:
         return stats
 
     def close(self) -> None:
-        """Stop the dispatcher; wake every waiter with a ServingError."""
+        """Stop the dispatcher; fail every waiter it will not answer.
+
+        Queued requests fail at once. The in-flight batch gets
+        :data:`CLOSE_DRAIN_SECONDS` to finish; past that its waiters fail
+        too, and a predict that returns later answers no one.
+        """
         with self._wake:
             if self._closed:
                 return
             self._closed = True
-            drained = list(self._queue)
+            for pending in self._queue:
+                pending.settle(error=ServingError("MicroBatcher closed while queued"))
             self._queue.clear()
             self._queued_graphs = 0
             self._wake.notify_all()
-        for pending in drained:
-            pending.error = ServingError("MicroBatcher closed while queued")
-            pending.event.set()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=5.0)
+        if self._dispatcher is None:
+            return
+        self._dispatcher.join(timeout=CLOSE_DRAIN_SECONDS)
+        with self._lock:
+            for pending in self._in_flight:
+                pending.settle(error=ServingError(
+                    f"MicroBatcher closed while predicting (the batch did "
+                    f"not finish within {CLOSE_DRAIN_SECONDS:g}s)"
+                ))
 
     def __enter__(self) -> "MicroBatcher":
         return self
@@ -254,22 +294,14 @@ class MicroBatcher:
         )
 
     def _dispatch_loop(self) -> None:
-        skip_window = False
         while True:
-            batch = self._collect_batch(skip_window)
+            batch = self._next_batch()
             if batch is None:
                 return
             self._run_batch(batch)
-            with self._lock:
-                # A drain that left requests behind (the batch filled up
-                # without them) owes those requests immediate dispatch:
-                # they already waited a window. Under saturation this
-                # degenerates to back-to-back full batches with no idle
-                # window waits — the throughput-optimal regime.
-                skip_window = bool(self._queue)
 
-    def _collect_batch(self, skip_window: bool = False) -> "list[_Pending] | None":
-        """Wait for the window of the next batch; drain and return it.
+    def _next_batch(self) -> "list[_Pending] | None":
+        """Block until a request is queued; drain and return the batch.
 
         Returns ``None`` when the batcher closed with nothing queued.
         """
@@ -278,17 +310,6 @@ class MicroBatcher:
                 self._wake.wait()
             if not self._queue:
                 return None  # closed
-            # The window opens when the OLDEST queued request enqueued —
-            # not when this collect started — and is skipped entirely for
-            # requests a previous full batch passed over.
-            deadline = self._queue[0].enqueued_at + self.window_seconds
-            while (
-                not skip_window
-                and not self._closed
-                and self._queued_graphs < self.max_batch_graphs
-                and time.monotonic() < deadline
-            ):
-                self._wake.wait(timeout=deadline - time.monotonic())
             batch: "list[_Pending]" = []
             total = 0
             while self._queue:
@@ -298,6 +319,7 @@ class MicroBatcher:
                 batch.append(self._queue.popleft())
                 total += len(nxt.graphs)
             self._queued_graphs -= total
+            self._in_flight = batch
             self._record_batch(total, len(batch))
             return batch
 
@@ -306,22 +328,25 @@ class MicroBatcher:
         graphs: list = []
         for pending in batch:
             graphs.extend(pending.graphs)
+        error: "BaseException | None" = None
         try:
             result = self.predict(graphs)
+            outcomes: list = []
             start = 0
             for pending in batch:
                 stop = start + len(pending.graphs)
-                pending.outcome = BatchedPrediction(
+                outcomes.append(BatchedPrediction(
                     result=_slice_result(result, start, stop),
                     coalesced_graphs=len(graphs),
                     coalesced_requests=len(batch),
-                )
+                ))
                 start = stop
         except BaseException as exc:  # noqa: BLE001 - fanned to waiters
-            for pending in batch:
-                pending.error = exc
-        for pending in batch:
-            pending.event.set()
+            outcomes, error = [None] * len(batch), exc
+        with self._lock:
+            self._in_flight = []
+            for pending, outcome in zip(batch, outcomes):
+                pending.settle(outcome, error)
 
 
 def _slice_result(result, start: int, stop: int):

@@ -195,14 +195,15 @@ def _command_serve(args) -> int:
         port=args.port,
         default_bundle=args.bundle,
         ctx=ctx,
-        batch_window_ms=args.batch_window_ms,
+        batching=args.batching,
         max_batch_graphs=args.max_batch_graphs,
         max_queue_graphs=args.max_queue_graphs,
         request_timeout=args.request_timeout,
         jobs_db=args.jobs_db,
     )
-    _LOGGER.info("serving on %s (window %.1f ms, max batch %d graphs)",
-                 server.url, args.batch_window_ms, args.max_batch_graphs)
+    _LOGGER.info("serving on %s (batching %s, max batch %d graphs)",
+                 server.url, "on" if args.batching else "off",
+                 args.max_batch_graphs)
     print(f"serving on {server.url}")
     try:
         server.serve_forever()
@@ -258,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = commands.add_parser(
         "serve",
-        help="run the HTTP prediction server with micro-batching",
+        help="run the HTTP prediction server with continuous batching",
     )
     serve.add_argument(
         "--store", default=None,
@@ -272,12 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8008)
     serve.add_argument("--engine", default=None,
                        help="gram engine: serial | batched | process")
-    serve.add_argument("--batch-window-ms", type=float, default=5.0,
-                       help="micro-batching coalescing window in ms "
-                            "(0 disables batching)")
+    serve.add_argument("--no-batching", dest="batching",
+                       action="store_false",
+                       help="predict each request on its own (the "
+                            "no-batching baseline)")
     serve.add_argument("--max-batch-graphs", type=int, default=64,
-                       help="dispatch a batch early at this many queued "
-                            "graphs")
+                       help="most queued graphs one batch takes")
     serve.add_argument("--max-queue-graphs", type=int, default=512,
                        help="backpressure high-water mark: more queued "
                             "graphs than this -> 503 + Retry-After")

@@ -232,7 +232,8 @@ def prediction_payload(
 
     ``batch`` reports the coalescing accounting: how many graphs and how
     many concurrent requests shared the cross-block evaluation this
-    request rode in (1/own-size when the window was empty or disabled).
+    request rode in (1/own-size when it reached an idle batcher, or
+    batching is off).
     """
     payload = {
         "labels": [json_safe(label) for label in result.labels],

@@ -3,10 +3,11 @@
 The network face of :mod:`repro.serve` — ``http.server`` (threaded, one
 thread per connection, no new dependencies) routing four JSON endpoints:
 
-* ``POST /predict`` — classify wire-format graphs. Concurrent requests
-  coalesce through one :class:`~repro.serve.batcher.MicroBatcher` per
-  bundle into a single ``(ΔN, N)`` cross-block evaluation; the response's
-  ``batch`` field reports the coalescing each request rode in.
+* ``POST /predict`` — classify wire-format graphs. Requests that arrive
+  while a predict computes coalesce through one
+  :class:`~repro.serve.batcher.MicroBatcher` per bundle into the next
+  ``(ΔN, N)`` cross-block evaluation; the response's ``batch`` field
+  reports the coalescing each request rode in.
 * ``POST /train``   — submit a training job through the persistent
   :class:`~repro.jobs.JobQueue` (idempotent by bundle name: resubmitting
   an in-flight name returns the same job). A background worker thread
@@ -76,7 +77,7 @@ class ServeApp:
         *,
         ctx=None,
         default_bundle: "str | None" = None,
-        batch_window_ms: float = 5.0,
+        batching: bool = True,
         max_batch_graphs: int = 64,
         max_queue_graphs: int = 512,
         request_timeout: float = 30.0,
@@ -96,7 +97,7 @@ class ServeApp:
             ctx = ctx.replace(store=store)
         self.ctx = ctx.validate()
         self.default_bundle = default_bundle
-        self.batch_window_ms = float(batch_window_ms)
+        self.batching = bool(batching)
         self.max_batch_graphs = int(max_batch_graphs)
         self.max_queue_graphs = int(max_queue_graphs)
         self.request_timeout = float(request_timeout)
@@ -148,7 +149,7 @@ class ServeApp:
                 return cached
             batcher = MicroBatcher(
                 service.predict,
-                window_ms=self.batch_window_ms,
+                batching=self.batching,
                 max_batch_graphs=self.max_batch_graphs,
                 max_queue_graphs=self.max_queue_graphs,
                 timeout=self.request_timeout,
@@ -234,7 +235,7 @@ class ServeApp:
         with self._lock:
             batcher = self._batchers.get(name)
         payload["server"] = {
-            "batch_window_ms": self.batch_window_ms,
+            "batching": self.batching,
             "max_batch_graphs": self.max_batch_graphs,
             "max_queue_graphs": self.max_queue_graphs,
             "batcher": batcher.stats() if batcher is not None else None,
@@ -506,7 +507,7 @@ def make_server(
     port: int = 0,
     default_bundle: "str | None" = None,
     ctx=None,
-    batch_window_ms: float = 5.0,
+    batching: bool = True,
     max_batch_graphs: int = 64,
     max_queue_graphs: int = 512,
     request_timeout: float = 30.0,
@@ -517,7 +518,7 @@ def make_server(
         store,
         ctx=ctx,
         default_bundle=default_bundle,
-        batch_window_ms=batch_window_ms,
+        batching=batching,
         max_batch_graphs=max_batch_graphs,
         max_queue_graphs=max_queue_graphs,
         request_timeout=request_timeout,

@@ -153,11 +153,12 @@ class TestServeParser:
 
         args = build_parser().parse_args([
             "serve", "--store", "mem:x", "--bundle", "b",
-            "--batch-window-ms", "12.5", "--max-batch-graphs", "32",
+            "--no-batching", "--max-batch-graphs", "32",
             "--max-queue-graphs", "128", "--port", "0",
         ])
-        assert args.batch_window_ms == 12.5
+        assert args.batching is False
         assert args.max_batch_graphs == 32
         assert args.max_queue_graphs == 128
         assert args.bundle == "b"
         assert args.func.__name__ == "_command_serve"
+        assert build_parser().parse_args(["serve"]).batching is True

@@ -10,6 +10,7 @@ a shared batch must be byte-identical to solo predictions.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import urllib.error
@@ -30,6 +31,8 @@ from repro.serve.protocol import (
     parse_predict_request,
 )
 from repro.store import ArtifactStore
+
+from held_predict import PATIENCE, HeldPredict, wait_queued
 
 C = 10.0
 
@@ -62,7 +65,6 @@ def server(store):
     server = make_server(
         store,
         default_bundle="wl",
-        batch_window_ms=40.0,
         max_batch_graphs=512,
         max_queue_graphs=1024,
     ).start()
@@ -90,6 +92,22 @@ def _post(url, payload, *, headers=None):
 def _get(url):
     with urllib.request.urlopen(url) as response:
         return response.status, json.load(response)
+
+
+@contextlib.contextmanager
+def serving_through(server, batcher):
+    """Route the server's ``wl`` requests through ``batcher`` meanwhile."""
+    with server.app._lock:
+        original = server.app._batchers.pop("wl", None)
+        server.app._batchers["wl"] = batcher
+    try:
+        yield batcher
+    finally:
+        with server.app._lock:
+            server.app._batchers.pop("wl", None)
+            if original is not None:
+                server.app._batchers["wl"] = original
+        batcher.close()
 
 
 class TestWireProtocol:
@@ -152,7 +170,7 @@ class TestRoutes:
         expected = bundle_info(bundle)
         for key, value in expected.items():
             assert payload[key] == value
-        assert payload["server"]["batch_window_ms"] == 40.0
+        assert payload["server"]["batching"] is True
 
     def test_predict_matches_direct_service(
         self, server, newcomers, reference_service
@@ -172,8 +190,9 @@ class TestRoutes:
     def test_concurrent_requests_coalesce_with_identical_labels(
         self, server, newcomers, reference_service
     ):
-        # 8 clients, distinct slices, fired together: every response must
-        # equal its solo prediction, and the window must have coalesced.
+        # 8 clients, distinct slices: the first request's predict is held
+        # until the other 7 are queued behind it, so those 7 share the
+        # next predict. Every response must equal its solo prediction.
         slices = [newcomers[i % 4 : i % 4 + 3] for i in range(8)]
         expected = [
             [int(l) for l in reference_service.predict(s).labels] for s in slices
@@ -186,15 +205,26 @@ class TestRoutes:
                 {"graphs": [graph_to_wire(g) for g in slices[i]]},
             )
 
-        threads = [threading.Thread(target=fire, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        held = HeldPredict(server.app.service("wl").predict)
+        batcher = MicroBatcher(held, max_batch_graphs=512, max_queue_graphs=1024)
+        with serving_through(server, batcher):
+            threads = [threading.Thread(target=fire, args=(0,))]
+            threads[0].start()
+            assert held.started.wait(PATIENCE)
+            threads += [
+                threading.Thread(target=fire, args=(i,)) for i in range(1, 8)
+            ]
+            for t in threads[1:]:
+                t.start()
+            wait_queued(batcher, sum(len(s) for s in slices[1:]))
+            held.release.set()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
         for payload, labels in zip(payloads, expected):
             assert payload is not None
             assert payload["labels"] == labels
-        assert max(p["batch"]["coalesced_requests"] for p in payloads) > 1
+        assert [p["batch"]["coalesced_requests"] for p in payloads] == [1] + [7] * 7
 
     def test_empty_graph_list_is_served(self, server):
         status, payload = _post(server.url + "/predict", {"graphs": []})
@@ -243,55 +273,34 @@ class TestRoutes:
 class TestBackpressure:
     def test_queue_past_high_water_is_503_with_retry_after(self, server, newcomers):
         # Swap in a batcher whose predict blocks, then overfill its queue.
-        release = threading.Event()
-
-        def stuck_predict(graphs):
-            release.wait(15.0)
-            return server.app.service("wl").predict(graphs)
-
-        blocked = MicroBatcher(
-            stuck_predict, window_ms=5.0, max_batch_graphs=1, max_queue_graphs=1
-        )
-        with server.app._lock:
-            original = server.app._batchers.pop("wl", None)
-            server.app._batchers["wl"] = blocked
-        try:
-            background = threading.Thread(
-                target=lambda: blocked.submit([newcomers[0]], timeout=20.0)
-            )
-            background.start()
-            deadline = 5.0
-            import time as _time
-
-            start = _time.monotonic()
-            while blocked.stats()["batches"] < 1:
-                assert _time.monotonic() - start < deadline
-                _time.sleep(0.005)
-            filler = threading.Thread(
-                target=lambda: blocked.submit([newcomers[1]], timeout=20.0)
-            )
-            filler.start()
-            while blocked._queued_graphs < 1:
-                assert _time.monotonic() - start < deadline
-                _time.sleep(0.005)
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _post(
-                    server.url + "/predict",
-                    {"graphs": [graph_to_wire(newcomers[2])]},
+        held = HeldPredict(server.app.service("wl").predict)
+        blocked = MicroBatcher(held, max_batch_graphs=1, max_queue_graphs=1)
+        with serving_through(server, blocked):
+            try:
+                background = threading.Thread(
+                    target=lambda: blocked.submit([newcomers[0]], timeout=20.0)
                 )
-            assert excinfo.value.code == 503
-            assert float(excinfo.value.headers["Retry-After"]) > 0
-            assert json.load(excinfo.value)["error"]["kind"] == "busy"
-            release.set()
-            background.join(timeout=20)
-            filler.join(timeout=20)
-        finally:
-            release.set()
-            with server.app._lock:
-                server.app._batchers.pop("wl", None)
-                if original is not None:
-                    server.app._batchers["wl"] = original
-            blocked.close()
+                background.start()
+                assert held.started.wait(PATIENCE)
+                filler = threading.Thread(
+                    target=lambda: blocked.submit([newcomers[1]], timeout=20.0)
+                )
+                filler.start()
+                wait_queued(blocked, 1)
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    _post(
+                        server.url + "/predict",
+                        {"graphs": [graph_to_wire(newcomers[2])]},
+                    )
+                assert excinfo.value.code == 503
+                assert float(excinfo.value.headers["Retry-After"]) > 0
+                assert json.load(excinfo.value)["error"]["kind"] == "busy"
+                held.release.set()
+                background.join(timeout=20)
+                filler.join(timeout=20)
+                assert not background.is_alive() and not filler.is_alive()
+            finally:
+                held.release.set()
 
 
 class TestTrainEndpoint:
@@ -364,12 +373,12 @@ class TestTrainEndpoint:
 
 class TestServerLifecycle:
     def test_close_then_context_manager_reopen(self, store, newcomers):
-        with make_server(store, default_bundle="wl", batch_window_ms=0) as server:
+        with make_server(store, default_bundle="wl", batching=False) as server:
             server.start()
             status, payload = _post(
                 server.url + "/predict",
                 {"graphs": [graph_to_wire(newcomers[0])]},
             )
             assert status == 200
-            # window 0: the no-batching baseline serves alone.
+            # The no-batching baseline serves every request alone.
             assert payload["batch"]["coalesced_requests"] == 1
