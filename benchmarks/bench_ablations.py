@@ -2,7 +2,8 @@
 
 Not a paper table — these justify the reproduction's documented decisions:
 
-* Hamiltonian operator (paper: Laplacian) vs adjacency;
+* Hamiltonian operator (paper: Laplacian) vs adjacency and normalised
+  Laplacian;
 * aligned-density trace renormalisation (our Eq. 21 fix) on/off;
 * prototype-indexing consistency across the Eq. 23/25 average over k;
 * hierarchy depth H (paper: 5) — does the hierarchy actually help?
@@ -55,7 +56,7 @@ def test_bench_ablation_hamiltonian(mutag, benchmark):
                 ),
                 mutag,
             )
-            for kind in ("laplacian", "adjacency")
+            for kind in ("laplacian", "adjacency", "normalized_laplacian")
         }
 
     scores = benchmark.pedantic(run, rounds=1, iterations=1)

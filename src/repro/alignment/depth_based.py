@@ -82,10 +82,10 @@ def db_representations(
     n = graph.n_vertices
     if n == 0:
         return np.zeros((0, n_layers))
+    if entropy == "shannon":
+        return _saturated(_shannon_layers(graph.adjacency, n_layers), n_layers)
     distances = graph.shortest_path_lengths()
     adjacency = graph.adjacency
-    if entropy == "shannon":
-        return _shannon_db_representations(adjacency, distances, n_layers)
     output = np.zeros((n, n_layers))
     for v in range(n):
         dist_v = distances[v]
@@ -101,29 +101,44 @@ def db_representations(
     return output
 
 
-def _shannon_db_representations(
-    adjacency: np.ndarray, distances: np.ndarray, n_layers: int
-) -> np.ndarray:
-    """All-vertex Shannon DB representations via masked matmuls.
+def _shannon_layers(adjacency: np.ndarray, max_layers: int) -> np.ndarray:
+    """Shannon DB columns ``(n, s)`` up to the graph's saturation level.
 
-    For layer ``l``, row ``v`` of ``mask`` flags the vertices within hop
-    distance ``l`` of ``v``; the induced-subgraph degree of member ``u``
-    is then ``(mask @ A)[v, u]`` (``A`` symmetric), masked back to the
-    member set — no per-vertex subgraph extraction. Non-members carry
-    exact zeros, which contribute nothing to the entropy (``0 log 0 = 0``),
-    so each row reproduces the per-subgraph computation through one
-    batched :func:`repro.quantum.entropy.shannon_entropies` call per
-    layer. Saturated layers (beyond a vertex's eccentricity) reproduce
-    the previous layer's value because their mask stops changing.
+    Row ``v`` of layer ``l``'s member mask flags the vertices within ``l``
+    hops of ``v``; the induced-subgraph degree of member ``u`` is then
+    ``(mask @ A)[v, u]`` (``A`` symmetric), masked back to the member set,
+    and one batched :func:`repro.quantum.entropy.shannon_entropies` call
+    gives the layer. Non-members carry exact zeros (``0 log 0 = 0``).
+
+    The same product grows the next mask: ``u`` is within ``l + 1`` hops of
+    ``v`` when it already is within ``l`` or ``(mask @ A)[v, u] > 0`` (a
+    sum of non-negative terms is positive exactly when some member of
+    ``v``'s layer is adjacent to ``u``). Hop distances are never computed.
+    Once a mask stops growing every deeper layer repeats the last column,
+    so the loop stops there: ``s`` is the saturation level ``max(1,
+    greatest hop distance)``, capped at ``max_layers``, and the graph pays
+    ``s`` products instead of one per requested layer.
     """
-    n = adjacency.shape[0]
-    reachable = distances >= 0
-    output = np.zeros((n, n_layers))
-    for layer in range(1, n_layers + 1):
-        mask = (reachable & (distances <= layer)).astype(float)
-        degrees = mask * (mask @ adjacency)  # (n, n): member degrees, else 0
-        output[:, layer - 1] = shannon_entropies(degrees)
-    return output
+    reached = adjacency > 0
+    np.fill_diagonal(reached, True)
+    columns = []
+    while True:
+        mask = reached.astype(float)
+        product = mask @ adjacency
+        columns.append(shannon_entropies(mask * product))
+        if len(columns) == max_layers:
+            break
+        grown = reached | (product > 0)
+        if np.array_equal(grown, reached):
+            break
+        reached = grown
+    return np.stack(columns, axis=1)
+
+
+def _saturated(layers: np.ndarray, n_layers: int) -> np.ndarray:
+    """``(n, n_layers)`` columns: ``layers`` then copies of its last,
+    saturated column."""
+    return layers[:, np.minimum(np.arange(n_layers), layers.shape[1] - 1)]
 
 
 class DBRepresentationExtractor:
@@ -160,6 +175,18 @@ class DBRepresentationExtractor:
         return db_representations(graph, self.n_layers_, entropy=self.entropy)
 
     def fit_transform(self, graphs: "list[Graph]") -> "list[np.ndarray]":
-        """Fit on the collection and return one matrix per graph."""
-        self.fit(graphs)
-        return [self.transform(g) for g in graphs]
+        """Fit on the collection and return one matrix per graph.
+
+        The Shannon path finds ``K`` without hop distances: each graph's
+        layers run to its saturation level (capped at ``max_layers``), and
+        the deepest of those levels is the greatest shortest-path length
+        that :meth:`fit` reads, capped the same way.
+        """
+        if self.entropy != "shannon":
+            self.fit(graphs)
+            return [self.transform(g) for g in graphs]
+        if not graphs:
+            raise AlignmentError("need at least one graph to fit")
+        layers = [_shannon_layers(g.adjacency, self.max_layers) for g in graphs]
+        self.n_layers_ = max(columns.shape[1] for columns in layers)
+        return [_saturated(columns, self.n_layers_) for columns in layers]

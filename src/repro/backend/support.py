@@ -3,9 +3,10 @@
 An aligned HAQJSK(D) density matrix has one row and column per
 prototype, but the correspondence matrices are one-hot (paper Eq. 15/17):
 a prototype no vertex maps to leaves an exactly-zero row *and* column.
-The QJSK tile stacks zero-pad every graph to the tile's largest one, which
-does the same. A matrix whose rows and columns outside an index set ``U``
-are exactly zero is block diagonal ``[[X_UU, 0], [0, 0]]`` after a
+(QJSK pads each pair only to its own edge, the larger graph's order, so
+its mixed states carry no tile padding to strip and stay dense.) A
+matrix whose rows and columns outside an index set ``U`` are exactly
+zero is block diagonal ``[[X_UU, 0], [0, 0]]`` after a
 permutation, so its spectrum is ``eig(X_UU)`` plus exact zeros — and
 ``0 log 0 = 0`` — so the entropy of the ``|U| x |U|`` principal submatrix
 *is* the entropy of the matrix. Mixing preserves this with ``U`` the union

@@ -31,9 +31,19 @@ def normalized_laplacian(graph: Graph) -> np.ndarray:
     degree is defined as zero), matching the spectral-graph-theory
     convention.
     """
-    adjacency = graph.adjacency
-    degrees = graph.degrees()
-    n = graph.n_vertices
+    return normalized_laplacian_matrix(graph.adjacency)
+
+
+def normalized_laplacian_matrix(adjacency: np.ndarray) -> np.ndarray:
+    """``I - D^{-1/2} A D^{-1/2}`` of a symmetric non-negative matrix.
+
+    ``D`` holds the row sums, diagonal included, so a matrix with diagonal
+    mass (an aligned adjacency, paper Eq. 19) is accepted as it is; rows of
+    zero degree become identity rows. On a graph's adjacency this is
+    :func:`normalized_laplacian`.
+    """
+    degrees = adjacency.sum(axis=1)
+    n = adjacency.shape[0]
     inv_sqrt = np.zeros(n)
     positive = degrees > 0
     inv_sqrt[positive] = 1.0 / np.sqrt(degrees[positive])

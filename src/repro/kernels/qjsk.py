@@ -40,22 +40,48 @@ def _padded_stack(states: "list[np.ndarray]", size: int) -> np.ndarray:
     return stack
 
 
-def _mixed_entropies_for_pairs(
-    stack_a: np.ndarray,
-    stack_b: np.ndarray,
+def _own_size_entropies(states: "list[np.ndarray]") -> np.ndarray:
+    """Each density's von Neumann entropy at its own size, one stacked
+    solve per distinct size."""
+    sizes = np.asarray([state.shape[0] for state in states])
+    out = np.empty(len(states))
+    for size in np.unique(sizes):
+        members = np.flatnonzero(sizes == size)
+        out[members] = von_neumann_entropies(np.stack([states[i] for i in members]))
+    return out
+
+
+def _mixed_entropies_at_pair_edges(
+    states_a: list,
+    states_b: list,
     idx_a: np.ndarray,
     idx_b: np.ndarray,
 ) -> np.ndarray:
     """Entropies of the mixed states ``(rho_idx_a[p] + sigma_idx_b[p]) / 2``.
 
-    Dispatched through the ambient :class:`~repro.backend.ComputePolicy`:
-    the gather/mix/reduce pipeline runs at the policy's precision. A pair of graphs much smaller than the tile's
-    padded edge is solved on its own vertex rows, so the padding beyond
-    them never reaches the eigensolver (see :mod:`repro.backend.support`).
+    Each pair is padded to its own edge ``max(n_a, n_b)``, the serial
+    oracle's padding, so its value depends on its two graphs alone and
+    never on which graphs share its tile. Pairs of one edge share one
+    call into the ambient :class:`~repro.backend.ComputePolicy`, over
+    stacks of only the graphs they use; it gathers, mixes and reduces at
+    the policy's precision.
     """
-    return active_policy().mixed_entropies(
-        stack_a, stack_b, idx_a, idx_b, symmetrize=True
-    )
+    sizes_a = np.asarray([state.shape[0] for state in states_a])
+    sizes_b = np.asarray([state.shape[0] for state in states_b])
+    edges = np.maximum(sizes_a[idx_a], sizes_b[idx_b])
+    policy = active_policy()
+    out = np.empty(idx_a.size)
+    for edge in np.unique(edges):
+        pairs = np.flatnonzero(edges == edge)
+        rows_a, local_a = np.unique(idx_a[pairs], return_inverse=True)
+        rows_b, local_b = np.unique(idx_b[pairs], return_inverse=True)
+        stack_a = _padded_stack([states_a[i] for i in rows_a], edge)
+        stack_b = _padded_stack([states_b[i] for i in rows_b], edge)
+        out[pairs] = policy.mixed_entropies(
+            stack_a, stack_b, local_a, local_b, symmetrize=True
+        )
+    return out
+
 
 _QJSK_TRAITS = KernelTraits(
     framework="Information Theory",
@@ -104,19 +130,17 @@ class QJSKUnaligned(PairwiseKernel):
         """Kernel values for the pair list ``(idx_a[p], idx_b[p])``.
 
         Zero padding leaves the von Neumann entropy unchanged (the extra
-        eigenvalues are exact zeros and ``0 log 0 = 0``), so padding the
-        whole tile to its largest graph — instead of per pair — computes
-        the same divergences while replacing ``3`` eigendecompositions
-        per pair with one batched solve for all mixed states plus one
-        per-graph pass.
+        eigenvalues are exact zeros and ``0 log 0 = 0``), so each graph's
+        entropy is solved once at its own size and each mixed state at its
+        pair's edge, batched by size: one stacked solve per mixed-state
+        edge plus one per graph size, instead of ``3`` eigendecompositions
+        per pair. No solve depends on the tile, so every tiling gives the
+        same bytes.
         """
-        size = max(s.shape[0] for s in list(states_a) + list(states_b))
-        stack_a = _padded_stack(states_a, size)
-        stack_b = _padded_stack(states_b, size)
-        entropies_a = von_neumann_entropies(stack_a)
-        entropies_b = von_neumann_entropies(stack_b)
+        entropies_a = _own_size_entropies(states_a)
+        entropies_b = _own_size_entropies(states_b)
         divergence = (
-            _mixed_entropies_for_pairs(stack_a, stack_b, idx_a, idx_b)
+            _mixed_entropies_at_pair_edges(states_a, states_b, idx_a, idx_b)
             - 0.5 * entropies_a[idx_a]
             - 0.5 * entropies_b[idx_b]
         )

@@ -6,8 +6,15 @@ kernels. For each kernel, we employ the optimal C-SVM parameters and repeat
 the experiment for 10 times"; the reported numbers are mean accuracy ±
 standard error.
 
-``C`` is selected per training fold by an inner stratified CV over a
-logarithmic grid, so no test information leaks into model selection.
+``C`` is selected by an inner stratified CV over a logarithmic grid. By
+default (``select_per_fold=False``) that happens once per repeat, on the
+repeat's first outer training fold, and the chosen ``C`` is reused for the
+other folds. That training fold holds the other folds' test rows, so the
+default lets test information into model selection.
+``select_per_fold=True`` selects ``C`` inside every outer training fold,
+which is leakage-free at about 7x the fits (see
+:func:`cross_validate_kernel`). Making per-fold selection the only
+protocol is ROADMAP item 11.
 """
 
 from __future__ import annotations

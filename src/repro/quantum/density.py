@@ -21,12 +21,13 @@ import numpy as np
 
 from repro.errors import NotDensityMatrixError, QuantumError
 from repro.graphs.graph import Graph
-from repro.quantum.operators import hamiltonian_from_adjacency
-from repro.quantum.state import degree_initial_state
+from repro.quantum.operators import registered_hamiltonian
+from repro.quantum.state import degree_amplitudes
 from repro.utils.linalg import (
     EIG_TOL,
+    degenerate_run_starts,
     eigh_sorted,
-    group_degenerate_eigenvalues,
+    symmetrize,
 )
 from repro.utils.validation import check_symmetric_matrix
 
@@ -56,35 +57,40 @@ def ctqw_density_matrix(
         Eigenvalues closer than this (relative to spectral magnitude) are
         treated as one eigenspace, which is what makes the closed form exact
         for degenerate spectra.
+
+    The eigenspaces of the sorted spectrum are contiguous runs, so the
+    projections ``P_lambda psi_0`` are one ``np.add.reduceat`` of the
+    coefficient-scaled eigenvectors over the run starts. Stacked as the
+    columns of ``Q`` they give ``rho = Q Q^T`` in one product, which equals
+    the per-eigenspace sum of outer products up to summation order (within
+    1e-12; the loop is kept in ``tests/quantum/density_reference.py``).
     """
     arr = check_symmetric_matrix(adjacency, "adjacency")
     n = arr.shape[0]
     if n == 0:
         raise QuantumError("cannot build a density matrix on 0 vertices")
     if initial_state is None:
-        psi0 = degree_initial_state(arr)
+        psi0 = degree_amplitudes(arr)
     else:
         psi0 = np.asarray(initial_state, dtype=float)
         if psi0.shape != (n,):
             raise QuantumError(
                 f"initial_state must have shape ({n},), got {psi0.shape}"
             )
+        if not np.all(np.isfinite(psi0)):
+            raise QuantumError("initial_state contains non-finite amplitudes")
         norm = float(np.linalg.norm(psi0))
         if norm <= 0:
             raise QuantumError("initial_state must be non-zero")
         psi0 = psi0 / norm
 
-    hamiltonian_matrix = hamiltonian_from_adjacency(arr, hamiltonian)
-    eigenvalues, eigenvectors = eigh_sorted(hamiltonian_matrix)
+    hamiltonian_matrix = registered_hamiltonian(hamiltonian)(arr)
+    eigenvalues, eigenvectors = np.linalg.eigh(symmetrize(hamiltonian_matrix))
     coefficients = eigenvectors.T @ psi0  # <phi_a | psi_0>
-
-    rho = np.zeros((n, n))
-    for group in group_degenerate_eigenvalues(eigenvalues, tol=degeneracy_tol):
-        # P_lambda |psi0> = sum_{a in B_lambda} <phi_a|psi0> |phi_a>
-        projected = eigenvectors[:, group] @ coefficients[group]
-        rho += np.outer(projected, projected)
-    rho = (rho + rho.T) / 2.0
-    return rho
+    # Column g of Q is P_g |psi0> = sum_{a in run g} <phi_a|psi0> |phi_a>.
+    starts = degenerate_run_starts(eigenvalues, tol=degeneracy_tol)
+    q = np.add.reduceat(eigenvectors * coefficients, starts, axis=1)
+    return symmetrize(q @ q.T)
 
 
 def graph_density_matrix(graph: Graph, **kwargs) -> np.ndarray:

@@ -4,6 +4,11 @@ The paper fixes the Hamiltonian to the combinatorial Laplacian ``L = D - A``
 (Section II-A); the adjacency and normalised-Laplacian alternatives are
 provided for the ablation benchmarks (DESIGN.md calls the Hamiltonian choice
 out as a design-ablation axis).
+
+A registered construction receives an already validated symmetric float
+ndarray: :func:`hamiltonian_from_adjacency` validates once, and
+:func:`repro.quantum.density.ctqw_density_matrix`, which has validated its
+input itself, calls the construction through :func:`registered_hamiltonian`.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.graphs.graph import Graph
-from repro.graphs.ops import normalized_laplacian
+from repro.graphs.ops import normalized_laplacian_matrix
 from repro.utils.validation import check_symmetric_matrix
 
 HamiltonianFn = Callable[[np.ndarray], np.ndarray]
@@ -36,21 +40,24 @@ def register_hamiltonian(name: str):
 @register_hamiltonian("laplacian")
 def laplacian_hamiltonian(adjacency: np.ndarray) -> np.ndarray:
     """``L = D - A`` with weighted degrees — the paper's Hamiltonian."""
-    arr = check_symmetric_matrix(adjacency, "adjacency")
-    return np.diag(arr.sum(axis=1)) - arr
+    return np.diag(adjacency.sum(axis=1)) - adjacency
 
 
 @register_hamiltonian("adjacency")
 def adjacency_hamiltonian(adjacency: np.ndarray) -> np.ndarray:
     """The adjacency matrix itself (Farhi–Gutmann convention)."""
-    return check_symmetric_matrix(adjacency, "adjacency")
+    return adjacency
 
 
 @register_hamiltonian("normalized_laplacian")
 def normalized_laplacian_hamiltonian(adjacency: np.ndarray) -> np.ndarray:
-    """``I - D^{-1/2} A D^{-1/2}``; isolated vertices get identity rows."""
-    arr = check_symmetric_matrix(adjacency, "adjacency")
-    return normalized_laplacian(Graph(arr))
+    """``I - D^{-1/2} A D^{-1/2}``; zero-degree rows get identity rows.
+
+    Built from the matrix, so the diagonal mass of an aligned adjacency
+    (paper Eq. 19) counts towards ``D`` instead of being refused as a
+    self loop.
+    """
+    return normalized_laplacian_matrix(adjacency)
 
 
 def check_hamiltonian(kind: str) -> str:
@@ -62,11 +69,18 @@ def check_hamiltonian(kind: str) -> str:
     return kind
 
 
+def registered_hamiltonian(kind: str) -> HamiltonianFn:
+    """The registered construction named ``kind``; it expects a validated
+    symmetric float ndarray."""
+    return _HAMILTONIANS[check_hamiltonian(kind)]
+
+
 def hamiltonian_from_adjacency(
     adjacency: np.ndarray, kind: str = "laplacian"
 ) -> np.ndarray:
     """Build the named Hamiltonian from a (possibly weighted) adjacency."""
-    return _HAMILTONIANS[check_hamiltonian(kind)](adjacency)
+    construction = registered_hamiltonian(kind)
+    return construction(check_symmetric_matrix(adjacency, "adjacency"))
 
 
 def available_hamiltonians() -> list:

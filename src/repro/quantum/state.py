@@ -22,7 +22,12 @@ def degree_initial_state(adjacency: np.ndarray) -> np.ndarray:
     we fall back to the uniform superposition, which keeps aligned structures
     with all-zero rows (prototypes no vertex maps to) well defined.
     """
-    arr = check_symmetric_matrix(adjacency, "adjacency")
+    return degree_amplitudes(check_symmetric_matrix(adjacency, "adjacency"))
+
+
+def degree_amplitudes(arr: np.ndarray) -> np.ndarray:
+    """:func:`degree_initial_state` of an already validated symmetric
+    float ndarray."""
     n = arr.shape[0]
     if n == 0:
         return np.empty(0)

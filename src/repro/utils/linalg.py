@@ -42,32 +42,37 @@ def eigh_sorted(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
+def degenerate_run_starts(
+    eigenvalues: np.ndarray, *, tol: float = EIG_TOL
+) -> np.ndarray:
+    """First index of each run of (numerically) equal sorted eigenvalues.
+
+    A run breaks where consecutive eigenvalues differ by more than ``tol``
+    scaled by the spectral magnitude, so each run is one eigenspace of the
+    closed-form time-averaged density matrix (paper Eq. 5), where sums run
+    over distinct eigenvalues. Empty input gives no runs.
+    """
+    values = np.asarray(eigenvalues, dtype=float)
+    if values.ndim != 1:
+        raise ValidationError(f"eigenvalues must be 1-D, got shape {values.shape}")
+    if values.size == 0:
+        return np.empty(0, dtype=np.intp)
+    scale = max(1.0, float(np.max(np.abs(values))))
+    breaks = np.flatnonzero(np.diff(values) > tol * scale) + 1
+    return np.concatenate(([0], breaks))
+
+
 def group_degenerate_eigenvalues(
     eigenvalues: np.ndarray, *, tol: float = EIG_TOL
 ) -> list[np.ndarray]:
     """Partition sorted eigenvalues into groups of (numerically) equal values.
 
-    Returns a list of index arrays; consecutive eigenvalues within ``tol``
-    (scaled by the spectral magnitude) fall into the same group. This is the
-    eigenspace bookkeeping behind the closed-form time-averaged density
-    matrix (paper Eq. 5), where sums run over distinct eigenvalues.
+    Returns one index array per run of :func:`degenerate_run_starts`.
     """
-    values = np.asarray(eigenvalues, dtype=float)
-    if values.ndim != 1:
-        raise ValidationError(f"eigenvalues must be 1-D, got shape {values.shape}")
-    n = values.size
-    if n == 0:
+    starts = degenerate_run_starts(eigenvalues, tol=tol)
+    if starts.size == 0:
         return []
-    scale = max(1.0, float(np.max(np.abs(values))))
-    threshold = tol * scale
-    groups: list[np.ndarray] = []
-    start = 0
-    for i in range(1, n):
-        if values[i] - values[i - 1] > threshold:
-            groups.append(np.arange(start, i))
-            start = i
-    groups.append(np.arange(start, n))
-    return groups
+    return np.split(np.arange(np.asarray(eigenvalues).size), starts[1:])
 
 
 def is_symmetric(matrix: np.ndarray, *, tol: float = 1e-8) -> bool:

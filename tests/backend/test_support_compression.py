@@ -338,11 +338,14 @@ class TestCompressedGram:
         assert process.tobytes() == batched.tobytes()
 
     def test_qjsk_padding_compressed(self, graphs, solve_log):
-        # One 36-vertex graph pads the tile to m = 36; pairs of the small
-        # graphs are solved on their own rows.
+        # One 36-vertex graph shares the tile, yet no pair is padded past
+        # its own edge max(n_a, n_b): every mixed solve runs at that edge,
+        # so no tile padding is left to strip.
         collection = graphs[:5] + [gen.path_graph(36)]
         kernel = QJSKUnaligned()
         batched = kernel.gram(collection, ctx=ExecutionContext(engine="batched"))
         serial = kernel.gram(collection, ctx=ExecutionContext(engine="serial"))
-        assert any(solved < m for m, solved in solve_log), solve_log
+        sizes = [g.n_vertices for g in collection]
+        assert {m for m, _ in solve_log} == {max(a, b) for a in sizes for b in sizes}
+        assert all(solved == m for m, solved in solve_log), solve_log
         np.testing.assert_allclose(batched, serial, rtol=0, atol=1e-10)

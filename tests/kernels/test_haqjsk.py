@@ -15,7 +15,7 @@ from repro.kernels.haqjsk import (
     HierarchicalAligner,
 )
 from repro.quantum.density import check_density_matrix
-from repro.quantum.operators import hamiltonian_from_adjacency
+from repro.quantum.operators import available_hamiltonians, hamiltonian_from_adjacency
 from repro.utils.linalg import is_positive_semidefinite
 
 
@@ -157,6 +157,22 @@ class TestConstructionValidation:
 
 
 class TestHAQJSKKernels:
+    @pytest.mark.parametrize("hamiltonian", available_hamiltonians())
+    def test_haqjsk_a_gram_for_every_hamiltonian(self, hamiltonian, collection):
+        """(A) walks on aligned adjacencies, whose diagonal carries the
+        intra-prototype edge mass of Eq. 19; every registered Hamiltonian
+        must build from them."""
+        kernel = HAQJSKKernelA(
+            n_prototypes=8, n_levels=3, max_layers=4, hamiltonian=hamiltonian, seed=0
+        )
+        adjacencies = kernel.aligner.transform(collection, "adjacency")
+        assert any(np.diag(levels[0]).any() for levels in adjacencies)
+        gram = kernel.gram(collection, normalize=True)
+        assert np.all(np.isfinite(gram))
+        assert np.array_equal(gram, gram.T)
+        np.testing.assert_allclose(np.diag(gram), 1.0, rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(gram).min() >= -1e-9
+
     @pytest.mark.parametrize("cls", [HAQJSKKernelA, HAQJSKKernelD])
     def test_psd_without_repair(self, cls, collection):
         kernel = cls(n_prototypes=8, n_levels=3, max_layers=4, seed=0)

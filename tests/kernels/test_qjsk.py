@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
+from repro.datasets import load_dataset
 from repro.graphs import generators as gen
 from repro.kernels.qjsk import QJSKAligned, QJSKUnaligned
 
@@ -56,6 +58,26 @@ class TestQJSKUnaligned:
 
         with pytest.raises(ValidationError):
             QJSKUnaligned(mu=0.0)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_batched_bytes_independent_of_tile(self, normalize):
+        """Each mixed state is solved at its own pair's edge and each
+        graph's entropy at its own size, so a pair's bytes never depend on
+        which graphs share its tile: every tiling, and one tile holding
+        the whole collection, gives the same Gram."""
+        collection = list(load_dataset("MUTAG", scale=0.15, seed=0).graphs)
+        kernel = QJSKUnaligned()
+        grams = {
+            tile: kernel.gram(
+                collection,
+                normalize=normalize,
+                ctx=ExecutionContext(engine="batched", tile_size=tile),
+            )
+            for tile in (1, 3, 8, len(collection))
+        }
+        whole = grams.pop(len(collection)).tobytes()
+        for tile, gram in grams.items():
+            assert gram.tobytes() == whole, tile
 
 
 class TestQJSKAligned:

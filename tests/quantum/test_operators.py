@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.datasets import load_dataset
 from repro.errors import ValidationError
 from repro.graphs import generators as gen
+from repro.graphs.graph import Graph
+from repro.graphs.ops import normalized_laplacian
 from repro.quantum.operators import (
     available_hamiltonians,
     hamiltonian_from_adjacency,
@@ -53,3 +56,31 @@ class TestOthers:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
             hamiltonian_from_adjacency(np.asarray([[0.0, 1.0], [0.0, 0.0]]), "laplacian")
+
+    @pytest.mark.parametrize("name", ["MUTAG", "PPIs"])
+    def test_normalized_laplacian_matches_graph_form(self, name, mixed_collection):
+        """On a zero-diagonal adjacency the matrix construction is the
+        graph's normalised Laplacian, byte for byte."""
+        graphs = list(load_dataset(name, scale=0.05, seed=0).graphs)
+        graphs += mixed_collection + [Graph(np.zeros((3, 3))), gen.empty_graph(1)]
+        for graph in graphs:
+            h = hamiltonian_from_adjacency(graph.adjacency, "normalized_laplacian")
+            expected = normalized_laplacian(Graph(graph.adjacency))
+            assert h.tobytes() == expected.tobytes()
+
+    def test_normalized_laplacian_counts_diagonal_mass(self):
+        """An aligned adjacency's diagonal (intra-prototype edges, paper
+        Eq. 19) is part of the degree; zero-degree rows are identity rows."""
+        adjacency = np.asarray(
+            [[2.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        )
+        h = hamiltonian_from_adjacency(adjacency, "normalized_laplacian")
+        degrees = np.asarray([3.0, 1.0])
+        expected_block = np.eye(2) - adjacency[:2, :2] / np.sqrt(
+            np.outer(degrees, degrees)
+        )
+        np.testing.assert_allclose(h[:2, :2], expected_block, rtol=0, atol=1e-15)
+        assert np.array_equal(h[2], [0.0, 0.0, 1.0])
+        assert np.array_equal(h[:, 2], [0.0, 0.0, 1.0])
+        values = np.linalg.eigvalsh(h)
+        assert values.min() >= -1e-12 and values.max() <= 2.0 + 1e-12
