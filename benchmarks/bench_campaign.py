@@ -1,12 +1,13 @@
 """Campaign-layer benchmarks — scheduling overhead and resume skip rate.
 
-The campaign runner routes every node through a durable sqlite job queue
-(DESIGN.md, "Campaign node keys"), so each executed node costs a handful
-of transactions: submit, claim, mark running, mark done, complete. These
-benches put a number on that overhead with no-op executors:
+The campaign runner picks every node straight from its durable sqlite
+campaign database (DESIGN.md, "Campaign node keys"), so each executed
+node costs a scan of the node table plus two transactions: mark running,
+mark done. These benches put a number on that overhead with no-op
+executors:
 
-* cold scheduling throughput — nodes/s through ensure → submit → claim →
-  execute → record on one sqlite file;
+* cold scheduling throughput — nodes/s through ensure → pick → execute →
+  record on one sqlite file;
 * resume skip rate — nodes/s when every node is already ``done`` and the
   run only restores recorded state;
 * cross-campaign key reuse — nodes/s when results are adopted from

@@ -221,7 +221,6 @@ class Session:
         bundle_ref,
         graphs,
         *,
-        batch_size: "int | None" = None,
         max_block_graphs: "int | None" = None,
     ):
         """Classify newcomer graphs against a bundle (object or name).
@@ -232,30 +231,28 @@ class Session:
         reference, so repeated serving calls amortise the training-state
         preparation.
         """
-        service = self._service(bundle_ref, batch_size, max_block_graphs)
+        service = self._service(bundle_ref, max_block_graphs)
         return service.predict(list(graphs))
 
     def service(
         self,
         bundle_ref,
         *,
-        batch_size: "int | None" = None,
         max_block_graphs: "int | None" = None,
     ):
         """The (cached) :class:`PredictionService` for ``bundle_ref``."""
-        return self._service(bundle_ref, batch_size, max_block_graphs)
+        return self._service(bundle_ref, max_block_graphs)
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _service(self, bundle_ref, batch_size, max_block_graphs):
+    def _service(self, bundle_ref, max_block_graphs):
         from repro.serve.bundle import ModelBundle
         from repro.serve.service import PredictionService
 
         cache_key = (
             bundle_ref if isinstance(bundle_ref, str) else id(bundle_ref),
-            batch_size,
             max_block_graphs,
         )
         cached = self._services.get(cache_key)
@@ -277,7 +274,6 @@ class Session:
             )
         service = PredictionService(
             bundle,
-            batch_size=batch_size,
             max_block_graphs=max_block_graphs,
             ctx=self.ctx,
         )

@@ -4,12 +4,12 @@ A campaign declares *what the paper needs computed* — Gram matrices,
 CV evaluations, timing probes — as a DAG of :class:`CampaignNode` cells,
 each keyed by exactly the inputs that determine its values
 (:func:`node_key`: kernel fingerprint + dataset digest + the
-value-relevant context record). The :class:`CampaignRunner` schedules
-ready nodes through the sqlite :class:`~repro.jobs.JobQueue`, records
-every outcome in a :class:`CampaignDB`, skips any node whose key already
-has a recorded result, and survives SIGKILL at any instant:
-``python -m repro.campaign resume`` recomputes only the unfinished
-remainder and renders the identical report.
+value-relevant context record). The :class:`CampaignRunner` picks each
+ready node straight from the sqlite :class:`CampaignDB`, records every
+outcome there, skips any node whose key already has a recorded result,
+and survives SIGKILL at any instant: ``python -m repro.campaign resume``
+recomputes only the unfinished remainder and renders the identical
+report. One runner drives a database at a time.
 """
 
 from repro.campaign.db import NODE_STATUSES, CampaignDB, NodeState

@@ -1,8 +1,8 @@
 """``python -m repro.campaign`` — run/status/resume/cancel campaigns.
 
 One durable sqlite file (``--db``, or ``campaign.db`` inside the
-``--store`` directory) carries both the campaign DAG state and the job
-queue, so the whole lifecycle is::
+``--store`` directory) carries the campaign DAG state the runner
+schedules from, so the whole lifecycle is::
 
     python -m repro.campaign run table4 --store /tmp/sweep
     # ... SIGKILL at any point ...
@@ -11,7 +11,8 @@ queue, so the whole lifecycle is::
 
 ``resume`` is ``run`` under another name — running a campaign is
 idempotent: nodes whose content keys are already recorded as done are
-skipped, only the unfinished remainder executes.
+skipped, only the unfinished remainder executes. One runner drives a
+database at a time: do not ``run`` the same file from two processes.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ import sys
 
 from repro.campaign.db import CampaignDB
 from repro.campaign.registry import build_campaign, registered_campaigns
-from repro.campaign.runner import CampaignRunner, default_db_path
+from repro.campaign.runner import default_db_path, run_campaign_plan
 from repro.errors import CampaignError, ReproError
-from repro.jobs import JobQueue
 
 
 def _add_db_arguments(parser: argparse.ArgumentParser) -> None:
@@ -75,28 +75,15 @@ def _cmd_run(args) -> int:
     ctx = _context(args)
     plan = _build_plan(args, ctx)
     db_path = _resolve_db_path(args, ctx, required=False)
-    ephemeral = db_path is None
-    if ephemeral:
-        import tempfile
-
-        tmp = tempfile.TemporaryDirectory(prefix="repro-campaign-")
-        db_path = f"{tmp.name}/campaign.db"
+    if db_path is None:
         print(
             "note: no --db/--store given; campaign state is ephemeral "
             "(a killed run cannot be resumed)",
             file=sys.stderr,
         )
-    db = CampaignDB(db_path)
-    queue = JobQueue(db_path)
-    try:
-        run = CampaignRunner(plan, db, queue, ctx=ctx).run(
-            max_nodes=args.max_nodes
-        )
-    finally:
-        queue.close()
-        db.close()
-        if ephemeral:
-            tmp.cleanup()
+    run = run_campaign_plan(
+        plan, ctx=ctx, db_path=db_path, max_nodes=args.max_nodes
+    )
     print(run.summary(), file=sys.stderr)
     if args.report:
         report = run.report()
@@ -159,9 +146,7 @@ def _cmd_status(args) -> int:
 
 def _cmd_cancel(args) -> int:
     ctx = _context(args)
-    db_path = _resolve_db_path(args, ctx, required=True)
-    db = CampaignDB(db_path)
-    queue = JobQueue(db_path)
+    db = CampaignDB(_resolve_db_path(args, ctx, required=True))
     try:
         campaigns = db.campaigns()
         selected = [
@@ -178,13 +163,9 @@ def _cmd_cancel(args) -> int:
             return 2
         for entry in selected:
             moved = db.cancel_pending(entry["id"])
-            for job in queue.list_jobs(kind=f"campaign:{entry['id']}"):
-                if job.status in ("pending", "running"):
-                    queue.cancel(job.id)
             print(f"{entry['id']}  {entry['name']}: cancelled {moved} nodes")
         return 0
     finally:
-        queue.close()
         db.close()
 
 
@@ -240,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     status.set_defaults(handler=_cmd_status)
 
     cancel = commands.add_parser(
-        "cancel", help="cancel a campaign's pending/running nodes and jobs"
+        "cancel", help="cancel a campaign's pending/running nodes"
     )
     cancel.add_argument("campaign", help="campaign id or name to cancel")
     _add_db_arguments(cancel)

@@ -2,10 +2,10 @@
 
 One file records every campaign it has ever scheduled: a ``campaigns``
 row per DAG and a ``campaign_nodes`` row per cell, holding the node's
-content key, payload, status, JSON result and stored exception. The file
-usually also carries the :class:`~repro.jobs.JobQueue` tables (both
-subsystems share one database path), so a campaign's full scheduling
-state survives SIGKILL as a single crash-consistent artifact.
+content key, payload, status, JSON result and stored exception. These
+two tables are a campaign's whole scheduling state — the runner picks
+its next node straight from them — so it survives SIGKILL as a single
+crash-consistent artifact. One runner drives a database at a time.
 
 Resume semantics live here:
 
@@ -23,15 +23,13 @@ Resume semantics live here:
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.campaign.nodes import Campaign
 from repro.errors import CampaignError
+from repro.utils.sqlite import SqliteFile
 
 #: Every status a campaign node can hold.
 NODE_STATUSES = ("pending", "running", "done", "failed", "cancelled")
@@ -98,65 +96,15 @@ class NodeState:
         )
 
 
-class CampaignDB:
+class CampaignDB(SqliteFile):
     """Durable campaign/node state over one sqlite file.
 
-    ``path`` may be shared with a :class:`~repro.jobs.JobQueue` (the
-    tables are disjoint); ``clock`` is injectable for tests.
+    ``clock`` is injectable for tests.
     """
 
     def __init__(self, path: str, *, clock=time.time) -> None:
-        if not str(path).strip():
-            raise CampaignError("CampaignDB needs a database path")
-        self.path = str(path)
+        super().__init__(path, _SCHEMA)
         self.clock = clock
-        self._lock = threading.Lock()
-        if self.path != ":memory:":
-            parent = os.path.dirname(os.path.abspath(self.path))
-            os.makedirs(parent, exist_ok=True)
-        self._conn = sqlite3.connect(
-            self.path, timeout=30.0, check_same_thread=False
-        )
-        self._conn.row_factory = sqlite3.Row
-        with self._lock:
-            if self.path != ":memory:":
-                self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.executescript(_SCHEMA)
-            self._conn.commit()
-
-    def close(self) -> None:
-        with self._lock:
-            self._conn.close()
-
-    # ------------------------------------------------------------------ #
-    # Transaction discipline (REPRO005): every statement on the shared
-    # connection runs inside one of these two helpers.
-    # ------------------------------------------------------------------ #
-
-    @contextmanager
-    def _txn(self):
-        """One committed write transaction (``BEGIN IMMEDIATE``).
-
-        Same contract as :meth:`repro.jobs.queue.JobQueue._txn`: the
-        write lock is taken up front, and every exit path commits or
-        rolls back, so a SIGKILL anywhere inside leaves whole rows.
-        """
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                yield self._conn
-            except BaseException:
-                if self._conn.in_transaction:
-                    self._conn.execute("ROLLBACK")
-                raise
-            else:
-                self._conn.execute("COMMIT")
-
-    @contextmanager
-    def _read(self):
-        """The shared connection for reads (thread lock, no transaction)."""
-        with self._lock:
-            yield self._conn
 
     # ------------------------------------------------------------------ #
     # Campaign registration / resume
@@ -372,6 +320,3 @@ class CampaignDB:
             entry.update(self.counts(row["id"]))
             listed.append(entry)
         return listed
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CampaignDB(path={self.path!r})"

@@ -1,45 +1,40 @@
-"""The campaign runner: schedule ready DAG nodes through the job queue.
+"""The campaign runner: execute ready DAG nodes straight from the DB.
 
 One :class:`CampaignRunner` drives one campaign to completion:
 
 1. :meth:`~repro.campaign.db.CampaignDB.ensure` upserts the declared
-   nodes (unchanged keys keep their state — the resume path), dead
-   ``running`` rows return to ``pending``, stale queue leases requeue;
-2. every ``pending`` node whose dependencies are all ``done`` is either
-   *skipped* — its content key already has a recorded result
-   (:meth:`~repro.campaign.db.CampaignDB.result_for_key`) — or submitted
-   to the :class:`~repro.jobs.JobQueue`;
-3. the runner claims jobs back off the queue and executes them through
-   the registered executors, recording results / stored exceptions in
-   the campaign DB, until nothing is runnable.
+   nodes (unchanged keys keep their state — the resume path), nodes a
+   dead process left ``running`` return to ``pending``, and failed or
+   cancelled nodes are revived (running again is the retry);
+2. every ``pending`` node whose dependencies are all ``done`` and whose
+   content key already has a recorded result
+   (:meth:`~repro.campaign.db.CampaignDB.result_for_key`) adopts that
+   result instead of executing;
+3. of the remaining ready nodes, the highest-priority one executes
+   through its registered executor (ties go to the first in
+   :meth:`~repro.campaign.nodes.Campaign.toposort` order, which keeps
+   declared order among peers), its result or stored exception is
+   recorded, and step 2 repeats until nothing is runnable.
 
-The queue looks redundant while the runner both produces and consumes,
-but it is the point of the design: scheduling state lives in the same
-durable sqlite file as the campaign, a SIGKILL at any instant loses at
-most the node that was mid-execution, and the future serving layer can
-point external workers at the very same queue without changing the DAG
-layer. Failed nodes stay failed (their dependents are *blocked*, not
-cancelled); ``resume`` revives them by resubmitting the same keys.
+The campaign DB is the whole schedule: a SIGKILL at any instant loses
+at most the node that was mid-execution, which the next run finds
+``running`` and executes again. One runner drives a database at a time;
+nothing stops a second one from executing the same node. Failed nodes
+stay failed within a run (their dependents are *blocked*, not
+cancelled).
 """
 
 from __future__ import annotations
 
 import os
-import socket
 import tempfile
 import traceback
 from dataclasses import dataclass, field
 
 from repro.campaign.db import CampaignDB, NodeState
-from repro.campaign.nodes import Campaign, CampaignPlan
+from repro.campaign.nodes import Campaign, CampaignNode, CampaignPlan
 from repro.campaign.registry import executor_for
 from repro.errors import CampaignError
-from repro.jobs import JobQueue
-
-#: Queue-kind prefix of campaign node jobs (one kind per campaign, so
-#: several campaigns can share a queue file without claiming each
-#: other's work).
-JOB_KIND_PREFIX = "campaign:"
 
 
 @dataclass
@@ -81,7 +76,7 @@ class CampaignRun:
 
 
 class CampaignRunner:
-    """Schedules one campaign's ready nodes through a durable job queue.
+    """Executes one campaign's ready nodes, recording each in the DB.
 
     Parameters
     ----------
@@ -90,9 +85,6 @@ class CampaignRunner:
         :class:`~repro.campaign.nodes.Campaign`).
     db:
         The :class:`~repro.campaign.db.CampaignDB` recording node state.
-    queue:
-        The :class:`~repro.jobs.JobQueue` to schedule through; defaults
-        to one sharing the campaign DB's sqlite file.
     ctx:
         The :class:`~repro.api.ExecutionContext` handed to every
         executor (engine, store, compute policy).
@@ -102,10 +94,8 @@ class CampaignRunner:
         self,
         plan: "CampaignPlan | Campaign",
         db: CampaignDB,
-        queue: "JobQueue | None" = None,
         *,
         ctx=None,
-        worker_id: "str | None" = None,
     ) -> None:
         if isinstance(plan, Campaign):
             plan = CampaignPlan(plan)
@@ -117,9 +107,7 @@ class CampaignRunner:
         self.plan = plan
         self.campaign = plan.campaign
         self.db = db
-        self.queue = queue if queue is not None else JobQueue(db.path)
         self.ctx = ctx
-        self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
 
     # ------------------------------------------------------------------ #
     # Main loop
@@ -135,69 +123,25 @@ class CampaignRunner:
         cid = self.db.ensure(self.campaign)
         self.db.reset_running(cid)
         self.db.revive(cid)
-        self.queue.requeue_expired()
-        states = self.db.node_states(cid)
-        self._reconcile(cid, states)
-        restored = sum(1 for s in states.values() if s.status == "done")
+        restored = self.db.counts(cid)["done"]
         executed = reused = 0
         stopped = False
-        kind = JOB_KIND_PREFIX + cid
         while True:
-            states = self.db.node_states(cid)
-            progressed = False
-            for node in self.campaign.toposort():
-                state = states[node.name]
-                if state.status != "pending":
-                    continue
-                if not all(
-                    states[dep].status == "done" for dep in node.deps
-                ):
-                    continue
-                recorded = self.db.result_for_key(
-                    node.key, exclude=(cid, node.name)
-                )
-                if recorded is not None:
-                    # Same content key, already computed (this file, any
-                    # campaign): skip the node, adopt the result.
-                    self.db.mark_done(cid, node.name, recorded, reused=True)
-                    states = self.db.node_states(cid)
-                    reused += 1
-                    progressed = True
-                    continue
-                self.queue.submit(
-                    kind,
-                    {"campaign": cid, "node": node.name},
-                    key=self._job_key(node),
-                    priority=node.priority,
-                )
-            job = self.queue.claim(self.worker_id, kinds=(kind,))
-            if job is None:
-                if progressed:
-                    continue
+            node, adopted = self._next_node(cid)
+            reused += adopted
+            if node is None:
                 break
-            name = job.payload["node"]
-            node = self.campaign.node(name)
-            if self.db.node_states(cid)[name].status == "done":
-                # Completed by a concurrent runner between submit and claim.
-                self.queue.complete(job.id)
-                continue
-            self.db.mark_running(cid, name)
+            self.db.mark_running(cid, node.name)
             try:
                 result = executor_for(node.kind)(dict(node.payload), self.ctx)
-                if result is None:
-                    result = {}
-                self.db.mark_done(cid, name, result)
-                self.queue.complete(job.id, result if result else None)
+                self.db.mark_done(cid, node.name, {} if result is None else result)
                 executed += 1
             except KeyboardInterrupt:
                 # Leave the node pending so a resume re-runs it cleanly.
                 self.db.reset_running(cid)
-                self.queue.fail(job.id, "interrupted")
                 raise
             except Exception:
-                error = traceback.format_exc()
-                self.db.mark_failed(cid, name, error)
-                self.queue.fail(job.id, error)
+                self.db.mark_failed(cid, node.name, traceback.format_exc())
             if max_nodes is not None and executed >= max_nodes:
                 stopped = self._unfinished(cid)
                 break
@@ -210,32 +154,34 @@ class CampaignRunner:
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _job_key(self, node) -> str:
-        # The node's content key is part of the queue identity, so a
-        # node whose inputs changed gets a fresh job row instead of
-        # colliding with the stale done/failed one.
-        return f"{self.campaign.campaign_id}:{node.name}:{node.key[:16]}"
+    def _next_node(self, cid: str) -> "tuple[CampaignNode | None, int]":
+        """The next node to execute, and how many results were adopted.
 
-    def _reconcile(self, cid: str, states: "dict[str, NodeState]") -> None:
-        """Heal queue/DB divergence a crash may have left behind.
-
-        A node ``pending`` in the DB whose queue job is still ``running``
-        is a torn claim from a killed run — the campaign DB is the
-        authority, so the job returns to pending immediately rather than
-        after its lease expires. The inverse tear (node ``done``, job
-        ``running``: killed between the DB commit and the queue ack) is
-        closed by completing the job.
+        Walks the ready nodes (``pending``, every dependency ``done``)
+        in toposort order. A node whose content key already has a
+        recorded result (this file, any campaign) adopts it and counts
+        as done for the nodes after it; of the rest, the first with the
+        highest priority is returned (``None`` when nothing is ready).
         """
-        for state in states.values():
-            job = self.queue.by_key(
-                f"{cid}:{state.name}:{state.key[:16]}"
-            )
-            if job is None or job.status != "running":
+        status = {
+            name: state.status
+            for name, state in self.db.node_states(cid).items()
+        }
+        chosen = None
+        adopted = 0
+        for node in self.campaign.toposort():
+            if status[node.name] != "pending" or any(
+                status[dep] != "done" for dep in node.deps
+            ):
                 continue
-            if state.status == "done":
-                self.queue.complete(job.id)
-            else:
-                self.queue.requeue(job.id)
+            recorded = self.db.result_for_key(node.key, exclude=(cid, node.name))
+            if recorded is not None:
+                self.db.mark_done(cid, node.name, recorded, reused=True)
+                status[node.name] = "done"
+                adopted += 1
+            elif chosen is None or node.priority > chosen.priority:
+                chosen = node
+        return chosen, adopted
 
     def _unfinished(self, cid: str) -> bool:
         counts = self.db.counts(cid)
@@ -310,12 +256,9 @@ def run_campaign_plan(
             db_path = os.path.join(ephemeral_dir.name, "campaign.db")
         db = CampaignDB(db_path)
         close_db = True
-    queue = JobQueue(db.path)
-    runner = CampaignRunner(plan, db, queue, ctx=ctx)
     try:
-        return runner.run(max_nodes=max_nodes)
+        return CampaignRunner(plan, db, ctx=ctx).run(max_nodes=max_nodes)
     finally:
-        queue.close()
         if close_db:
             db.close()
         if ephemeral_dir is not None:

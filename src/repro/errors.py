@@ -72,11 +72,13 @@ class ProtocolError(ServingError):
 
 
 class ServerBusyError(ServingError):
-    """The serving queue passed its high-water mark (HTTP 503).
+    """The server cannot take the request now (HTTP 503).
 
-    Backpressure, not failure: the micro-batcher refuses new work instead
-    of queueing unboundedly, and carries ``retry_after`` seconds the HTTP
-    layer surfaces as a ``Retry-After`` header.
+    Backpressure, not failure: the micro-batcher refuses work past its
+    queue's high-water mark instead of queueing unboundedly, and once it
+    is closed (a retrain replaced it, or the server is shutting down).
+    Carries ``retry_after`` seconds the HTTP layer surfaces as a
+    ``Retry-After`` header.
     """
 
     def __init__(self, message: str, *, retry_after: float = 1.0) -> None:
@@ -93,8 +95,8 @@ class DistributedError(ReproError):
 
 
 class CampaignError(ReproError):
-    """A campaign DAG, its job queue, or one of its nodes is invalid,
-    failed, or inconsistent with its recorded state."""
+    """A campaign DAG or node, or a :class:`~repro.jobs.JobQueue` job, is
+    invalid, failed, or inconsistent with its recorded state."""
 
 
 class ConvergenceWarning(UserWarning):

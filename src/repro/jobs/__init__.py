@@ -1,11 +1,10 @@
 """Durable job scheduling: a sqlite-persisted priority queue.
 
-The queue is the scheduling substrate shared by the campaign runner
-(:mod:`repro.campaign`) and, per the roadmap, the future HTTP serving
-layer: long-running work (Gram computations, training, experiment cells)
-is submitted as :class:`QueuedJob` records that survive process death —
-statuses, retries with backoff, cancellation and lease-style requeue all
-live in one crash-safe sqlite file.
+The queue behind the HTTP serving layer's ``POST /train``
+(:mod:`repro.serve.server`): training runs are submitted as
+:class:`QueuedJob` records that survive process death — statuses,
+retries with backoff, cancellation and lease-style requeue all live in
+one crash-safe sqlite file.
 """
 
 from repro.jobs.queue import (

@@ -29,14 +29,12 @@ or the new row, never a torn one.
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.errors import CampaignError
+from repro.utils.sqlite import SqliteFile
 
 #: Every status a job row can hold.
 JOB_STATUSES = ("pending", "running", "done", "failed", "cancelled")
@@ -125,7 +123,7 @@ class QueuedJob:
         )
 
 
-class JobQueue:
+class JobQueue(SqliteFile):
     """A persistent priority queue over one sqlite database.
 
     Parameters
@@ -133,70 +131,16 @@ class JobQueue:
     path:
         Database file (created with its parent directory if missing), or
         ``":memory:"`` for an ephemeral in-process queue. Several
-        :class:`JobQueue` *and* :class:`~repro.campaign.db.CampaignDB`
-        instances — across processes — may share one file; sqlite's
-        locking serialises them.
+        :class:`JobQueue` instances — across processes — may share one
+        file; sqlite's locking serialises them.
     clock:
         Time source (``time.time``); injectable so retry backoff and
         lease expiry are testable in virtual time.
     """
 
     def __init__(self, path: str, *, clock=time.time) -> None:
-        if not str(path).strip():
-            raise CampaignError("JobQueue needs a database path")
-        self.path = str(path)
+        super().__init__(path, _SCHEMA)
         self.clock = clock
-        self._lock = threading.Lock()
-        if self.path != ":memory:":
-            parent = os.path.dirname(os.path.abspath(self.path))
-            os.makedirs(parent, exist_ok=True)
-        self._conn = sqlite3.connect(
-            self.path, timeout=30.0, check_same_thread=False
-        )
-        self._conn.row_factory = sqlite3.Row
-        with self._lock:
-            if self.path != ":memory:":
-                # WAL keeps readers (status CLIs, peer workers) unblocked
-                # while a claim transaction writes.
-                self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.executescript(_SCHEMA)
-            self._conn.commit()
-
-    def close(self) -> None:
-        with self._lock:
-            self._conn.close()
-
-    # ------------------------------------------------------------------ #
-    # Transaction discipline (REPRO005): every statement on the shared
-    # connection runs inside one of these two helpers.
-    # ------------------------------------------------------------------ #
-
-    @contextmanager
-    def _txn(self):
-        """One committed write transaction on the shared connection.
-
-        ``BEGIN IMMEDIATE`` takes the database write lock up front so
-        racing processes serialise at entry instead of deadlocking
-        mid-transaction; commit-or-rollback on every exit path means a
-        process killed anywhere inside leaves whole rows, never torn
-        ones.
-        """
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                yield self._conn
-            except BaseException:
-                if self._conn.in_transaction:
-                    self._conn.execute("ROLLBACK")
-                raise
-            else:
-                self._conn.execute("COMMIT")
-
-    @contextmanager
-    def _read(self):
-        """The shared connection for reads (thread lock, no transaction)."""
-        with self._lock:
-            yield self._conn
 
     # ------------------------------------------------------------------ #
     # Producer side
@@ -365,22 +309,6 @@ class JobQueue:
                 )
         return self.get(int(job_id))
 
-    def requeue(self, job_id: int) -> "QueuedJob | None":
-        """Force one running job back to ``pending`` without burning a
-        retry — for a caller that *knows* the lease is stale (e.g. the
-        campaign runner reconciling after a crash) and should not wait
-        out the TTL. Returns the requeued job, or ``None`` when the row
-        was not running."""
-        now = self.clock()
-        with self._txn() as conn:
-            cursor = conn.execute(
-                "UPDATE jobs SET status='pending', worker=NULL, "
-                "lease_deadline=NULL, attempts=attempts-1, updated_at=? "
-                "WHERE id=? AND status='running'",
-                (now, int(job_id)),
-            )
-        return self.get(int(job_id)) if cursor.rowcount else None
-
     def requeue_expired(self) -> "list[QueuedJob]":
         """Return every running job whose lease lapsed to ``pending``.
 
@@ -483,6 +411,3 @@ class JobQueue:
         for row in rows:
             counts[row["status"]] = int(row["n"])
         return counts
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"JobQueue(path={self.path!r})"

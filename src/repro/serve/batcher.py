@@ -33,7 +33,10 @@ Backpressure is explicit: past ``max_queue_graphs`` queued graphs,
 :meth:`submit` raises :class:`~repro.errors.ServerBusyError` (→ HTTP 503
 with ``Retry-After``) instead of queueing unboundedly — under sustained
 overload the queue would otherwise grow without limit while every
-caller's latency diverges.
+caller's latency diverges. A closed batcher (a retrain replaced it, or
+the server is shutting down) fails every request it will not answer
+with the same error: the bundle exists, and a retry reaches its next
+batcher.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from dataclasses import dataclass
 from repro.errors import (
     ServeTimeoutError,
     ServerBusyError,
-    ServingError,
     ValidationError,
 )
 
@@ -182,11 +184,11 @@ class MicroBatcher:
     ) -> BatchedPrediction:
         """Block until this request's slice is ready; return it.
 
-        Raises :class:`ServerBusyError` at the high-water mark,
-        :class:`ServeTimeoutError` past the deadline (a request still
-        queued then is withdrawn, so no batch computes it), and re-raises
-        any exception the coalesced ``predict`` call died with (every
-        waiter in the batch sees it).
+        Raises :class:`ServerBusyError` at the high-water mark or once
+        the batcher is closed, :class:`ServeTimeoutError` past the
+        deadline (a request still queued then is withdrawn, so no batch
+        computes it), and re-raises any exception the coalesced
+        ``predict`` call died with (every waiter in the batch sees it).
         """
         graphs = list(graphs)
         deadline = self.timeout if timeout is None else float(timeout)
@@ -196,7 +198,9 @@ class MicroBatcher:
             # reflects all traffic.
             with self._lock:
                 if self._closed:
-                    raise ServingError("MicroBatcher is closed")
+                    raise ServerBusyError(
+                        "MicroBatcher is closed", retry_after=RETRY_AFTER_SECONDS
+                    )
                 self._record_batch(len(graphs), 1)
             return BatchedPrediction(
                 result=self.predict(graphs),
@@ -206,7 +210,9 @@ class MicroBatcher:
         pending = _Pending(graphs)
         with self._wake:
             if self._closed:
-                raise ServingError("MicroBatcher is closed")
+                raise ServerBusyError(
+                    "MicroBatcher is closed", retry_after=RETRY_AFTER_SECONDS
+                )
             if self._queued_graphs + len(graphs) > self.max_queue_graphs:
                 self._stats["rejected"] += 1
                 raise ServerBusyError(
@@ -257,7 +263,10 @@ class MicroBatcher:
                 return
             self._closed = True
             for pending in self._queue:
-                pending.settle(error=ServingError("MicroBatcher closed while queued"))
+                pending.settle(error=ServerBusyError(
+                    "MicroBatcher closed while queued",
+                    retry_after=RETRY_AFTER_SECONDS,
+                ))
             self._queue.clear()
             self._queued_graphs = 0
             self._wake.notify_all()
@@ -266,9 +275,10 @@ class MicroBatcher:
         self._dispatcher.join(timeout=CLOSE_DRAIN_SECONDS)
         with self._lock:
             for pending in self._in_flight:
-                pending.settle(error=ServingError(
+                pending.settle(error=ServerBusyError(
                     f"MicroBatcher closed while predicting (the batch did "
-                    f"not finish within {CLOSE_DRAIN_SECONDS:g}s)"
+                    f"not finish within {CLOSE_DRAIN_SECONDS:g}s)",
+                    retry_after=RETRY_AFTER_SECONDS,
                 ))
 
     def __enter__(self) -> "MicroBatcher":

@@ -148,7 +148,9 @@ def _scalar(value):
 def _command_predict(args) -> int:
     session = _session(args)
     graphs, _ = _load_graphs(args)
-    result = session.predict(args.name, graphs, batch_size=args.batch_size)
+    result = session.predict(
+        args.name, graphs, max_block_graphs=args.max_block_graphs
+    )
     if args.json:
         payload = {
             "bundle": args.name,
@@ -244,8 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_arguments(predict)
     _add_graph_arguments(predict)
     predict.add_argument("--engine", default=None)
-    predict.add_argument("--batch-size", type=int, default=None,
-                         help="bound per-engine-call batch size")
+    predict.add_argument("--batch-size", dest="max_block_graphs",
+                         type=int, default=None,
+                         help="predict in chunks of at most this many "
+                              "graphs (bounds peak memory)")
     predict.add_argument("--json", action="store_true",
                          help="emit JSON with per-class OvO margins")
     predict.set_defaults(func=_command_predict)

@@ -21,8 +21,9 @@ thread per connection, no new dependencies) routing four JSON endpoints:
 
 Error mapping is uniform: :class:`~repro.errors.ProtocolError` → 400,
 unknown bundles/jobs/routes → 404, :class:`~repro.errors.ServerBusyError`
-→ 503 with ``Retry-After``, :class:`~repro.errors.ServeTimeoutError` →
-504, anything else → 500 — always a JSON ``error`` body, never a raw
+(a full queue, or a batcher closed by a retrain or shutdown) → 503 with
+``Retry-After``, :class:`~repro.errors.ServeTimeoutError` → 504,
+anything else → 500 — always a JSON ``error`` body, never a raw
 traceback page.
 
 One shared :class:`~repro.serve.service.PredictionService` per bundle

@@ -66,25 +66,19 @@ class PredictionService:
         :class:`~repro.api.ExecutionContext` selecting the Gram backend
         (and tile size) for the cross-block evaluation — the serving
         knob for throughput.
-    batch_size:
-        When set, :meth:`predict` internally splits larger batches so
-        conditioning and voting never see more than ``batch_size`` rows
-        at a time (bounded memory for heavy-traffic loops).
     max_block_graphs:
         When set, :meth:`predict` streams the whole pipeline — cross
         block, conditioning, voting — in row chunks of at most this many
         newcomer graphs, so even a single huge arrival batch materialises
         at most ``max_block_graphs × N`` kernel values at any moment
         (only the O(ΔN × classes) votes/margins accumulate). Results are
-        identical to the one-shot rectangle, row for row. ``batch_size``
-        composes: the effective chunk is the smaller of the two.
+        identical to the one-shot rectangle, row for row.
     """
 
     def __init__(
         self,
         bundle: ModelBundle,
         *,
-        batch_size: "int | None" = None,
         max_block_graphs: "int | None" = None,
         ctx=None,
     ) -> None:
@@ -93,14 +87,11 @@ class PredictionService:
                 f"bundle must be a ModelBundle, got {type(bundle).__name__}"
             )
         self.ctx = as_context(ctx, owner="PredictionService")
-        if batch_size is not None and batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
         if max_block_graphs is not None and max_block_graphs < 1:
             raise ValidationError(
                 f"max_block_graphs must be >= 1, got {max_block_graphs}"
             )
         self.bundle = bundle.verify()
-        self.batch_size = batch_size
         self.max_block_graphs = max_block_graphs
         # Prepared states of the training collection, computed once per
         # service (legal: the bundle kernel is collection-independent, so
@@ -117,7 +108,6 @@ class PredictionService:
         store,
         name: str,
         *,
-        batch_size: "int | None" = None,
         max_block_graphs: "int | None" = None,
         ctx=None,
     ) -> "PredictionService":
@@ -128,7 +118,6 @@ class PredictionService:
         """
         return cls(
             ModelBundle.load(store, name, verify=False),
-            batch_size=batch_size,
             max_block_graphs=max_block_graphs,
             ctx=ctx,
         )
@@ -161,10 +150,7 @@ class PredictionService:
         # End-to-end streaming bound: each loop iteration materialises at
         # most chunk × N kernel values (rows are dropped after voting),
         # so max_block_graphs caps peak memory even for one huge batch.
-        chunk = min(
-            self.batch_size or len(graphs),
-            self.max_block_graphs or len(graphs),
-        )
+        chunk = self.max_block_graphs or len(graphs)
         labels, votes, margins = [], [], []
         for start in range(0, len(graphs), chunk):
             rows = self.conditioned_rows(graphs[start : start + chunk])
@@ -203,6 +189,7 @@ class PredictionService:
             empty = np.zeros((0, len(bundle.training_graphs)))
             return bundle.conditioner.transform_cross(empty)
         step = self.max_block_graphs or len(graphs)
+        new_states = None
         if isinstance(kernel, PairwiseKernel):
             # Amortised pairwise path: the training states are prepared
             # once per service, so a batch pays O(ΔN) preparation plus
@@ -241,7 +228,7 @@ class PredictionService:
             ]
         rows = np.vstack([np.asarray(chunk, dtype=float) for chunk in chunks])
         if bundle.normalize:
-            rows = self._cosine_normalized(rows, graphs)
+            rows = self._cosine_normalized(rows, graphs, new_states)
         return bundle.conditioner.transform_cross(rows)
 
     # ------------------------------------------------------------------ #
@@ -249,28 +236,34 @@ class PredictionService:
     # ------------------------------------------------------------------ #
 
     def _cosine_normalized(
-        self, rows: np.ndarray, graphs: "list[Graph]"
+        self, rows: np.ndarray, graphs: "list[Graph]", states=None
     ) -> np.ndarray:
         """``K(t, i) / sqrt(K_tt K_ii)`` with the **stored training**
         diagonal for the columns — the same
         :func:`~repro.kernels.base.cosine_scale` policy ``normalize_gram``
         applied to the training Gram, so serving rows land in exactly the
         cosine geometry the SVM was trained in. Newcomer self-similarities
-        cost ΔN extra pair values."""
-        row_scale = cosine_scale(self._self_similarities(graphs))
+        cost ΔN extra pair values (``states``: see
+        :meth:`_self_similarities`)."""
+        row_scale = cosine_scale(self._self_similarities(graphs, states))
         col_scale = cosine_scale(self.bundle.train_diagonal)
         return normalize_gram_block(rows, row_scale, col_scale)
 
-    def _self_similarities(self, graphs: "list[Graph]") -> np.ndarray:
+    def _self_similarities(
+        self, graphs: "list[Graph]", states=None
+    ) -> np.ndarray:
         """``K(g, g)`` per newcomer — ΔN pair evaluations, no rectangle.
 
         Legitimate because the bundle kernel is collection-independent
         (verified): preparing the newcomers alone yields the same states
-        as preparing them alongside the training graphs.
+        as preparing them alongside the training graphs. A pairwise
+        kernel reuses ``states`` — the newcomers' states the cross block
+        already prepared — and prepares them only when none are given.
         """
         kernel = self.bundle.kernel
         if isinstance(kernel, PairwiseKernel):
-            states = kernel.prepare(graphs)
+            if states is None:
+                states = kernel.prepare(graphs)
             return np.array(
                 [float(kernel.pair_value(s, s)) for s in states], dtype=float
             )
@@ -283,6 +276,5 @@ class PredictionService:
         """Bundle summary plus the serving configuration."""
         info = self.bundle.info()
         info["engine"] = resolve_engine(self.ctx.engine_argument()).name
-        info["batch_size"] = self.batch_size
         info["max_block_graphs"] = self.max_block_graphs
         return info

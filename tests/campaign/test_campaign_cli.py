@@ -1,5 +1,7 @@
 """``python -m repro.campaign`` CLI: run/status/resume/cancel in-process."""
 
+import sqlite3
+
 import pytest
 
 from repro.campaign import (
@@ -79,6 +81,20 @@ def test_run_then_resume_is_idempotent(db_path, tmp_path, capsys):
     assert CALLS == ["a", "b"]  # nothing recomputed
     with open(report1) as f1, open(report2) as f2:
         assert f1.read() == f2.read() == "a=1\nb=2\n"
+
+
+def test_database_holds_only_the_campaign_tables(db_path):
+    assert main(["run", "clitest-pair", "--db", db_path]) == 0
+    conn = sqlite3.connect(db_path)
+    try:
+        tables = {
+            row[0] for row in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type='table'"
+            )
+        }
+    finally:
+        conn.close()
+    assert tables == {"campaigns", "campaign_nodes"}
 
 
 def test_run_without_report_prints_it(db_path, capsys):

@@ -1,4 +1,4 @@
-"""CampaignRunner: queue-backed scheduling, resume, reuse, failure."""
+"""CampaignRunner: scheduling from the campaign DB, resume, reuse, failure."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.campaign import (
     run_campaign_plan,
 )
 from repro.errors import CampaignError
-from repro.jobs import JobQueue
 
 #: Execution trace the synthetic executors append to (reset per test).
 CALLS = []
@@ -43,13 +42,14 @@ def db(tmp_path):
     db.close()
 
 
-def _node(name, deps=(), kind="runnertest.ok", value=0, **params):
+def _node(name, deps=(), kind="runnertest.ok", value=0, priority=0, **params):
     return CampaignNode(
         name,
         kind,
         node_key(kind, params={"name": name, "value": value, **params}),
         payload={"name": name, "value": value},
         deps=deps,
+        priority=priority,
     )
 
 
@@ -171,47 +171,46 @@ def test_resume_retries_failed_and_cancelled_nodes(db):
     assert [s.name for s in again.failed] == ["bad"]
 
 
-def test_reconcile_requeues_torn_claim_from_a_killed_run(db):
-    campaign = Campaign("torn", [_node("a")])
-    queue = JobQueue(db.path)
-    cid = db.ensure(campaign)
-    node = campaign.node("a")
-    job = queue.submit(
-        f"campaign:{cid}",
-        {"campaign": cid, "node": "a"},
-        key=f"{cid}:a:{node.key[:16]}",
+def test_priority_then_declared_order_on_a_table4_shaped_dag(db):
+    # table4 with a store: per (kernel, dataset) a priority-1 Gram node
+    # feeding a priority-0 cell node, declared pairwise. Every Gram runs
+    # first, in declared order, then every cell in declared order.
+    nodes = []
+    for name in ("QJSK", "WLSK", "SPGK"):
+        nodes += [
+            _node(f"gram:{name}", priority=1),
+            _node(f"cell:{name}", deps=(f"gram:{name}",)),
+        ]
+    run = CampaignRunner(Campaign("table4-shaped", nodes), db).run()
+    assert run.ok and run.executed == 6
+    assert CALLS == [
+        "gram:QJSK", "gram:WLSK", "gram:SPGK",
+        "cell:QJSK", "cell:WLSK", "cell:SPGK",
+    ]
+
+
+def test_higher_priority_runs_before_earlier_declared_nodes(db):
+    campaign = Campaign(
+        "priorities",
+        [_node("first"), _node("second"), _node("urgent", priority=2)],
     )
-    queue.claim("dead-worker", kinds=(f"campaign:{cid}",))
-
-    # DB says pending, queue says running: the runner must heal the tear
-    # immediately (not wait out the lease) and execute the node.
-    run = CampaignRunner(campaign, db, queue).run()
-    assert run.ok and run.executed == 1
-    assert queue.get(job.id).status == "done"
-    queue.close()
+    assert CampaignRunner(campaign, db).run().ok
+    assert CALLS == ["urgent", "first", "second"]
 
 
-def test_reconcile_completes_job_for_already_done_node(db):
-    campaign = Campaign("torn2", [_node("a")])
-    queue = JobQueue(db.path)
+def test_node_left_running_by_a_killed_run_executes_once(db):
+    campaign = _chain()
     cid = db.ensure(campaign)
-    node = campaign.node("a")
-    job = queue.submit(
-        f"campaign:{cid}",
-        {"campaign": cid, "node": "a"},
-        key=f"{cid}:a:{node.key[:16]}",
-    )
-    queue.claim("dead-worker", kinds=(f"campaign:{cid}",))
-    db.mark_running(cid, "a")
-    db.mark_done(cid, "a", {"value": 0})
+    db.mark_running(cid, "gram")
+    db.mark_done(cid, "gram", {"value": 1})
+    # Killed mid-execution: the DB still says `cell` is running.
+    db.mark_running(cid, "cell")
 
-    # Killed between the DB commit and the queue ack: nothing re-runs.
-    run = CampaignRunner(campaign, db, queue).run()
+    run = CampaignRunner(campaign, db).run()
     assert run.ok
-    assert run.executed == 0 and run.restored == 1
-    assert CALLS == []
-    assert queue.get(job.id).status == "done"
-    queue.close()
+    assert run.executed == 2 and run.restored == 1
+    assert CALLS == ["cell", "row"]
+    assert db.node_states(cid)["cell"].attempts == 2
 
 
 def test_unknown_executor_kind_is_a_stored_failure(db):

@@ -138,15 +138,6 @@ def test_requeue_expired_recovers_dead_worker(clocked):
     assert queue.claim("w2").worker == "w2"
 
 
-def test_requeue_forces_a_running_job_back(queue):
-    job = queue.submit("work")
-    queue.claim("w1")
-    requeued = queue.requeue(job.id)
-    assert requeued.status == "pending"
-    assert requeued.attempts == 0
-    assert queue.requeue(job.id) is None  # only running rows move
-
-
 def test_heartbeat_extends_lease_and_detects_loss(clocked):
     queue, clock = clocked
     job = queue.submit("work", lease_ttl=30.0)

@@ -262,8 +262,9 @@ class TestFailureModes:
             # Both waiters are answered now, not at their timeout.
             join_all([stuck, queued])
             assert "closed while queued" in str(errors["queued"])
+            assert type(errors["queued"]) is ServerBusyError
             assert "closed while predicting" in str(errors["in_flight"])
-            assert type(errors["in_flight"]) is ServingError
+            assert type(errors["in_flight"]) is ServerBusyError
             assert batcher._dispatcher.is_alive()
         finally:
             held.release.set()
@@ -302,7 +303,7 @@ class TestFailureModes:
     def test_submit_after_close_refused(self):
         batcher = MicroBatcher(fake_predict)
         batcher.close()
-        with pytest.raises(ServingError, match="closed"):
+        with pytest.raises(ServerBusyError, match="closed"):
             batcher.submit([1])
 
     def test_close_is_idempotent(self):

@@ -303,6 +303,63 @@ class TestBackpressure:
                 held.release.set()
 
 
+class TestClosedBatcher:
+    """A request that reaches a closed batcher is told to retry (503):
+    the bundle exists, only its batcher went away."""
+
+    def test_request_to_a_closed_batcher_is_503(self, server, newcomers):
+        closed = MicroBatcher(server.app.service("wl").predict)
+        closed.close()
+        with serving_through(server, closed):
+            status, payload, headers = server.app.handle(
+                "POST", "/predict", {},
+                {"graphs": [graph_to_wire(newcomers[0])]},
+            )
+        assert status == 503
+        assert float(headers["Retry-After"]) > 0
+        assert payload["error"]["message"] == "MicroBatcher is closed"
+
+    def test_request_queued_when_a_retrain_closes_the_batcher_is_503(
+        self, server, newcomers
+    ):
+        held = HeldPredict(server.app.service("wl").predict)
+        batcher = MicroBatcher(held)
+        replies = []
+        with serving_through(server, batcher):
+            try:
+                in_flight = threading.Thread(
+                    target=lambda: batcher.submit([newcomers[0]], timeout=PATIENCE)
+                )
+                in_flight.start()
+                assert held.started.wait(PATIENCE)
+                queued = threading.Thread(
+                    target=lambda: replies.append(server.app.handle(
+                        "POST", "/predict", {},
+                        {"graphs": [graph_to_wire(newcomers[1])]},
+                    ))
+                )
+                queued.start()
+                wait_queued(batcher, 1)
+                # What a finished /train does; it blocks on the held
+                # predict, but answers the queued request first.
+                retrain = threading.Thread(
+                    target=server.app.invalidate, args=("wl",)
+                )
+                retrain.start()
+                queued.join(PATIENCE)
+                assert not queued.is_alive()
+            finally:
+                held.release.set()
+            retrain.join(PATIENCE)
+            in_flight.join(PATIENCE)
+            assert not retrain.is_alive() and not in_flight.is_alive()
+        ((status, payload, headers),) = replies
+        assert status == 503
+        assert float(headers["Retry-After"]) > 0
+        assert payload["error"]["message"] == "MicroBatcher closed while queued"
+        assert held.calls == [[newcomers[0]]]
+
+
 class TestTrainEndpoint:
     def test_train_then_predict_roundtrip(self, server, newcomers):
         status, job = _post(

@@ -119,7 +119,7 @@ class TestServingEquivalence:
         kernel = _serving_kernels(train_graphs)["QJSK"]
         bundle = train_bundle(kernel, train_graphs, train_y, c=C)
         whole = PredictionService(bundle).predict(new_graphs)
-        chunked = PredictionService(bundle, batch_size=1).predict(new_graphs)
+        chunked = PredictionService(bundle, max_block_graphs=1).predict(new_graphs)
         assert np.array_equal(whole.labels, chunked.labels)
         assert np.allclose(whole.margins, chunked.margins, atol=1e-10)
 

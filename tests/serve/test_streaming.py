@@ -104,6 +104,28 @@ class TestMaxBlockGraphs:
         service.predict(newcomers)
         assert calls["n"] == len(newcomers) * len(train_graphs) + len(newcomers)
 
+    def test_newcomers_prepared_once_per_chunk(self, split):
+        """The cross block and the cosine self-similarities share one
+        prepare of each chunk's newcomers."""
+        train_graphs, train_y, newcomers = split
+
+        prepared = []
+        original = QJSKUnaligned.prepare
+
+        class _Counting(QJSKUnaligned):
+            def prepare(self, graphs):
+                prepared.append(len(graphs))
+                return original(self, graphs)
+
+        bundle = train_bundle(
+            _Counting(), train_graphs, train_y, c=C, normalize=True
+        )
+        service = PredictionService(bundle, max_block_graphs=2)
+        service.predict(newcomers)  # also prepares the training states
+        prepared.clear()
+        service.predict(newcomers)
+        assert prepared == [2, 2]
+
     def test_validation(self, bundle):
         with pytest.raises(ValidationError, match="max_block_graphs"):
             PredictionService(bundle, max_block_graphs=0)
