@@ -85,16 +85,29 @@ def cluster_means(
 ) -> np.ndarray:
     """Per-cluster means of ``points``; empty clusters keep ``initial``'s row.
 
-    One stable sort lays each cluster's points out contiguously in their
-    original order, so each mean reduces the same values in the same order
-    as ``points[assignments == c].mean(axis=0)``: bitwise the same result,
-    without a boolean mask per cluster. The sort key is the narrowest
-    unsigned type that holds the cluster indices, so that numpy can
-    radix-sort it. Each mean is ``np.add.reduce`` over the slice divided
-    by the count: the reduction and division ``ndarray.mean`` performs,
-    without its Python wrapper.
+    Each mean equals ``points[assignments == c].mean(axis=0)`` bit for bit,
+    without a boolean mask per cluster. On ``(n, d ≥ 2)`` points that mean
+    adds the members to +0.0 row by row in index order, and so does a
+    weighted ``bincount`` per coordinate; both sums are divided by the
+    count. (Both start from +0.0, so members that are all −0.0 give +0.0.)
+
+    1-D points (and one column) reduce pairwise, so those means keep one
+    stable sort that lays each cluster's points out contiguously in their
+    original order, then ``np.add.reduce`` over each slice divided by the
+    count. The sort key is the narrowest unsigned type that holds the
+    cluster indices, so that numpy can radix-sort it.
     """
     counts = np.bincount(assignments, minlength=len(initial))
+    if points.ndim == 2 and points.shape[1] > 1:
+        sums = np.stack(
+            [np.bincount(assignments, weights=column, minlength=len(initial))
+             for column in points.T],
+            axis=1,
+        )
+        filled = counts > 0
+        means = initial.copy()
+        means[filled] = sums[filled] / counts[filled, None]
+        return means
     ends = np.cumsum(counts)
     key = assignments.astype(np.min_scalar_type(len(initial)))
     grouped = np.take(points, np.argsort(key, kind="stable"), axis=0)

@@ -14,7 +14,6 @@ alignment of HAQJSK removes.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.errors import AlignmentError
 from repro.utils.linalg import eigh_sorted
@@ -46,6 +45,8 @@ def umeyama_correspondence(
     index ``i`` of (padded) ``matrix_p``. Solved optimally with the
     Hungarian algorithm on the Umeyama similarity.
     """
+    from scipy.optimize import linear_sum_assignment
+
     similarity = umeyama_similarity(matrix_p, matrix_q)
     rows, cols = linear_sum_assignment(-similarity)
     size = similarity.shape[0]

@@ -15,8 +15,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import shortest_path
 
 from repro.errors import GraphError, ValidationError
 from repro.utils.caching import cached_on_instance
@@ -166,8 +164,12 @@ class Graph:
         frontier matmul is faster on ~100-vertex graphs but costs
         O(diameter·n³), far more on large sparse graphs. The adjacency is
         symmetric by construction, so the directed search finds the same
-        hops without building a transpose.
+        hops without building a transpose. scipy is imported on the first
+        call, so ``import repro`` does not load it.
         """
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import shortest_path
+
         hops = shortest_path(
             csr_array(self._adjacency), method="D", unweighted=True, directed=True
         )

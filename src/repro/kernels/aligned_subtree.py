@@ -15,7 +15,6 @@ ensure_psd=True)`` is used before SVM training, matching common practice.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.alignment.depth_based import DBRepresentationExtractor
 from repro.graphs.graph import Graph
@@ -76,6 +75,8 @@ class AlignedSubtreeKernel(PairwiseKernel):
         return states
 
     def pair_value(self, state_a, state_b) -> float:
+        from scipy.optimize import linear_sum_assignment
+
         reps_a, labels_a = state_a
         reps_b, labels_b = state_b
         # Optimal assignment on squared representation distances.

@@ -16,7 +16,6 @@ The Table IV row "QJSK" is the unaligned variant, matching ref. [41].
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.alignment.umeyama import permute_with, umeyama_correspondence
 from repro.backend import active_policy
@@ -213,6 +212,8 @@ class QJSKAligned(PairwiseKernel):
         pair, and all mixed-state entropies of a common size are solved
         with stacked ``eigvalsh`` calls.
         """
+        from scipy.optimize import linear_sum_assignment
+
         cache: dict = {}
 
         # (padded matrix, |eigenvectors|, entropy) per (state, pad size).

@@ -12,7 +12,6 @@ guaranteed PD; ``ensure_psd=True`` repairs the Gram matrix for the SVM.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.graphs.graph import Graph
 from repro.kernels.base import KernelTraits, PairwiseKernel
@@ -80,6 +79,8 @@ class RenyiEntropyKernel(PairwiseKernel):
         return [renyi2_db_representations(g, self.n_layers) for g in graphs]
 
     def pair_value(self, state_a, state_b) -> float:
+        from scipy.optimize import linear_sum_assignment
+
         diffs = state_a[:, None, :] - state_b[None, :, :]
         sq_dists = np.sum(diffs**2, axis=2)
         rows, cols = linear_sum_assignment(sq_dists)

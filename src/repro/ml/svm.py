@@ -82,7 +82,10 @@ class BinarySVM:
         """``f(x) = sum_i alpha_i y_i K(x_i, x) + bias`` per row.
 
         ``kernel_rows[t, i]`` must be the kernel between test point ``t``
-        and training point ``i``.
+        and training point ``i``. Each row's value is the same bytes
+        whatever rows share the call: on C-contiguous rows ``einsum``
+        reduces every row with one inner loop, where ``rows @ dual_coef_``
+        takes a BLAS path chosen by the row count.
         """
         if self.dual_coef_ is None:
             raise NotFittedError("BinarySVM must be fitted before prediction")
@@ -92,7 +95,8 @@ class BinarySVM:
                 f"kernel_rows must be (n_test, {self.dual_coef_.shape[0]}), "
                 f"got {rows.shape}"
             )
-        return rows @ self.dual_coef_ + self.bias_
+        coef = self.dual_coef_
+        return np.einsum("ij,j->i", np.ascontiguousarray(rows), coef) + self.bias_
 
     def predict(self, kernel_rows: np.ndarray) -> np.ndarray:
         """Class predictions in {-1, +1} (ties resolve to +1)."""

@@ -24,10 +24,12 @@ the requests that would otherwise queue behind each other.
 
 The identity guarantee (tested in ``tests/serve`` and asserted by
 ``benchmarks/bench_http_serve.py``): each waiter's slice equals what a
-solo ``predict`` over just its graphs would have returned, because cross
-rows are computed row-independently — coalescing changes *when* rows are
-computed, never their values' meaning. Batching is therefore a pure
-throughput switch: ``batching=False`` degrades to per-request calls.
+solo ``predict`` over just its graphs would have returned, labels, votes
+and margins byte for byte, because cross rows, their conditioning and
+each machine's decision value are computed row-independently —
+coalescing changes *when* rows are computed, never their values.
+Batching is therefore a pure throughput switch: ``batching=False``
+degrades to per-request calls.
 
 Backpressure is explicit: past ``max_queue_graphs`` queued graphs,
 :meth:`submit` raises :class:`~repro.errors.ServerBusyError` (→ HTTP 503

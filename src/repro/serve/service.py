@@ -71,8 +71,8 @@ class PredictionService:
         block, conditioning, voting — in row chunks of at most this many
         newcomer graphs, so even a single huge arrival batch materialises
         at most ``max_block_graphs × N`` kernel values at any moment
-        (only the O(ΔN × classes) votes/margins accumulate). Results are
-        identical to the one-shot rectangle, row for row.
+        (only the O(ΔN × classes) votes/margins accumulate). Labels,
+        votes and margins are the one-shot rectangle's bytes, row for row.
     """
 
     def __init__(

@@ -4,7 +4,8 @@ The library's Lloyd loop recomputes only the distances its bounds cannot
 settle, and computes those with the same operations in the same order as
 the reference, so every fit must match it byte for byte. The inputs
 cover the cases where the summation differs by shape (d = 1 means reduce
-pairwise, d >= 2 row by row), duplicate rows with more clusters than
+pairwise, d >= 2 row by row), a coordinate whose members are all -0.0
+(every mean sums from +0.0, so it averages to +0.0), duplicate rows with more clusters than
 distinct rows (empty-cluster re-seeding), warm starts with fewer and more
 rows than clusters, and a fit stopped by ``max_iter``. The pruning adds
 its own fragile cases: points far from the origin, where the rounding of
@@ -72,6 +73,7 @@ CASES = {
     "warm-more-rows": (_normal(200, 3), 6, {"init_centers": _normal(9, 3, seed=6)}),
     "warm-d1-fewer-rows": (_normal(150, 1), 5, {"init_centers": _normal(3, 1, seed=7)}),
     "capped": (_normal(600, 4, seed=2), 24, {"max_iter": 3}),
+    "negative-zero-column": (np.column_stack([_normal(200, 2), np.full(200, -0.0)]), 5, {}),
 }
 
 

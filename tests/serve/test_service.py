@@ -18,7 +18,8 @@ import sys
 import numpy as np
 import pytest
 
-from repro.api import ExecutionContext
+from repro.api import ExecutionContext, KernelSpec, Session
+from repro.datasets import load_dataset
 from repro.errors import KernelError, ServingError, ValidationError
 from repro.graphs import generators as gen
 from repro.kernels import HAQJSKKernelD, QJSKUnaligned, WeisfeilerLehmanKernel
@@ -453,3 +454,45 @@ class TestConcurrentUse:
         assert not errors, errors
         for got, want in zip(outcomes, expected):
             assert np.array_equal(got, want)
+
+
+#: (training collection, newcomers): a binary and a 5-class problem.
+_MARGIN_COLLECTIONS = {
+    "MUTAG": (dict(scale=0.25, seed=0), dict(scale=0.1, seed=1)),
+    "PPIs": (
+        dict(scale=0.1, size_scale=0.3, seed=0),
+        dict(scale=0.05, size_scale=0.3, seed=1),
+    ),
+}
+
+
+class TestMarginsIndependentOfBatch:
+    """A newcomer's margins are the same bytes whichever graphs share its
+    predict: one batch, chunks of 1 and 3, or one predict per graph (the
+    batcher's "equals solo predicts" promise)."""
+
+    @pytest.mark.parametrize("spec", [
+        KernelSpec("HAQJSK(D)", n_prototypes=8, n_levels=2),
+        KernelSpec("QJSK"),
+        KernelSpec("WLSK"),
+    ], ids=lambda spec: spec.name)
+    @pytest.mark.parametrize("dataset", sorted(_MARGIN_COLLECTIONS))
+    def test_margins_bytes(self, dataset, spec):
+        train_kw, new_kw = _MARGIN_COLLECTIONS[dataset]
+        train = load_dataset(dataset, **train_kw)
+        newcomers = load_dataset(dataset, **new_kw).graphs
+        bundle = Session(ExecutionContext()).train(spec, train, c=C)
+        service = PredictionService(bundle)
+        batch = service.predict(newcomers)
+        assert len(batch.classes) == (2 if dataset == "MUTAG" else 5)
+        solo = [service.predict([g]) for g in newcomers]
+        chunked = [
+            PredictionService(bundle, max_block_graphs=size).predict(newcomers)
+            for size in (1, 3)
+        ]
+        stacked = np.vstack([result.margins for result in solo])
+        assert stacked.tobytes() == batch.margins.tobytes()
+        for result in chunked:
+            assert result.margins.tobytes() == batch.margins.tobytes()
+            assert np.array_equal(result.labels, batch.labels)
+        assert np.array_equal(np.concatenate([r.labels for r in solo]), batch.labels)
