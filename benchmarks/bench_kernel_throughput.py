@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 from repro.backend import (
     DEFAULT_CHEBYSHEV_DEGREE,
     ComputePolicy,
@@ -24,7 +25,7 @@ from repro.backend import (
     policy_scope,
 )
 from repro.datasets import load_dataset
-from repro.engine import default_engine_name, resolve_engine
+from repro.engine import resolve_engine
 from repro.experiments.config import TABLE4_KERNELS
 from repro.kernels.registry import lenient_spec
 
@@ -74,7 +75,7 @@ def test_bench_gram_throughput(name, probe_graphs, benchmark):
         kernel.gram, args=(probe_graphs,), kwargs={"normalize": True},
         rounds=3, iterations=1, warmup_rounds=1,
     )
-    benchmark.extra_info["gram_engine"] = default_engine_name()
+    benchmark.extra_info["gram_engine"] = ExecutionContext().resolved_engine().name
     assert gram.shape == (len(probe_graphs), len(probe_graphs))
 
 

@@ -1,11 +1,24 @@
-"""Legacy setup shim.
+"""Packaging metadata for ``repro``.
 
-The offline environment ships setuptools without the ``wheel`` package, so
-PEP 517 editable installs fail with ``invalid command 'bdist_wheel'``. This
-shim lets ``pip install -e . --no-build-isolation --no-use-pep517`` (or plain
-``python setup.py develop``) work; all metadata lives in pyproject.toml.
+The package lives under ``src/``. ``python setup.py develop`` links it
+into the current environment, which needs only setuptools (no ``wheel``);
+running from a checkout needs no install at all: ``export PYTHONPATH=src``.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+_VERSION = re.search(
+    r'^__version__ = "([^"]+)"', _INIT.read_text(), re.MULTILINE
+).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+)

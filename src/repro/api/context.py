@@ -1,4 +1,4 @@
-"""ExecutionContext — the one per-call selector of execution policy.
+"""ExecutionContext — the one selector of execution policy.
 
 :class:`ExecutionContext` bundles every execution knob (engine, tile
 size, sink factory, store, tile checkpointing, normalisation policy and
@@ -12,9 +12,16 @@ experiment runners:
     kernel.gram(graphs, ctx=ctx)
     cross_validate_graph_kernel(kernel, graphs, labels, ctx=ctx)
 
-``ctx=None`` means ``ExecutionContext()``. The Gram engine resolves
-``ctx.engine`` → ``REPRO_GRAM_ENGINE`` → ``"batched"``; the ``REPRO_*``
-environment is the process-wide default, never a per-call override.
+A context means exactly its fields. ``ctx=None`` means
+``ExecutionContext()``, and an unset field is the library default: the
+``batched`` engine at its own tile size, the float64/eig reference
+policy, no store. :meth:`ExecutionContext.resolved_engine` turns a
+context into the engine every Gram under it runs on.
+
+The ``REPRO_*`` environment enters in one place,
+:meth:`ExecutionContext.from_env`: ``Session()``, the CLIs and the HTTP
+server build their context there, and nothing beneath a context reads
+the environment.
 
 Cross-knob consistency rules live in :meth:`ExecutionContext.validate`,
 so an invalid combination (``ensure_psd`` against an out-of-core sink,
@@ -29,18 +36,27 @@ import copy
 import os
 from dataclasses import dataclass, replace
 
-from repro.backend import ENTROPY_ENV_VAR, PRECISION_ENV_VAR, ComputePolicy
-from repro.engine.base import (
-    ENGINE_ENV_VAR,
-    GramEngine,
-    resolve_engine,
-)
-from repro.engine.tiles import TILE_ENV_VAR, DenseSink, GramSink
+from repro.backend import ComputePolicy
+from repro.engine.base import GramEngine, resolve_engine
+from repro.engine.tiles import DenseSink, GramSink
 from repro.errors import ValidationError
 
-#: Environment variable pointing the harness at a persistent store
-#: (shared definition with ``repro.experiments.config``).
+#: The environment :meth:`ExecutionContext.from_env` reads, one variable
+#: per field: backend name, tile size, store address, compute precision
+#: and entropy path.
+ENGINE_ENV_VAR = "REPRO_GRAM_ENGINE"
+TILE_ENV_VAR = "REPRO_GRAM_TILE"
 STORE_ENV_VAR = "REPRO_STORE"
+PRECISION_ENV_VAR = "REPRO_PRECISION"
+ENTROPY_ENV_VAR = "REPRO_ENTROPY"
+
+_ENV_FIELDS = (
+    ("engine", ENGINE_ENV_VAR),
+    ("tile_size", TILE_ENV_VAR),
+    ("store", STORE_ENV_VAR),
+    ("precision", PRECISION_ENV_VAR),
+    ("entropy", ENTROPY_ENV_VAR),
+)
 
 
 def _engine_name(engine) -> "str | None":
@@ -60,11 +76,9 @@ class ExecutionContext:
     engine:
         Gram backend — a name (``"serial"`` / ``"batched"`` /
         ``"process"``), a configured :class:`GramEngine` instance, or
-        ``None`` for the process-wide default (``REPRO_GRAM_ENGINE``,
-        else ``"batched"``).
+        ``None`` for ``"batched"``.
     tile_size:
-        Explicit tile-plan edge, overriding the backend default and the
-        ``REPRO_GRAM_TILE`` environment variable.
+        Explicit tile-plan edge, overriding the engine's own.
     store:
         An :class:`~repro.store.ArtifactStore`, a store *address* string
         (``dir:/path``, a bare directory path, or ``mem:name`` — see
@@ -90,9 +104,8 @@ class ExecutionContext:
         Compute-policy knobs (see :class:`repro.backend.ComputePolicy`):
         the compute precision (``"float64"`` / ``"float32"``) and the
         entropy path (``"eig"`` / ``"chebyshev"`` / ``"auto"``). ``None``
-        falls back to the ``REPRO_PRECISION`` / ``REPRO_ENTROPY``
-        environment, else the bit-stable float64/eig reference. Field
-        values are validated at construction.
+        is the bit-stable float64/eig reference. Field values are
+        validated at construction.
     """
 
     engine: "GramEngine | str | None" = None
@@ -126,11 +139,7 @@ class ExecutionContext:
                 "single-use — wrap it: sink_factory=lambda: sink)"
             )
         # A typo'd precision/entropy raises a named BackendError.
-        if self.has_compute_fields():
-            ComputePolicy(
-                precision=self.precision or "float64",
-                entropy=self.entropy or "eig",
-            )
+        self.compute_policy()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -140,39 +149,31 @@ class ExecutionContext:
     def from_env(cls, **overrides) -> "ExecutionContext":
         """The context the ``REPRO_*`` environment describes.
 
-        Reads ``REPRO_GRAM_ENGINE`` (backend name), ``REPRO_GRAM_TILE``
-        (tile size) and ``REPRO_STORE`` (a store address: ``dir:/path``,
-        a bare directory — created if missing, with a named
+        The one place the library reads its execution environment:
+        ``REPRO_GRAM_ENGINE`` (backend name), ``REPRO_GRAM_TILE`` (tile
+        size), ``REPRO_STORE`` (a store address: ``dir:/path``, a bare
+        directory — created if missing, with a named
         :class:`~repro.errors.ValidationError` citing the path when that
-        fails — or ``mem:name``); keyword ``overrides`` replace any
-        field afterwards. This is how the experiment runners and the
-        serve CLI build their default context, so one environment drives
-        every entry point.
+        fails — or ``mem:name``), ``REPRO_PRECISION`` and
+        ``REPRO_ENTROPY``. Unset variables leave their field unset;
+        keyword ``overrides`` replace any field afterwards.
+        ``Session()``, the experiment runners, the serve CLI and the HTTP
+        server build their context here, so one environment drives every
+        entry point.
         """
         values: dict = {}
-        engine = os.environ.get(ENGINE_ENV_VAR, "").strip()
-        if engine:
-            values["engine"] = engine
-        tile = os.environ.get(TILE_ENV_VAR, "").strip()
-        if tile:
-            try:
-                values["tile_size"] = int(tile)
-            except ValueError:
-                raise ValidationError(
-                    f"{TILE_ENV_VAR} must be an integer, got {tile!r}"
-                ) from None
-        root = os.environ.get(STORE_ENV_VAR, "").strip()
-        if root:
-            from repro.store import ArtifactStore
-
-            values["store"] = ArtifactStore(root)
-        for env_var, field in (
-            (PRECISION_ENV_VAR, "precision"),
-            (ENTROPY_ENV_VAR, "entropy"),
-        ):
+        for field, env_var in _ENV_FIELDS:
             raw = os.environ.get(env_var, "").strip()
             if raw:
                 values[field] = raw
+        if "tile_size" in values:
+            try:
+                values["tile_size"] = int(values["tile_size"])
+            except ValueError:
+                raise ValidationError(
+                    f"{TILE_ENV_VAR} must be an integer, "
+                    f"got {values['tile_size']!r}"
+                ) from None
         values.update(overrides)
         return cls(**values)
 
@@ -215,50 +216,37 @@ class ExecutionContext:
     # Resolution helpers the entry points consume
     # ------------------------------------------------------------------ #
 
-    def has_compute_fields(self) -> bool:
-        """Whether any compute-policy knob is explicitly set."""
-        return self.precision is not None or self.entropy is not None
-
     def compute_policy(self) -> ComputePolicy:
-        """The :class:`~repro.backend.ComputePolicy` this context selects.
+        """The :class:`~repro.backend.ComputePolicy` this context selects:
+        its ``precision`` / ``entropy`` fields, the float64/eig reference
+        for any it leaves unset."""
+        fields = {"precision": self.precision, "entropy": self.entropy}
+        return ComputePolicy(
+            **{name: value for name, value in fields.items() if value is not None}
+        )
 
-        Explicit fields win; unset fields fall back to the ``REPRO_*``
-        environment (then the reference defaults), so a context created
-        with no compute knobs still reports the policy that actually ran.
+    def resolved_engine(self) -> GramEngine:
+        """The :class:`~repro.engine.GramEngine` every Gram under this
+        context runs on.
+
+        A backend name (``None`` means ``"batched"``) resolves to a fresh
+        instance. An engine instance is copied: its own tile size, policy
+        and worker count carry over, and the caller's object is never
+        touched. The context's ``tile_size`` and compute policy override
+        the engine's only when the context sets them; the engine installs
+        its policy around the tile stream with
+        :func:`repro.backend.policy_scope`, and an engine without one
+        lets the ambient policy show through.
         """
-        overrides = {
-            field: value
-            for field, value in (
-                ("precision", self.precision),
-                ("entropy", self.entropy),
-            )
-            if value is not None
-        }
-        return ComputePolicy.from_env(**overrides)
-
-    def engine_argument(self) -> "GramEngine | str | None":
-        """The ``engine`` value to hand the Gram machinery.
-
-        Without a ``tile_size`` or compute-policy field this is just the
-        ``engine`` field — ``None`` leaves the choice to
-        :func:`~repro.engine.resolve_engine` (``REPRO_GRAM_ENGINE``, else
-        ``"batched"``). Otherwise the engine is materialised and cloned
-        with the context's tile size and compute policy, so both
-        overrides survive however deep the engine travels (the engine
-        installs the policy around its tile stream with
-        :func:`repro.backend.policy_scope`).
-        """
-        engine = self.engine
-        if self.tile_size is None and not self.has_compute_fields():
-            return engine
-        resolved = resolve_engine(engine)
-        if isinstance(engine, GramEngine):
-            resolved = copy.copy(resolved)
+        if isinstance(self.engine, GramEngine):
+            engine = copy.copy(self.engine)
+        else:
+            engine = resolve_engine(self.engine)
         if self.tile_size is not None:
-            resolved.tile_size = int(self.tile_size)
-        if self.has_compute_fields():
-            resolved.policy = self.compute_policy()
-        return resolved
+            engine.tile_size = int(self.tile_size)
+        if self.precision is not None or self.entropy is not None:
+            engine.policy = self.compute_policy()
+        return engine
 
     def make_sink(self) -> GramSink:
         """A fresh sink from the factory, or a fresh in-memory
@@ -302,9 +290,9 @@ class ExecutionContext:
         name only, and :meth:`from_record` refuses records carrying one
         (rebuild the factory at the call site instead).
         ``precision`` / ``entropy`` are recorded *resolved* (explicit
-        field, else environment, else reference default): the record
-        describes the compute policy that actually ran, and resolution is
-        a fixed point so records round-trip.
+        field, else the reference default): the record describes the
+        compute policy that actually ran, and resolution is a fixed point
+        so records round-trip.
         """
         sink_name = None
         if self.sink_factory is not None:

@@ -15,6 +15,10 @@ or, end to end, through the execution context:
 
     ctx = ExecutionContext(precision="float32", entropy="auto")
 
+Outside any scope the policy is the reference; the ``REPRO_PRECISION``
+and ``REPRO_ENTROPY`` environment variables enter only through
+:meth:`repro.api.ExecutionContext.from_env`.
+
 The default policy (float64 / eig) is the exact reference: mixed states
 are solved on their exact support (:mod:`repro.backend.support`, ≤1e-12
 from the dense solve) and every engine and tiling agrees bitwise; the
@@ -27,9 +31,7 @@ from __future__ import annotations
 from repro.backend.chebyshev import chebyshev_entropies
 from repro.backend.policy import (
     DEFAULT_CHEBYSHEV_DEGREE,
-    ENTROPY_ENV_VAR,
     ENTROPY_PATHS,
-    PRECISION_ENV_VAR,
     REFERENCE_POLICY,
     ComputePolicy,
     active_policy,
@@ -41,9 +43,7 @@ from repro.backend.policy import (
 __all__ = [
     "ComputePolicy",
     "DEFAULT_CHEBYSHEV_DEGREE",
-    "ENTROPY_ENV_VAR",
     "ENTROPY_PATHS",
-    "PRECISION_ENV_VAR",
     "REFERENCE_POLICY",
     "active_policy",
     "chebyshev_entropies",

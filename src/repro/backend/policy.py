@@ -22,16 +22,16 @@ dense arithmetic bit for bit. A pair's solve depends only on its own two
 matrices, so batched, process, tiled and distributed Grams agree with
 each other bitwise.
 
-Kernels read the ambient policy through :func:`active_policy`; engines
-install their context's policy around the tile stream with
-:func:`policy_scope` (thread-local, so concurrent sessions don't leak
-policies into each other). :func:`collect_phase_timings` exposes the
-assembly / eig / reduce wall-clock split the throughput bench records.
+Kernels read the ambient policy through :func:`active_policy` (the
+reference outside any scope); engines install their context's policy
+around the tile stream with :func:`policy_scope` (thread-local, so
+concurrent sessions don't leak policies into each other).
+:func:`collect_phase_timings` exposes the assembly / eig / reduce
+wall-clock split the throughput bench records.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -50,12 +50,6 @@ from repro.backend.support import (
 )
 from repro.errors import BackendError
 from repro.utils.linalg import symmetrize as _symmetrize
-
-#: Environment variable selecting the process-wide compute precision.
-PRECISION_ENV_VAR = "REPRO_PRECISION"
-
-#: Environment variable selecting the process-wide entropy path.
-ENTROPY_ENV_VAR = "REPRO_ENTROPY"
 
 #: Precision names a policy accepts, and the dtypes they compute in.
 _DTYPES = {"float64": np.float64, "float32": np.float32}
@@ -125,24 +119,6 @@ class ComputePolicy:
     # ------------------------------------------------------------------ #
     # Construction / description
     # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_env(cls, **overrides) -> "ComputePolicy":
-        """The policy the ``REPRO_*`` environment describes.
-
-        Reads ``REPRO_PRECISION`` and ``REPRO_ENTROPY``; keyword
-        ``overrides`` replace fields after.
-        """
-        values: dict = {}
-        for env_var, field in (
-            (PRECISION_ENV_VAR, "precision"),
-            (ENTROPY_ENV_VAR, "entropy"),
-        ):
-            raw = os.environ.get(env_var, "").strip()
-            if raw:
-                values[field] = raw
-        values.update(overrides)
-        return cls(**values)
 
     def replace(self, **changes) -> "ComputePolicy":
         """A copy with ``changes`` applied (policies are immutable)."""
@@ -315,19 +291,18 @@ REFERENCE_POLICY = ComputePolicy()
 
 
 # --------------------------------------------------------------------- #
-# Ambient policy (thread-local, environment fallback)
+# Ambient policy (thread-local, reference fallback)
 # --------------------------------------------------------------------- #
 
 
 def active_policy() -> ComputePolicy:
-    """The innermost :func:`policy_scope` policy, else the environment's.
+    """The innermost :func:`policy_scope` policy, else the reference.
 
-    Kernels call this once per tile; outside any scope the policy comes
-    from ``REPRO_PRECISION`` / ``REPRO_ENTROPY`` so standalone
-    ``block_values`` calls honour the environment too.
+    Kernels call this once per tile; outside any scope (a standalone
+    ``block_values`` call) it is :data:`REFERENCE_POLICY`.
     """
     policy = getattr(_STATE, "policy", None)
-    return policy if policy is not None else ComputePolicy.from_env()
+    return policy if policy is not None else REFERENCE_POLICY
 
 
 def scoped_policy() -> "ComputePolicy | None":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.api.context import as_context
 from repro.errors import CampaignError
 from repro.store.artifacts import artifact_key
 
@@ -42,12 +43,10 @@ def context_cache_record(ctx) -> dict:
     (float32, Chebyshev), normalisation policy changes numbers,
     scheduling and persistence do not.
     """
-    if ctx is None:
-        record = {}
-    elif isinstance(ctx, dict):
+    if isinstance(ctx, dict):
         record = ctx
     else:
-        record = ctx.to_record()
+        record = as_context(ctx, owner="context_cache_record").to_record()
     return {name: record.get(name) for name in _VALUE_FIELDS}
 
 

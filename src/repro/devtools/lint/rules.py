@@ -587,6 +587,70 @@ def _parse_all(source: str) -> "tuple[list[str] | None, int]":
 
 
 # --------------------------------------------------------------------- #
+# REPRO010 — environment discipline
+# --------------------------------------------------------------------- #
+
+#: The library's environment readers: the execution context
+#: (``ExecutionContext.from_env``) and the registry's protocol-scale
+#: switch ``REPRO_FULL_SCALE``, which enters kernel fingerprints.
+_ENV_READERS = frozenset({
+    "src/repro/api/context.py",
+    "src/repro/kernels/registry.py",
+})
+
+
+@register_rule(
+    "REPRO010",
+    name="environment-discipline",
+    rationale=(
+        "Execution is selected in one place: only ExecutionContext.from_env "
+        "reads the REPRO_* environment. A read anywhere else is a hidden "
+        "second selector beneath an explicit context, and the records, "
+        "node keys and report footers built from that context would no "
+        "longer describe the run. Writes stay legal."
+    ),
+)
+def check_environment_discipline(ctx):
+    if not ctx.in_repro_source() or ctx.path in _ENV_READERS:
+        return
+    rule = check_environment_discipline._rule
+    environ, getenv = {"os.environ"}, {"os.getenv"}
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            for alias in node.names:
+                if alias.name == "environ":
+                    environ.add(alias.asname or alias.name)
+                elif alias.name == "getenv":
+                    getenv.add(alias.asname or alias.name)
+    for node in ast.walk(ctx.tree):
+        read = None
+        if isinstance(node, ast.Call):
+            func = _dotted(node.func)
+            if func in getenv or (
+                func.endswith(".get") and func[: -len(".get")] in environ
+            ):
+                read = f"{func}()"
+        elif (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Load)
+            and _dotted(node.value) in environ
+        ):
+            read = f"{_dotted(node.value)}[...]"
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.In, ast.NotIn)) and _dotted(right) in environ
+            for op, right in zip(node.ops, node.comparators)
+        ):
+            read = "`in os.environ`"
+        if read is not None:
+            yield ctx.finding(
+                rule, node,
+                f"{read} reads the environment outside "
+                "ExecutionContext.from_env — take a ctx= and let the entry "
+                "point build it from the environment",
+            )
+
+
+# --------------------------------------------------------------------- #
 # Back-references: each checker knows its Rule record (set at import).
 # --------------------------------------------------------------------- #
 
@@ -603,6 +667,7 @@ def _bind_rules() -> None:
         "REPRO007": check_mutable_defaults,
         "REPRO008": check_thread_hygiene,
         "REPRO009": check_public_surface,
+        "REPRO010": check_environment_discipline,
     }
     for rule in all_rules():
         if rule.id in checkers:

@@ -23,8 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.backend import ComputePolicy
-from repro.engine.base import resolve_engine
+from repro.api.context import ExecutionContext, as_context
 from repro.engine.tiles import TilePlan
 from repro.errors import DistributedError
 from repro.graphs.hashing import collection_digest
@@ -98,14 +97,16 @@ class JobSpec:
         """The kernel this job computes (spec-validated construction)."""
         return KernelSpec.from_dict(self.kernel_spec).make()
 
-    def compute_policy(self) -> ComputePolicy:
-        return ComputePolicy(precision=self.precision, entropy=self.entropy)
-
     def resolved_engine(self):
-        """A fresh engine instance pinned to the job's tile size."""
-        engine = resolve_engine(self.engine)
-        engine.tile_size = int(self.tile_size)
-        return engine
+        """A fresh engine pinned to the job's tile size and compute policy
+        (the context the job was submitted under, rebuilt from its
+        record)."""
+        return ExecutionContext(
+            engine=self.engine,
+            tile_size=self.tile_size,
+            precision=self.precision,
+            entropy=self.entropy,
+        ).resolved_engine()
 
     def plan(self) -> TilePlan:
         return TilePlan.gram(self.n_graphs, self.tile_size)
@@ -128,8 +129,6 @@ def job_spec_for(
     ``ctx`` (engine / tile size / compute policy resolved *now*, so every
     worker reproduces this exact schedule).
     """
-    from repro.api.context import as_context
-
     ctx = as_context(ctx, owner="job_spec_for")
     graphs = list(graphs)
     spec = as_spec(spec_or_name).resolved()
@@ -140,14 +139,14 @@ def job_spec_for(
             "genuine tile stream) — tiles cannot be distributed; use a "
             "streaming kernel (pairwise or feature-map families)"
         )
-    engine = resolve_engine(ctx.engine_argument())
+    engine = ctx.resolved_engine()
     policy = ctx.compute_policy()
     return JobSpec(
         kernel_spec=spec.to_dict(),
         collection=collection_digest(graphs),
         n_graphs=len(graphs),
         engine=engine.name,
-        tile_size=engine.resolved_tile_size(),
+        tile_size=engine.tile_size,
         precision=policy.precision,
         entropy=policy.entropy,
         normalize=bool(ctx.policy(normalize, "normalize", False)),

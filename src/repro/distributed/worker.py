@@ -130,7 +130,6 @@ class TileWorker:
         self.spec, self.graphs = load_job(self.store, self.job_id)
         self.kernel = self.spec.build_kernel()
         self.engine = self.spec.resolved_engine()
-        self.engine.policy = self.spec.compute_policy()
         self.plan = self.spec.plan()
         self.ledger = TileLedger(
             self.store, tile_keyer_for(self.kernel, self.graphs), self.plan

@@ -26,10 +26,10 @@ the kernels into three interchangeable backends:
 
 Selecting a backend
 -------------------
-The per-call selector is an :class:`~repro.api.ExecutionContext` — one
-frozen object carrying the backend (a name, a configured
-:class:`GramEngine` instance, or ``None`` for the default), the tile
-size, and the rest of the execution policy, threaded as ``ctx=``::
+The selector is an :class:`~repro.api.ExecutionContext` — one frozen
+object carrying the backend (a name, a configured :class:`GramEngine`
+instance, or ``None`` for ``"batched"``), the tile size, and the rest of
+the execution policy, threaded as ``ctx=``::
 
     from repro.api import ExecutionContext
 
@@ -39,11 +39,15 @@ size, and the rest of the execution policy, threaded as ``ctx=``::
     nystrom_gram(kernel, graphs, n_landmarks=32,
                  ctx=ExecutionContext(engine="batched"))
 
-Selection is ``ctx.engine`` → the ``REPRO_GRAM_ENGINE`` environment
-variable (the process-wide default) → ``"batched"``; the experiment
-harness records the active backend in every saved report. All three
-backends agree to ``1e-10`` on every pairwise kernel in the zoo —
-enforced by ``tests/engine/test_backends.py``.
+:meth:`ExecutionContext.resolved_engine
+<repro.api.ExecutionContext.resolved_engine>` turns a context into the
+engine every Gram under it runs on; the ``REPRO_GRAM_ENGINE`` and
+``REPRO_GRAM_TILE`` environment variables enter only through
+:meth:`ExecutionContext.from_env <repro.api.ExecutionContext.from_env>`
+(what ``Session()``, the CLIs and the server build their context with).
+The experiment harness records the engine that ran in every saved
+report. All three backends agree to ``1e-10`` on every pairwise kernel
+in the zoo — enforced by ``tests/engine/test_backends.py``.
 
 Tile streams and sinks
 ----------------------
@@ -58,35 +62,25 @@ artifact store so killed runs resume at tile granularity)::
     ctx = ExecutionContext(sink_factory=lambda: MemmapSink("big_gram.npy"))
     kernel.gram(graphs, ctx=ctx)
 
-Tile sizes resolve explicit ``tile_size=`` > ``REPRO_GRAM_TILE`` >
-per-backend default (batched 64, process 32, serial 128).
+An engine's tile size is the context's ``tile_size`` when set, else the
+engine's own (its constructor argument, else the per-backend default:
+batched 64, process 32, serial 128).
 """
 
 from repro.engine.base import (
-    ENGINE_ENV_VAR,
     ENGINES,
     GramEngine,
     available_engines,
-    default_engine_name,
     register_engine,
     resolve_engine,
 )
 from repro.engine.batched import BatchedEngine
 from repro.engine.process import ProcessEngine
 from repro.engine.serial import SerialEngine
-from repro.engine.tiles import (
-    TILE_ENV_VAR,
-    DenseSink,
-    GramSink,
-    MemmapSink,
-    TilePlan,
-    default_tile_size,
-)
+from repro.engine.tiles import DenseSink, GramSink, MemmapSink, TilePlan
 
 __all__ = [
-    "ENGINE_ENV_VAR",
     "ENGINES",
-    "TILE_ENV_VAR",
     "BatchedEngine",
     "DenseSink",
     "GramEngine",
@@ -96,8 +90,6 @@ __all__ = [
     "SerialEngine",
     "TilePlan",
     "available_engines",
-    "default_engine_name",
-    "default_tile_size",
     "register_engine",
     "resolve_engine",
 ]

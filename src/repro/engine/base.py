@@ -20,21 +20,20 @@ small protocol below; engines never import concrete kernels:
     backend agrees bit-for-bit on symmetry.
 
 Backends register themselves in :data:`ENGINES` and are resolved by name
-through :func:`resolve_engine`; ``None`` falls back to the process-wide
-default (the ``REPRO_GRAM_ENGINE`` environment variable, else
-``"batched"``). Tile sizes resolve the same way: explicit constructor
-argument > ``REPRO_GRAM_TILE`` > per-backend default.
+through :func:`resolve_engine`; ``None`` means ``"batched"``. An engine's
+tile size is its constructor argument, else its backend's
+``default_tile``. Which engine a Gram runs on is the execution context's
+decision (:meth:`repro.api.ExecutionContext.resolved_engine`).
 """
 
 from __future__ import annotations
 
 import abc
-import os
 
 import numpy as np
 
 from repro.backend import ComputePolicy, policy_scope
-from repro.engine.tiles import DenseSink, GramSink, TilePlan, default_tile_size
+from repro.engine.tiles import DenseSink, GramSink, TilePlan
 from repro.errors import KernelError
 
 #: Hard floor for tile sizes — degenerate tiling is always a bug.
@@ -54,8 +53,7 @@ class GramEngine(abc.ABC):
     #: Registry key; subclasses set it and appear in :data:`ENGINES`.
     name: str = "engine"
 
-    #: Per-backend tile-size fallback (overridden by ``REPRO_GRAM_TILE``
-    #: and by an explicit ``tile_size=`` constructor argument).
+    #: Per-backend tile size, used when the constructor gets none.
     default_tile: int = 64
 
     def __init__(
@@ -64,16 +62,11 @@ class GramEngine(abc.ABC):
         tile_size: "int | None" = None,
         policy: "ComputePolicy | None" = None,
     ) -> None:
-        self.tile_size = None if tile_size is None else int(tile_size)
+        size = self.default_tile if tile_size is None else tile_size
+        self.tile_size = max(int(size), _MIN_TILE)
         #: Compute policy installed around the tile stream (``None`` lets
         #: the ambient :func:`repro.backend.active_policy` show through).
         self.policy = policy
-
-    def resolved_tile_size(self) -> int:
-        """Explicit tile size > ``REPRO_GRAM_TILE`` > backend default."""
-        if self.tile_size is not None:
-            return max(self.tile_size, _MIN_TILE)
-        return default_tile_size(self.default_tile)
 
     # ------------------------------------------------------------------ #
     # Entry points (shared by every backend)
@@ -85,7 +78,7 @@ class GramEngine(abc.ABC):
         With a ``sink`` the result is whatever the sink materialises
         (ndarray, memmap); without one, a fresh in-memory ndarray.
         """
-        plan = TilePlan.gram(len(states), self.resolved_tile_size())
+        plan = TilePlan.gram(len(states), self.tile_size)
         return self.execute(kernel, plan, states, states, sink=sink)
 
     def cross_gram(
@@ -93,9 +86,7 @@ class GramEngine(abc.ABC):
         *, sink: "GramSink | None" = None,
     ):
         """Rectangular ``(len_a, len_b)`` Gram between two state lists."""
-        plan = TilePlan.cross(
-            len(states_a), len(states_b), self.resolved_tile_size()
-        )
+        plan = TilePlan.cross(len(states_a), len(states_b), self.tile_size)
         return self.execute(kernel, plan, states_a, states_b, sink=sink)
 
     def execute(
@@ -204,12 +195,6 @@ def symmetric_tile_pairs(n: int, tile_size: int):
 #: name -> engine factory (a zero-argument callable / class).
 ENGINES: "dict[str, type]" = {}
 
-#: Environment variable selecting the process-wide default backend.
-ENGINE_ENV_VAR = "REPRO_GRAM_ENGINE"
-
-#: Backend used when nothing else is specified.
-FALLBACK_ENGINE = "batched"
-
 
 def register_engine(cls):
     """Class decorator adding an engine to the registry under ``cls.name``."""
@@ -222,23 +207,17 @@ def available_engines() -> "tuple[str, ...]":
     return tuple(sorted(ENGINES))
 
 
-def default_engine_name() -> str:
-    """The process-wide default backend (env override, else batched)."""
-    name = os.environ.get(ENGINE_ENV_VAR, "").strip()
-    return name or FALLBACK_ENGINE
-
-
 def resolve_engine(engine: "GramEngine | str | None" = None) -> GramEngine:
     """Resolve an engine spec (instance, name, or ``None``) to an instance.
 
-    ``None`` selects :func:`default_engine_name`. Unknown names raise a
+    ``None`` selects ``"batched"``. Unknown names raise a
     :class:`~repro.errors.KernelError` listing the available backends, so a
     typo in ``REPRO_GRAM_ENGINE`` or a config file fails loudly.
     """
     if isinstance(engine, GramEngine):
         return engine
     if engine is None:
-        engine = default_engine_name()
+        engine = "batched"
     if not isinstance(engine, str):
         raise KernelError(
             f"engine must be a GramEngine, a backend name, or None; "

@@ -23,9 +23,8 @@ bytes do not depend on where it is assembled:
     keys, so a killed run resumes at tile granularity. It lives in the
     store layer — this module stays free of store dependencies.
 
-Tile sizes resolve explicit argument > ``REPRO_GRAM_TILE`` environment
-variable > per-backend default, mirroring how ``REPRO_GRAM_ENGINE``
-selects the backend itself.
+A plan's tile size is its engine's ``tile_size`` (see
+:meth:`repro.api.ExecutionContext.resolved_engine`).
 """
 
 from __future__ import annotations
@@ -38,30 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import KernelError
-
-#: Environment variable overriding every backend's default tile size.
-TILE_ENV_VAR = "REPRO_GRAM_TILE"
-
-
-def default_tile_size(fallback: int) -> int:
-    """The process-wide tile size: ``REPRO_GRAM_TILE``, else ``fallback``.
-
-    A malformed or non-positive value fails loudly, like a typo in
-    ``REPRO_GRAM_ENGINE`` — silent fallback would quietly change every
-    tile key the checkpoint layer derives from the schedule.
-    """
-    raw = os.environ.get(TILE_ENV_VAR, "").strip()
-    if not raw:
-        return int(fallback)
-    try:
-        size = int(raw)
-    except ValueError:
-        raise KernelError(
-            f"{TILE_ENV_VAR} must be a positive integer, got {raw!r}"
-        ) from None
-    if size < 1:
-        raise KernelError(f"{TILE_ENV_VAR} must be >= 1, got {size}")
-    return size
 
 
 @dataclass(frozen=True)

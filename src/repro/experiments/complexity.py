@@ -37,7 +37,6 @@ from repro.campaign import (
     register_executor,
 )
 from repro.engine import SerialEngine
-from repro.engine.base import resolve_engine
 from repro.experiments.reporting import ReportOutput, format_table
 from repro.graphs.generators import erdos_renyi
 from repro.kernels import HAQJSKKernelA
@@ -83,7 +82,7 @@ def time_gram_stages(
         seed=seed,
     )
     if ctx is not None and ctx.engine is not None:
-        engine = resolve_engine(ctx.engine_argument())
+        engine = ctx.resolved_engine()
     else:
         engine = SerialEngine()
 

@@ -10,92 +10,26 @@ what was run.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-# One definition each of the shared switches: the execution context owns
-# the store env var, the kernel registry owns the scale switch (its
-# scale-aware defaults resolve through it); the harness re-exports both.
-from repro.api.context import STORE_ENV_VAR  # noqa: F401
-from repro.kernels.registry import FULL_SCALE_ENV_VAR, full_scale  # noqa: F401
-
-
-def gram_engine() -> str:
-    """The Gram-computation backend the harness runs with.
-
-    Set ``REPRO_GRAM_ENGINE`` to ``serial``, ``batched`` or ``process``
-    (see :mod:`repro.engine`); the default is the vectorized ``batched``
-    backend. Every saved report records the active backend.
-    """
-    from repro.engine import default_engine_name
-
-    return default_engine_name()
-
-
-def gram_tile() -> str:
-    """The tile size the harness schedules Gram plans with, for the
-    report footer: the ``REPRO_GRAM_TILE`` override when set, else each
-    backend's own default (batched 64, process 32, serial 128)."""
-    from repro.engine import TILE_ENV_VAR
-
-    return os.environ.get(TILE_ENV_VAR, "").strip() or "backend default"
-
-
-def compute_backend() -> str:
-    """The resolved compute policy, ``precision/entropy`` form.
-
-    Resolved from ``REPRO_PRECISION`` / ``REPRO_ENTROPY`` (reference
-    defaults when unset); every saved report
-    records it so a float32 or Chebyshev run is distinguishable from the
-    bit-stable reference in the footer.
-    """
-    from repro.backend import ComputePolicy
-
-    return ComputePolicy.from_env().describe()
-
-
-def store_root() -> "str | None":
-    """The configured artifact-store address, or ``None`` when unset."""
-    root = os.environ.get(STORE_ENV_VAR, "").strip()
-    return root or None
-
-
-def artifact_store(root: "str | None" = None):
-    """The harness-wide :class:`repro.store.ArtifactStore`, if configured.
-
-    ``root`` overrides the environment (a ``--store`` CLI flag); with
-    neither set, returns ``None`` and the harness recomputes everything —
-    the historical behaviour. ``REPRO_STORE`` takes a store *address*:
-    a directory path (``dir:/path`` or bare — created if missing), or
-    ``mem:name`` for an in-process store. Pointing it at a directory
-    gives every experiment checkpoint/resume for free: each completed
-    Gram matrix is persisted under its content key, and a killed run
-    restarts from the last completed one.
-    """
-    root = root if root is not None else store_root()
-    if not root:
-        return None
-    from repro.store import ArtifactStore
-
-    return ArtifactStore(root)
+# The kernel registry owns the scale switch (its scale-aware defaults
+# resolve through it); the harness re-exports it.
+from repro.kernels.registry import full_scale  # noqa: F401
 
 
 def execution_context(store_root: "str | None" = None):
     """The harness-wide :class:`~repro.api.ExecutionContext`.
 
-    Resolved from the ``REPRO_*`` environment; ``store_root`` (a
-    ``--store`` CLI flag) overrides the ``REPRO_STORE`` store. This is
-    the one place the experiment runners turn environment into context,
-    so every table/figure records the same execution policy.
+    The ``REPRO_*`` environment (:meth:`ExecutionContext.from_env
+    <repro.api.ExecutionContext.from_env>`); ``store_root`` (a
+    ``--store`` CLI flag) replaces the ``REPRO_STORE`` store. Every
+    table and figure runs under this context, and its report footer
+    describes it.
     """
     from repro.api import ExecutionContext
 
     ctx = ExecutionContext.from_env()
-    if store_root:
-        from repro.store import ArtifactStore
-
-        ctx = ctx.replace(store=ArtifactStore(store_root))
-    return ctx
+    return ctx.replace(store=store_root) if store_root else ctx
 
 
 @dataclass(frozen=True)

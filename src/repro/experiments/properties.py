@@ -41,15 +41,19 @@ def probe_dataset(*, seed: int = 0, n_per_class: int = 8):
     return dataset.stratified_subsample(n_per_class, seed=seed)
 
 
-def min_gram_eigenvalue(kernel_name: str, graphs, *, seed: int = 0) -> float:
+def min_gram_eigenvalue(
+    kernel_name: str, graphs, *, seed: int = 0, ctx=None
+) -> float:
     """Smallest eigenvalue of the normalised Gram (>= -1e-8 means PSD)."""
     kernel = lenient_spec(kernel_name, n_prototypes=16, seed=seed).make()
-    gram = kernel.gram(graphs, normalize=True)
+    gram = kernel.gram(graphs, normalize=True, ctx=ctx)
     values, _ = eigh_sorted(gram)
     return float(values[0])
 
 
-def permutation_deviation(kernel_name: str, graphs, *, seed: int = 0) -> float:
+def permutation_deviation(
+    kernel_name: str, graphs, *, seed: int = 0, ctx=None
+) -> float:
     """Max |K - K_permuted| after randomly permuting one graph's vertices.
 
     A permutation-invariant kernel gives (numerically) zero. The unaligned
@@ -62,8 +66,8 @@ def permutation_deviation(kernel_name: str, graphs, *, seed: int = 0) -> float:
     permuted[target] = graphs[target].permuted(permutation)
     kernel_a = lenient_spec(kernel_name, n_prototypes=16, seed=seed).make()
     kernel_b = lenient_spec(kernel_name, n_prototypes=16, seed=seed).make()
-    gram_a = kernel_a.gram(graphs, normalize=True)
-    gram_b = kernel_b.gram(permuted, normalize=True)
+    gram_a = kernel_a.gram(graphs, normalize=True, ctx=ctx)
+    gram_b = kernel_b.gram(permuted, normalize=True, ctx=ctx)
     return float(np.max(np.abs(gram_a - gram_b)))
 
 
@@ -111,8 +115,12 @@ def umeyama_alignment_transitive(graphs, *, seed: int = 0) -> bool:
     return True
 
 
-def run_properties(*, seed: int = 0, kernels=PROPERTY_KERNELS) -> "list[dict]":
-    """Measured Table I rows for each kernel."""
+def run_properties(
+    *, seed: int = 0, kernels=PROPERTY_KERNELS, ctx=None
+) -> "list[dict]":
+    """Measured Table I rows for each kernel, with every Gram computed
+    under ``ctx`` (an :class:`~repro.api.ExecutionContext`; ``None``
+    means the defaults)."""
     dataset = probe_dataset(seed=seed)
     graphs = dataset.graphs
     haqjsk_transitive = haqjsk_alignment_transitive(graphs, seed=seed)
@@ -121,8 +129,8 @@ def run_properties(*, seed: int = 0, kernels=PROPERTY_KERNELS) -> "list[dict]":
     for name in kernels:
         kernel = lenient_spec(name, n_prototypes=16, seed=seed).make()
         traits = kernel.traits
-        min_eig = min_gram_eigenvalue(name, graphs, seed=seed)
-        deviation = permutation_deviation(name, graphs, seed=seed)
+        min_eig = min_gram_eigenvalue(name, graphs, seed=seed, ctx=ctx)
+        deviation = permutation_deviation(name, graphs, seed=seed, ctx=ctx)
         if name.startswith("HAQJSK"):
             transitive = "Yes" if haqjsk_transitive else "VIOLATED"
         elif traits.aligned:
@@ -148,7 +156,9 @@ def run_properties(*, seed: int = 0, kernels=PROPERTY_KERNELS) -> "list[dict]":
 
 
 def main(argv=None) -> str:  # pragma: no cover - CLI glue
-    table = format_table(run_properties())
+    from repro.experiments.config import execution_context
+
+    table = format_table(run_properties(ctx=execution_context()))
     print(table)
     return table
 

@@ -21,15 +21,9 @@ from __future__ import annotations
 import os
 import sys
 
+from repro.api.context import STORE_ENV_VAR
 from repro.experiments import complexity, figure2, properties, table2, table4, table5
-from repro.experiments.config import (
-    STORE_ENV_VAR,
-    TABLE4_KERNELS,
-    compute_backend,
-    gram_engine,
-    gram_tile,
-    store_root,
-)
+from repro.experiments.config import TABLE4_KERNELS, execution_context
 from repro.experiments.reporting import format_table, save_report
 from repro.kernels.registry import lenient_spec
 
@@ -53,7 +47,9 @@ def run_table3() -> str:
 
 
 _EXPERIMENTS = {
-    "table1": lambda argv: format_table(properties.run_properties()),
+    "table1": lambda argv: format_table(
+        properties.run_properties(ctx=execution_context())
+    ),
     "table2": lambda argv: table2.main(argv),
     "table3": lambda argv: run_table3(),
     "table4": lambda argv: table4.main(argv),
@@ -66,7 +62,8 @@ _EXPERIMENTS = {
 def _extract_store_flag(argv: list) -> list:
     """Route a runner-global ``--store ADDRESS`` through the environment.
 
-    Every experiment (and the report footer) reads the store via
+    Every experiment (and the report footer) builds its context with
+    :func:`~repro.experiments.config.execution_context`, which reads
     ``REPRO_STORE``, so resolving the flag here keeps them all in
     agreement — including experiments whose own parsers predate the flag.
     """
@@ -92,21 +89,20 @@ def main(argv=None) -> int:
     if output:
         import json
 
-        from repro.experiments.config import execution_context
-
+        # The footer describes the context the experiment ran under.
+        ctx = execution_context()
+        record = ctx.to_record()
         metadata = {
-            "gram_engine": gram_engine(),
-            "gram_tile": gram_tile(),
-            "compute_backend": compute_backend(),
+            "gram_engine": ctx.resolved_engine().name,
+            "gram_tile": ctx.tile_size or "backend default",
+            "compute_backend": ctx.compute_policy().describe(),
         }
-        if store_root():
-            metadata["artifact_store"] = store_root()
+        if record["store"]:
+            metadata["artifact_store"] = record["store"]
         # The full execution context, as the round-trippable JSON record
         # ExecutionContext.from_record accepts — reports carry enough
         # provenance to rebuild the run's execution policy exactly.
-        metadata["context"] = json.dumps(
-            execution_context().to_record(), sort_keys=True
-        )
+        metadata["context"] = json.dumps(record, sort_keys=True)
         path = save_report(name, output, metadata=metadata)
         print(f"\n[saved to {path}]")
     failures = getattr(output, "failed", ())

@@ -187,8 +187,6 @@ def evaluate_cell(
         gram_seconds,
         ", from store" if gram_cached else "",
     )
-    from repro.engine import default_engine_name
-
     record = ctx.to_record()
     return {
         "kernel": kernel_name,
@@ -197,7 +195,7 @@ def evaluate_cell(
         "stderr": result.standard_error * 100.0,
         "paper": PAPER_TABLE4.get(kernel_name, {}).get(dataset_name),
         "gram_seconds": gram_seconds,
-        "gram_engine": record["engine"] or default_engine_name(),
+        "gram_engine": ctx.resolved_engine().name,
         "gram_cached": gram_cached,
         "gram_tiles_restored": tiles_restored,
         "gram_tiles_computed": tiles_computed,

@@ -46,7 +46,7 @@ class DeepGraphKernel(GraphKernel):
             smoothing, "smoothing", low=0.0, high=np.inf, low_inclusive=False
         )
 
-    def _compute_gram(self, graphs: "list[Graph]", *, engine=None) -> np.ndarray:
+    def _compute_gram(self, graphs: "list[Graph]", *, engine) -> np.ndarray:
         features = wl_feature_matrix(graphs, self.n_iterations)
         similarity = self._substructure_similarity(features)
         return features @ similarity @ features.T

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.api.context import as_context
-from repro.engine.base import GramEngine, resolve_engine, tile_ranges
+from repro.engine.base import GramEngine, tile_ranges
 from repro.engine.tiles import GramSink, TilePlan, stream_tiles
 from repro.errors import KernelError, ValidationError
 from repro.graphs.graph import Graph
@@ -124,7 +124,7 @@ class GraphKernel(abc.ABC):
                 tile_checkpoint=ctx.tile_checkpoint,
                 ctx=ctx.replace(store=None),
             )
-        engine = ctx.engine_argument()
+        engine = ctx.resolved_engine()
         sink = ctx.make_sink()
         normalize = ctx.policy(normalize, "normalize", False)
         ensure_psd = ctx.policy(ensure_psd, "ensure_psd", False)
@@ -139,7 +139,7 @@ class GraphKernel(abc.ABC):
             owner=self.name,
             normalize=normalize,
             ensure_psd=ensure_psd,
-            tile_size=resolve_engine(engine).resolved_tile_size(),
+            tile_size=engine.tile_size,
         )
 
     @property
@@ -158,12 +158,10 @@ class GraphKernel(abc.ABC):
         )
 
     def _compute_gram_into(
-        self,
-        graphs: "list[Graph]",
-        sink: GramSink,
-        engine: "GramEngine | str | None",
+        self, graphs: "list[Graph]", sink: GramSink, engine: GramEngine
     ):
-        """Subclass hook: stream the raw Gram's tiles into ``sink``.
+        """Subclass hook: stream the raw Gram's tiles into ``sink``, on
+        the context's resolved ``engine``.
 
         The generic fallback is the dense replay: it computes the matrix
         with :meth:`_compute_gram`, symmetrises it and replays it as tiles
@@ -180,11 +178,11 @@ class GraphKernel(abc.ABC):
                 f"expected ({n}, {n})"
             )
         matrix = (matrix + matrix.T) / 2.0
-        plan = TilePlan.gram(n, resolve_engine(engine).resolved_tile_size())
+        plan = TilePlan.gram(n, engine.tile_size)
         return replay_tiles(matrix, plan, sink)
 
     def _compute_gram(
-        self, graphs: "list[Graph]", *, engine: "GramEngine | str | None" = None
+        self, graphs: "list[Graph]", *, engine: GramEngine
     ) -> np.ndarray:
         """Subclass hook of the dense replay: the raw Gram as one matrix."""
         raise KernelError(
@@ -252,7 +250,7 @@ class GraphKernel(abc.ABC):
                 f"expected ({n_old}, {n_old}) for {n_old} old graphs"
             )
         cross, diagonal = self._extension_blocks(
-            list(old_graphs), list(new_graphs), ctx.engine_argument()
+            list(old_graphs), list(new_graphs), ctx.resolved_engine()
         )
         cross = np.asarray(cross, dtype=float)
         diagonal = np.asarray(diagonal, dtype=float)
@@ -273,7 +271,7 @@ class GraphKernel(abc.ABC):
         self,
         old_graphs: "list[Graph]",
         new_graphs: "list[Graph]",
-        engine: "GramEngine | str | None",
+        engine: GramEngine,
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Subclass hook: the ``(N, ΔN)`` cross and ``(ΔN, ΔN)`` diagonal
         blocks of the extended Gram. Only called after the
@@ -333,17 +331,14 @@ class FeatureMapKernel(GraphKernel):
     collection_independent = True
 
     def _compute_gram_into(
-        self,
-        graphs: "list[Graph]",
-        sink: GramSink,
-        engine: "GramEngine | str | None",
+        self, graphs: "list[Graph]", sink: GramSink, engine: GramEngine
     ):
         # Feature extraction is linear in N; only the (N, N) *product*
         # is quadratic, so it is the product that streams: one
         # ``F[rows] @ F[cols].T`` matmul per tile, diagonal tiles
         # symmetrised exactly. The engine contributes only its tile size.
         features = np.asarray(self.feature_matrix(graphs), dtype=float)
-        plan = TilePlan.gram(len(graphs), resolve_engine(engine).resolved_tile_size())
+        plan = TilePlan.gram(len(graphs), engine.tile_size)
 
         def block(rows, cols, diagonal):
             tile = features[rows[0] : rows[1]] @ features[cols[0] : cols[1]].T
@@ -379,9 +374,7 @@ class FeatureMapKernel(GraphKernel):
         fa = features[: len(graphs_a)]
         fb = features[len(graphs_a) :]
         plan = TilePlan.cross(
-            len(graphs_a),
-            len(graphs_b),
-            resolve_engine(ctx.engine_argument()).resolved_tile_size(),
+            len(graphs_a), len(graphs_b), ctx.resolved_engine().tile_size
         )
         result = stream_tiles(
             plan,
@@ -395,7 +388,7 @@ class FeatureMapKernel(GraphKernel):
         self,
         old_graphs: "list[Graph]",
         new_graphs: "list[Graph]",
-        engine: "GramEngine | str | None",
+        engine: GramEngine,
     ) -> "tuple[np.ndarray, np.ndarray]":
         # One shared feature space over old + new (vocabulary union); the
         # old block's inner products are untouched by the extra columns.
@@ -417,16 +410,13 @@ class PairwiseKernel(GraphKernel):
     """
 
     def _compute_gram_into(
-        self,
-        graphs: "list[Graph]",
-        sink: GramSink,
-        engine: "GramEngine | str | None",
+        self, graphs: "list[Graph]", sink: GramSink, engine: GramEngine
     ):
         # The genuinely streaming path: preparation is linear, and the
         # engine's shared scheduler feeds each finished tile straight to
         # the sink, so an out-of-core Gram never exists in memory.
         states = self._prepared_states(graphs)
-        return resolve_engine(engine).gram(self, states, sink=sink)
+        return engine.gram(self, states, sink=sink)
 
     def _prepared_states(self, graphs: "list[Graph]") -> list:
         states = self.prepare(list(graphs))
@@ -550,7 +540,7 @@ class PairwiseKernel(GraphKernel):
         states = self.prepare(list(graphs_a) + list(graphs_b))
         states_a = states[: len(graphs_a)]
         states_b = states[len(graphs_a) :]
-        result = resolve_engine(ctx.engine_argument()).cross_gram(
+        result = ctx.resolved_engine().cross_gram(
             self, states_a, states_b, sink=sink
         )
         sink.commit()
@@ -560,7 +550,7 @@ class PairwiseKernel(GraphKernel):
         self,
         old_graphs: "list[Graph]",
         new_graphs: "list[Graph]",
-        engine: "GramEngine | str | None",
+        engine: GramEngine,
     ) -> "tuple[np.ndarray, np.ndarray]":
         # Preparation is (re)run over old + new as one collection — it is
         # linear and cheap relative to the pair stage, and for
@@ -569,12 +559,11 @@ class PairwiseKernel(GraphKernel):
         # cross pairs and the ΔN(ΔN+1)/2 new diagonal pairs are evaluated,
         # through the same engine backends as a full Gram.
         states = self._prepared_states(old_graphs + new_graphs)
-        resolved = resolve_engine(engine)
         old_states = states[: len(old_graphs)]
         new_states = states[len(old_graphs) :]
         return (
-            resolved.cross_gram(self, old_states, new_states),
-            resolved.gram(self, new_states),
+            engine.cross_gram(self, old_states, new_states),
+            engine.gram(self, new_states),
         )
 
 

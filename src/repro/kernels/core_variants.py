@@ -51,7 +51,7 @@ class CoreVariantKernel(GraphKernel):
         self.max_core = max_core
         self.name = f"CORE {base_kernel.name}"
 
-    def _compute_gram(self, graphs: "list[Graph]", *, engine=None) -> np.ndarray:
+    def _compute_gram(self, graphs: "list[Graph]", *, engine) -> np.ndarray:
         n = len(graphs)
         highest = max(degeneracy(g) for g in graphs)
         if self.max_core is not None:
@@ -67,6 +67,8 @@ class CoreVariantKernel(GraphKernel):
                     alive.append(index)
             if len(alive) < 1:
                 break
+            # The outer Gram's engine, already resolved: wrapping it
+            # keeps its tile size and compute policy for every level.
             block = self.base_kernel.gram(cores, ctx=ExecutionContext(engine=engine))
             for a, i in enumerate(alive):
                 for b, j in enumerate(alive):

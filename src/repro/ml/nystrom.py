@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.context import as_context
-from repro.engine.base import resolve_engine
 from repro.errors import KernelError, NotFittedError, ValidationError
 from repro.kernels.base import GraphKernel, PairwiseKernel
 from repro.utils.rng import as_rng
@@ -144,11 +143,10 @@ class NystromApproximation:
             return np.zeros((0, self._inv_sqrt.shape[1]))
         if hasattr(self.kernel, "cross_gram"):
             cross = self.kernel.cross_gram(
-                graphs, self.landmark_graphs_,
-                ctx=self.ctx.replace(store=None, sink_factory=None),
+                graphs, self.landmark_graphs_, ctx=self._evaluation_ctx()
             )
         else:  # pragma: no cover - every shipped kernel has cross_gram
-            full = self.kernel.gram(graphs + self.landmark_graphs_)
+            full = self._raw_gram(graphs + self.landmark_graphs_)
             cross = full[: len(graphs), len(graphs) :]
         return np.asarray(cross, dtype=float) @ self._inv_sqrt
 
@@ -195,7 +193,7 @@ class NystromApproximation:
             # the batched path. With a store, every finished tile commits
             # through a CheckpointSink: a killed fit resumes the N·m pair
             # stage at tile granularity instead of restarting it.
-            engine = resolve_engine(self.ctx.engine_argument())
+            engine = self.ctx.resolved_engine()
             sink = None
             if self.ctx.store is not None:
                 from repro.store.tiles import CheckpointSink, tile_keyer_for
@@ -224,8 +222,18 @@ class NystromApproximation:
             return cross
         # Generic fallback: one full-collection Gram, sliced. Exact but not
         # cheaper — feature-map kernels are already linear in N.
-        full = self.kernel.gram(list(graphs))
-        return full[:, landmarks]
+        return self._raw_gram(list(graphs))[:, landmarks]
+
+    def _evaluation_ctx(self):
+        """This approximation's context for its own kernel evaluations:
+        engine, tile size and compute policy, but no store (rectangles
+        are cached whole under their own key) and no sink factory."""
+        return self.ctx.replace(store=None, sink_factory=None)
+
+    def _raw_gram(self, graphs: list) -> np.ndarray:
+        return self.kernel.gram(
+            graphs, normalize=False, ensure_psd=False, ctx=self._evaluation_ctx()
+        )
 
 
 def nystrom_gram(

@@ -56,26 +56,29 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
                         help="use only the first LIMIT graphs")
 
 
-def _resolve_store(root: "str | None"):
-    from repro.experiments.config import artifact_store
+def _context(args):
+    """The CLI's execution context: the ``REPRO_*`` environment, then the
+    ``--store`` and ``--engine`` flags. A store is required."""
+    from repro.api import ExecutionContext
 
-    store = artifact_store(root)
-    if store is None:
+    ctx = ExecutionContext.from_env()
+    if args.store:
+        ctx = ctx.replace(store=args.store)
+    if getattr(args, "engine", None):
+        ctx = ctx.replace(engine=args.engine)
+    if ctx.store is None:
         raise SystemExit(
             "no artifact store configured: pass --store ADDRESS or set "
             "REPRO_STORE"
         )
-    return store
+    return ctx
 
 
 def _session(args):
-    """The CLI's :class:`repro.Session`: REPRO_* env + the flags."""
-    from repro.api import ExecutionContext, Session
+    """The CLI's :class:`repro.Session` over :func:`_context`."""
+    from repro.api import Session
 
-    ctx = ExecutionContext.from_env(store=_resolve_store(args.store))
-    if getattr(args, "engine", None):
-        ctx = ctx.replace(engine=args.engine)
-    return Session(ctx)
+    return Session(_context(args))
 
 
 def _load_graphs(args) -> tuple:
@@ -169,8 +172,7 @@ def _command_predict(args) -> int:
 def _command_info(args) -> int:
     from repro.serve.bundle import ModelBundle
 
-    store = _resolve_store(args.store)
-    bundle = ModelBundle.load(store, args.name)
+    bundle = ModelBundle.load(_context(args).store, args.name)
     if args.json:
         # One formatter with the server's GET /info: tooling that parses
         # this output parses the HTTP body unchanged (and vice versa).
@@ -185,12 +187,9 @@ def _command_info(args) -> int:
 
 
 def _command_serve(args) -> int:
-    from repro.api import ExecutionContext
     from repro.serve.server import make_server
 
-    ctx = ExecutionContext.from_env(store=_resolve_store(args.store))
-    if args.engine:
-        ctx = ctx.replace(engine=args.engine)
+    ctx = _context(args)
     server = make_server(
         ctx.store,
         host=args.host,

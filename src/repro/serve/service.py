@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.api.context import as_context
-from repro.engine import resolve_engine
 from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.kernels.base import (
@@ -203,7 +202,7 @@ class PredictionService:
                             list(bundle.training_graphs)
                         )
             new_states = kernel.prepare(graphs)
-            engine = resolve_engine(self.ctx.engine_argument())
+            engine = self.ctx.resolved_engine()
             chunks = [
                 engine.cross_gram(
                     kernel, new_states[start : start + step], self._train_states
@@ -275,6 +274,6 @@ class PredictionService:
     def info(self) -> dict:
         """Bundle summary plus the serving configuration."""
         info = self.bundle.info()
-        info["engine"] = resolve_engine(self.ctx.engine_argument()).name
+        info["engine"] = self.ctx.resolved_engine().name
         info["max_block_graphs"] = self.max_block_graphs
         return info

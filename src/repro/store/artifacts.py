@@ -427,7 +427,9 @@ def store_backed_gram(
         if stats is not None:
             stats["cached"] = True
         if streams and dependent:
-            _sweep_orphaned_tiles(store, kernel, graphs, gram_ctx.engine_argument())
+            _sweep_orphaned_tiles(
+                store, kernel, graphs, gram_ctx.resolved_engine().tile_size
+            )
         return cached
     sink = None
     if streams:
@@ -455,7 +457,7 @@ def store_backed_gram(
     return store.get_array("gram", key)
 
 
-def _sweep_orphaned_tiles(store, kernel, graphs, engine) -> None:
+def _sweep_orphaned_tiles(store, kernel, graphs, tile_size: int) -> None:
     """Best-effort reclamation of dead collection-dependent tiles.
 
     Covers the kill window between the whole-Gram ``put_array`` and the
@@ -465,14 +467,12 @@ def _sweep_orphaned_tiles(store, kernel, graphs, engine) -> None:
     Best-effort on purpose — a rerun under a different tile size derives
     different keys and leaves the orphans alone.
     """
-    from repro.engine import resolve_engine
     from repro.engine.tiles import TilePlan
     from repro.store.tiles import discard_plan_tiles, tile_keyer_for
 
     if not graphs:
         return
-    tile = resolve_engine(engine).resolved_tile_size()
-    plan = TilePlan.gram(len(graphs), tile)
+    plan = TilePlan.gram(len(graphs), tile_size)
     keyer = tile_keyer_for(kernel, graphs)
     first = next(iter(plan.tiles()))
     if store.has(

@@ -5,14 +5,28 @@ from __future__ import annotations
 
 import inspect
 
+import numpy as np
 import pytest
 
-from repro.api import ExecutionContext
-from repro.api.context import as_context
-from repro.engine import BatchedEngine, MemmapSink, TILE_ENV_VAR
-from repro.engine.base import ENGINE_ENV_VAR
+from repro.api import ExecutionContext, KernelSpec, Session
+from repro.api.context import (
+    ENGINE_ENV_VAR,
+    ENTROPY_ENV_VAR,
+    PRECISION_ENV_VAR,
+    STORE_ENV_VAR,
+    TILE_ENV_VAR,
+    as_context,
+)
+from repro.backend import ComputePolicy
+from repro.engine import BatchedEngine, MemmapSink, SerialEngine
 from repro.errors import ValidationError
+from repro.graphs import generators as gen
 from repro.store import ArtifactStore
+
+ENV_VARS = (
+    ENGINE_ENV_VAR, TILE_ENV_VAR, STORE_ENV_VAR, PRECISION_ENV_VAR,
+    ENTROPY_ENV_VAR,
+)
 
 
 class TestConstruction:
@@ -53,7 +67,7 @@ class TestConstruction:
         assert ExecutionContext.from_env(engine="batched").engine == "batched"
 
     def test_from_env_empty(self, monkeypatch):
-        for var in (ENGINE_ENV_VAR, TILE_ENV_VAR, "REPRO_STORE"):
+        for var in ENV_VARS:
             monkeypatch.delenv(var, raising=False)
         assert ExecutionContext.from_env() == ExecutionContext()
 
@@ -109,23 +123,95 @@ class TestPolicy:
         assert ctx.policy(None, "ensure_psd", False) is False
 
 
-class TestEngineArgument:
-    def test_passthrough_without_tile(self):
-        assert ExecutionContext(engine="serial").engine_argument() == "serial"
-        assert ExecutionContext().engine_argument() is None
+class TestResolvedEngine:
+    def test_named(self):
+        engine = ExecutionContext(engine="serial").resolved_engine()
+        assert type(engine) is SerialEngine
+        assert engine.tile_size == SerialEngine.default_tile
+        assert engine.policy is None
 
-    def test_tile_override_materialises(self):
-        engine = ExecutionContext(engine="batched", tile_size=9).engine_argument()
+    def test_default(self):
+        engine = ExecutionContext().resolved_engine()
+        assert type(engine) is BatchedEngine
+        assert engine.tile_size == 64
+        assert engine.policy is None  # the ambient policy shows through
+
+    def test_tile_override(self):
+        engine = ExecutionContext(engine="batched", tile_size=9).resolved_engine()
         assert isinstance(engine, BatchedEngine)
-        assert engine.resolved_tile_size() == 9
+        assert engine.tile_size == 9
 
-    def test_tile_override_preserves_instance_config(self):
-        base = BatchedEngine(tile_size=64)
-        ctx = ExecutionContext(engine=base, tile_size=5)
-        resolved = ctx.engine_argument()
+    def test_instance_copied_and_untouched(self):
+        fast = ComputePolicy(precision="float32")
+        base = BatchedEngine(tile_size=64, policy=fast)
+        resolved = ExecutionContext(engine=base, tile_size=5).resolved_engine()
         assert resolved is not base
-        assert resolved.resolved_tile_size() == 5
-        assert base.resolved_tile_size() == 64  # the original is untouched
+        assert resolved.tile_size == 5
+        assert base.tile_size == 64  # the original is untouched
+        # A context without compute fields keeps the instance's policy.
+        assert resolved.policy is fast
+        kept = ExecutionContext(engine=base).resolved_engine()
+        assert kept is not base
+        assert (kept.tile_size, kept.policy) == (64, fast)
+
+    def test_policy_set_only_by_compute_fields(self):
+        engine = ExecutionContext(precision="float32").resolved_engine()
+        assert engine.policy == ComputePolicy(precision="float32")
+
+
+class TestEnvironmentEntersOnce:
+    """With all five ``REPRO_*`` variables set, what is built from the
+    environment follows it, and an explicit context means its fields."""
+
+    GRAPHS = [
+        gen.cycle_graph(6),
+        gen.path_graph(7),
+        gen.star_graph(8),
+        gen.barabasi_albert(10, 2, seed=0),
+        gen.cycle_graph(9),
+    ]
+    SPEC = KernelSpec("HAQJSK(D)", {"n_prototypes": 8, "n_levels": 2, "seed": 0})
+
+    def test_all_five_variables(self, monkeypatch, tmp_path):
+        for var in ENV_VARS:
+            monkeypatch.delenv(var, raising=False)
+        reference = self.SPEC.make().gram(self.GRAPHS)
+        configured = self.SPEC.make().gram(
+            self.GRAPHS,
+            ctx=ExecutionContext(
+                engine="process", tile_size=3, precision="float32",
+                entropy="auto",
+            ),
+        )
+        assert configured.tobytes() != reference.tobytes()
+
+        monkeypatch.setenv(ENGINE_ENV_VAR, "process")
+        monkeypatch.setenv(TILE_ENV_VAR, "3")
+        monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path / "store"))
+        monkeypatch.setenv(PRECISION_ENV_VAR, "float32")
+        monkeypatch.setenv(ENTROPY_ENV_VAR, "auto")
+        from_env = ExecutionContext.from_env()
+        session = Session()
+        followed = {
+            "from_env": self.SPEC.make().gram(self.GRAPHS, ctx=from_env),
+            "Session()": session.gram(self.SPEC, self.GRAPHS),
+        }
+        for name, gram in followed.items():
+            assert np.asarray(gram).tobytes() == configured.tobytes(), name
+        defaults = {
+            "ctx=None": self.SPEC.make().gram(self.GRAPHS),
+            "ExecutionContext()": self.SPEC.make().gram(
+                self.GRAPHS, ctx=ExecutionContext()
+            ),
+        }
+        for name, gram in defaults.items():
+            assert gram.tobytes() == reference.tobytes(), name
+
+        assert session.ctx.to_record() == from_env.to_record()
+        assert from_env.to_record()["store"] == str(tmp_path / "store")
+        engine = from_env.resolved_engine()
+        assert (engine.name, engine.tile_size) == ("process", 3)
+        assert engine.policy.describe() == "float32/auto"
 
 
 class TestRecord:

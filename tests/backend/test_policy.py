@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.api import ExecutionContext
 from repro.backend import (
     DEFAULT_CHEBYSHEV_DEGREE,
     REFERENCE_POLICY,
@@ -62,17 +63,23 @@ class TestConstruction:
             ComputePolicy(chebyshev_degree=1)
 
     def test_from_env(self, monkeypatch):
+        # The environment's policy comes through the execution context,
+        # the one reader of REPRO_*; nothing beneath a context reads it.
         monkeypatch.setenv("REPRO_PRECISION", "float32")
         monkeypatch.setenv("REPRO_ENTROPY", "auto")
-        policy = ComputePolicy.from_env()
+        policy = ExecutionContext.from_env().compute_policy()
         assert policy.describe() == "float32/auto"
         # Overrides beat environment.
-        assert ComputePolicy.from_env(precision="float64").precision == "float64"
+        overridden = ExecutionContext.from_env(precision="float64")
+        assert overridden.compute_policy().precision == "float64"
+        assert ComputePolicy() == REFERENCE_POLICY
+        assert ExecutionContext().compute_policy() == REFERENCE_POLICY
+        assert not hasattr(ComputePolicy, "from_env")
 
     def test_from_env_defaults_to_reference(self, monkeypatch):
         for var in ("REPRO_PRECISION", "REPRO_ENTROPY"):
             monkeypatch.delenv(var, raising=False)
-        assert ComputePolicy.from_env() == REFERENCE_POLICY
+        assert ExecutionContext.from_env().compute_policy() == REFERENCE_POLICY
 
     def test_policies_pickle(self):
         policy = ComputePolicy(precision="float32", entropy="auto")
@@ -80,9 +87,9 @@ class TestConstruction:
 
 
 class TestScoping:
-    def test_active_policy_defaults_to_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PRECISION", raising=False)
-        assert active_policy() == ComputePolicy.from_env()
+    def test_active_policy_defaults_to_reference(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PRECISION", "float32")
+        assert active_policy() is REFERENCE_POLICY
         assert scoped_policy() is None
 
     def test_scope_installs_and_restores(self):

@@ -72,6 +72,19 @@ def test_context_cache_record_accepts_ctx_dict_and_none():
     assert set(context_cache_record(None)) == set(from_ctx)
 
 
+def test_none_keys_like_the_default_context():
+    # A campaign declared with no context and resumed by the CLI (which
+    # passes execution_context()) must key-match, not recompute.
+    kwargs = dict(fingerprint="f", digest="d")
+    keyed_none = node_key("table4.cell", ctx=None, **kwargs)
+    assert keyed_none == node_key("table4.cell", ctx=ExecutionContext(), **kwargs)
+    assert keyed_none.startswith("7c16ed8c")  # pinned: CLI keys do not move
+    assert context_cache_record(None) == {
+        "normalize": None, "ensure_psd": None,
+        "precision": "float64", "entropy": "eig",
+    }
+
+
 def test_parent_format_record_has_the_same_slice():
     # Records written while contexts had a ``backend`` field carry it as
     # "numpy"; it is not part of the value slice, so such a record keys

@@ -27,6 +27,7 @@ CASES = {
     "REPRO006": "src/repro/backend/sample.py",
     "REPRO007": "src/repro/utils/sample.py",
     "REPRO008": "src/repro/distributed/sample.py",
+    "REPRO010": "src/repro/engine/sample.py",
 }
 
 

@@ -95,7 +95,7 @@ class TestJobSpec:
         assert kernel.name == "WLSK"
         engine = spec.resolved_engine()
         assert engine.name == "batched"
-        assert engine.resolved_tile_size() == 2
+        assert engine.tile_size == 2
         assert spec.plan().n_tiles() == 6
 
 

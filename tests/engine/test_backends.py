@@ -16,7 +16,6 @@ from repro.engine import (
     ProcessEngine,
     SerialEngine,
     available_engines,
-    default_engine_name,
     resolve_engine,
 )
 from repro.errors import KernelError
@@ -206,13 +205,19 @@ class TestEngineResolution:
             resolve_engine(42)
 
     def test_default_is_batched(self, monkeypatch):
+        # Whatever the environment says: it enters through
+        # ExecutionContext.from_env only.
         monkeypatch.delenv("REPRO_GRAM_ENGINE", raising=False)
-        assert default_engine_name() == "batched"
+        for env in (None, "serial", "process"):
+            if env is not None:
+                monkeypatch.setenv("REPRO_GRAM_ENGINE", env)
+            assert type(resolve_engine(None)) is BatchedEngine
+            assert type(ExecutionContext().resolved_engine()) is BatchedEngine
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_GRAM_ENGINE", "serial")
-        assert default_engine_name() == "serial"
-        assert isinstance(resolve_engine(None), SerialEngine)
+        engine = ExecutionContext.from_env().resolved_engine()
+        assert isinstance(engine, SerialEngine)
 
 
 class TestTilingMachinery:

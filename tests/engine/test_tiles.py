@@ -12,17 +12,16 @@ import numpy as np
 import pytest
 
 from repro.api import ExecutionContext
+from repro.api.context import TILE_ENV_VAR
 from repro.engine import (
-    TILE_ENV_VAR,
     BatchedEngine,
     DenseSink,
     MemmapSink,
     ProcessEngine,
     SerialEngine,
     TilePlan,
-    default_tile_size,
 )
-from repro.errors import KernelError
+from repro.errors import KernelError, ValidationError
 from repro.graphs import generators as gen
 from repro.kernels import QJSKUnaligned, WeisfeilerLehmanKernel, make
 
@@ -86,26 +85,34 @@ class TestTilePlan:
 class TestTileSizeResolution:
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(TILE_ENV_VAR, "17")
-        assert BatchedEngine(tile_size=5).resolved_tile_size() == 5
+        assert BatchedEngine(tile_size=5).tile_size == 5
 
     def test_env_beats_backend_default(self, monkeypatch):
+        # Through ExecutionContext.from_env, the one reader of REPRO_*.
         monkeypatch.setenv(TILE_ENV_VAR, "17")
-        for cls in ENGINES.values():
-            assert cls().resolved_tile_size() == 17
+        for name, cls in ENGINES.items():
+            resolved = ExecutionContext.from_env(engine=name).resolved_engine()
+            assert resolved.tile_size == 17
+            # Engines and explicit contexts do not read the environment.
+            assert cls().tile_size == cls.default_tile
+            assert ExecutionContext(engine=name).resolved_engine().tile_size == (
+                cls.default_tile
+            )
 
     def test_backend_defaults(self, monkeypatch):
         monkeypatch.delenv(TILE_ENV_VAR, raising=False)
-        assert SerialEngine().resolved_tile_size() == 128
-        assert BatchedEngine().resolved_tile_size() == 64
-        assert ProcessEngine().resolved_tile_size() == 32
+        assert SerialEngine().tile_size == 128
+        assert BatchedEngine().tile_size == 64
+        assert ProcessEngine().tile_size == 32
 
     def test_malformed_env_fails_loudly(self, monkeypatch):
+        # One reader, one error: from_env refuses it with ValidationError.
         monkeypatch.setenv(TILE_ENV_VAR, "sixty-four")
-        with pytest.raises(KernelError, match="REPRO_GRAM_TILE"):
-            default_tile_size(64)
+        with pytest.raises(ValidationError, match="REPRO_GRAM_TILE"):
+            ExecutionContext.from_env()
         monkeypatch.setenv(TILE_ENV_VAR, "0")
-        with pytest.raises(KernelError, match=">= 1"):
-            default_tile_size(64)
+        with pytest.raises(ValidationError, match=">= 1"):
+            ExecutionContext.from_env()
 
 
 class TestSinkContract:

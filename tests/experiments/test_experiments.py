@@ -113,6 +113,49 @@ class TestRunner:
     def test_help(self, capsys):
         assert runner_main(["--help"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1"],
+            ["table4", "--datasets", "MUTAG", "--kernels", "QJSK", "--repeats", "1"],
+        ],
+    )
+    def test_footer_names_the_engine_that_ran(self, argv, monkeypatch, tmp_path):
+        import dataclasses
+        import functools
+
+        from repro.engine import GramEngine
+        from repro.experiments import config
+
+        ran = []
+        execute = GramEngine.execute
+
+        def spy(engine, *args, **kwargs):
+            ran.append(engine.name)
+            return execute(engine, *args, **kwargs)
+
+        monkeypatch.setattr(GramEngine, "execute", spy)
+        # Small enough for tier-1: two table1 kernels, a fifth of MUTAG.
+        monkeypatch.setattr(
+            properties,
+            "run_properties",
+            functools.partial(properties.run_properties, kernels=("QJSK", "WLSK")),
+        )
+        monkeypatch.setitem(
+            config.SCALED,
+            "MUTAG",
+            dataclasses.replace(config.SCALED["MUTAG"], scale=0.2),
+        )
+        for var in ("REPRO_GRAM_TILE", "REPRO_STORE", "REPRO_PRECISION",
+                    "REPRO_ENTROPY"):
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("REPRO_GRAM_ENGINE", "serial")
+        monkeypatch.chdir(tmp_path)  # save_report writes ./results
+        assert runner_main(argv) == 0
+        report = (tmp_path / "results" / f"{argv[0]}.md").read_text()
+        assert report.splitlines()[-1].startswith("_gram_engine: serial,")
+        assert ran and set(ran) == {"serial"}
+
 
 class TestTable4Cell:
     def test_single_cell_smoke(self):

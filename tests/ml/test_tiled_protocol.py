@@ -146,7 +146,7 @@ class TestOutOfCoreCV:
         from repro.store import tile_keyer_for
 
         keyer = tile_keyer_for(kernel, graphs)
-        tile = BatchedEngine().resolved_tile_size()
+        tile = BatchedEngine().tile_size
         first_tile = (0, min(tile, len(graphs)))
         assert store.has(
             "gram-tile", keyer.key(first_tile, first_tile, diagonal=True)
