@@ -39,7 +39,7 @@ class ModuleContext:
     """One file as the module-scope rules see it."""
 
     def __init__(self, path: str, source: str) -> None:
-        #: Repo-root-relative POSIX path ("src/repro/jobs/queue.py").
+        #: Repo-root-relative POSIX path ("src/repro/serve/jobs.py").
         self.path = path.replace(os.sep, "/")
         self.source = source
         self.lines = source.splitlines()

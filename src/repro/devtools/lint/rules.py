@@ -266,7 +266,7 @@ def _is_release_of(node: ast.AST, receiver: str) -> bool:
 #: meaningfully replace.
 _CLOCK_PATHS = (
     "src/repro/store/claims.py",
-    "src/repro/jobs/",
+    "src/repro/serve/jobs.py",
     "src/repro/serve/batcher.py",
     "src/repro/serve/server.py",
     "src/repro/campaign/db.py",
@@ -333,7 +333,7 @@ _EXECUTE_METHODS = frozenset({"execute", "executemany", "executescript"})
         "module's _txn()/_read() helper: _txn serialises writers with "
         "BEGIN IMMEDIATE and guarantees COMMIT-or-ROLLBACK, so a process "
         "killed at any point leaves whole rows, never torn ones (the "
-        "JobQueue/CampaignDB durability contract, PR 8)."
+        "durability contract of CampaignDB and the server's JobTable)."
     ),
 )
 def check_sqlite_discipline(ctx):

@@ -95,8 +95,8 @@ class DistributedError(ReproError):
 
 
 class CampaignError(ReproError):
-    """A campaign DAG or node, or a :class:`~repro.jobs.JobQueue` job, is
-    invalid, failed, or inconsistent with its recorded state."""
+    """A campaign DAG or node is invalid, failed, or inconsistent with its
+    recorded state, or a sqlite state file was given no path."""
 
 
 class ConvergenceWarning(UserWarning):

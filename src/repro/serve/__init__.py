@@ -21,8 +21,9 @@ Networked serving lives in :mod:`repro.serve.server`: a stdlib threaded
 HTTP server whose :class:`~repro.serve.batcher.MicroBatcher` predicts a
 request at once when idle and coalesces the requests that arrive during
 a predict into the next cross-block evaluation — the engine is far
-cheaper per graph on big ``(ΔN, N)`` rectangles — with training jobs
-flowing through the persistent :class:`~repro.jobs.JobQueue`.
+cheaper per graph on big ``(ΔN, N)`` rectangles — and whose training
+jobs (``POST /train``) live in its sqlite
+:class:`~repro.serve.jobs.JobTable`.
 
 CLI: ``python -m repro.serve {train,predict,info,serve}``.
 """

@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--request-timeout", type=float, default=30.0,
                        help="seconds a request may wait for its batch")
     serve.add_argument("--jobs-db", default=None,
-                       help="sqlite path for the training job queue "
+                       help="sqlite path for the training job table "
                             "(default: serve-jobs.db inside a directory "
                             "store, else in-memory)")
     serve.set_defaults(func=_command_serve)

@@ -19,6 +19,8 @@ of graph construction.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import GraphError, ProtocolError
@@ -173,21 +175,66 @@ def parse_predict_request(payload) -> "tuple[str | None, list]":
     return bundle, graphs_from_wire(payload["graphs"])
 
 
+#: ``POST /train`` fields besides ``name``: ``(JSON type, default)``,
+#: where a ``None`` default also admits ``null``.
+TRAIN_FIELDS = {
+    "dataset": ("string", "MUTAG"),
+    "scale": ("number", 0.25),
+    "seed": ("integer", 0),
+    "limit": ("integer", None),
+    "tu_dir": ("string", None),
+    "kernel": ("string", "HAQJSK(D)"),
+    "prototypes": ("integer", 16),
+    "kernel_seed": ("integer", 0),
+    "c": ("number", None),
+    "normalize": ("boolean", False),
+}
+
+_JSON_TYPES = {
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: (
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        and math.isfinite(v)
+    ),
+    "string": lambda v: isinstance(v, str),
+}
+
+
+def json_field(payload: dict, field: str, kind: str, default=None):
+    """``payload[field]``, or ``default`` when absent, as JSON type ``kind``.
+
+    ``kind`` is ``"boolean"``, ``"integer"``, ``"number"`` or
+    ``"string"``. Nothing is coerced: an integer field takes integral
+    numbers only (``2.0`` reads as ``2``), a boolean field only ``true``
+    or ``false``. ``null`` stands for an absent value only where
+    ``default`` is ``None``. Anything else is a :class:`ProtocolError`
+    naming the field.
+    """
+    value = payload.get(field, default)
+    if value is None and default is None:
+        return None
+    if kind == "integer" and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not _JSON_TYPES[kind](value):
+        article = "an" if kind == "integer" else "a"
+        raise ProtocolError(f"{field!r} must be {article} {kind}, got {value!r}")
+    return float(value) if kind == "number" else value
+
+
 def parse_train_request(payload) -> dict:
     """Validated keyword set for a ``POST /train`` body.
 
     The accepted fields mirror the CLI ``train`` flags; unknown fields
     are refused by name so typos fail loudly instead of training a
-    default the caller did not ask for.
+    default the caller did not ask for, and each field must hold its
+    JSON type (:data:`TRAIN_FIELDS`, :func:`json_field`).
     """
     if not isinstance(payload, dict):
         raise ProtocolError(
             f"request body must be a JSON object, got {type(payload).__name__}"
         )
-    known = {
-        "name", "dataset", "scale", "seed", "limit", "tu_dir",
-        "kernel", "prototypes", "kernel_seed", "c", "normalize",
-    }
+    known = {"name", *TRAIN_FIELDS}
     unknown = sorted(set(payload) - known)
     if unknown:
         raise ProtocolError(
@@ -196,24 +243,10 @@ def parse_train_request(payload) -> dict:
     name = payload.get("name")
     if not name or not isinstance(name, str):
         raise ProtocolError("'name' (the bundle name to train) is required")
-    spec = {
-        "name": name,
-        "dataset": str(payload.get("dataset", "MUTAG")),
-        "scale": float(payload.get("scale", 0.25)),
-        "seed": int(payload.get("seed", 0)),
-        "limit": payload.get("limit"),
-        "tu_dir": payload.get("tu_dir"),
-        "kernel": str(payload.get("kernel", "HAQJSK(D)")),
-        "prototypes": int(payload.get("prototypes", 16)),
-        "kernel_seed": int(payload.get("kernel_seed", 0)),
-        "c": payload.get("c"),
-        "normalize": bool(payload.get("normalize", False)),
+    return {"name": name} | {
+        field: json_field(payload, field, kind, default)
+        for field, (kind, default) in TRAIN_FIELDS.items()
     }
-    if spec["limit"] is not None:
-        spec["limit"] = int(spec["limit"])
-    if spec["c"] is not None:
-        spec["c"] = float(spec["c"])
-    return spec
 
 
 # ---------------------------------------------------------------------- #
@@ -261,7 +294,7 @@ def bundle_info(bundle) -> dict:
 
 
 def job_payload(job) -> dict:
-    """JSON document for one :class:`~repro.jobs.QueuedJob` snapshot."""
+    """JSON document for one :class:`~repro.serve.jobs.TrainJob` snapshot."""
     return {
         "id": int(job.id),
         "kind": job.kind,

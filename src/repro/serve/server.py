@@ -8,11 +8,12 @@ thread per connection, no new dependencies) routing four JSON endpoints:
   :class:`~repro.serve.batcher.MicroBatcher` per bundle into the next
   ``(ΔN, N)`` cross-block evaluation; the response's ``batch`` field
   reports the coalescing each request rode in.
-* ``POST /train``   — submit a training job through the persistent
-  :class:`~repro.jobs.JobQueue` (idempotent by bundle name: resubmitting
-  an in-flight name returns the same job). A background worker thread
-  claims and runs the job; the trained bundle becomes immediately
-  servable and any cached service for the name is invalidated.
+* ``POST /train``   — submit a training job to the server's sqlite
+  :class:`~repro.serve.jobs.JobTable` (idempotent by bundle name:
+  resubmitting a name returns its job, and revives a failed one). One
+  training thread, woken by each submit, trains the jobs oldest first;
+  the trained bundle becomes immediately servable and any cached
+  service for the name is invalidated.
 * ``GET /jobs/<id>`` — poll a training job's status/result/error.
 * ``GET /info``     — the shared machine-readable bundle document
   (:func:`~repro.serve.protocol.bundle_info` — byte-compatible with
@@ -35,7 +36,6 @@ see ``tests/serve`` for the two-thread corruption test).
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -54,18 +54,12 @@ from repro.utils.logging import get_logger
 
 _LOGGER = get_logger("serve.server")
 
-#: Job kind the server submits to / claims from the shared queue.
-TRAIN_JOB_KIND = "serve-train"
-
-#: Lease for training jobs: generous, training runs minutes not seconds.
-TRAIN_LEASE_TTL = 3600.0
-
 #: Maximum accepted request body (64 MiB of JSON graphs is already huge).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class ServeApp:
-    """Routing-free application state: bundles, batchers, the job queue.
+    """Routing-free application state: bundles, batchers, the job table.
 
     The HTTP handler delegates every request here, so tests can drive
     the full serving logic through :meth:`handle` without a socket, and
@@ -86,7 +80,7 @@ class ServeApp:
         clock=time.time,
     ) -> None:
         from repro.api import ExecutionContext
-        from repro.jobs import JobQueue
+        from repro.serve.jobs import JobTable
         from repro.store import ArtifactStore
 
         if not isinstance(store, ArtifactStore):
@@ -103,22 +97,29 @@ class ServeApp:
         self.max_queue_graphs = int(max_queue_graphs)
         self.request_timeout = float(request_timeout)
         if jobs_db is None:
-            # Directory-backed stores get a durable queue next to the
+            # Directory-backed stores get a durable job table next to the
             # artifacts (server restarts resume pending training jobs);
-            # memory stores fall back to an ephemeral in-process queue.
+            # memory stores fall back to an ephemeral in-process table.
             root = store.backend.local_path("serve-jobs.db") if hasattr(
                 store.backend, "local_path"
             ) else None
             jobs_db = root if isinstance(root, str) else ":memory:"
-        # One injected clock drives uptime *and* the queue's lease
-        # accounting, so virtual-time tests see a consistent world.
+        # One injected clock drives uptime *and* the job timestamps, so
+        # virtual-time tests see a consistent world.
         self.clock = clock
-        self.queue = JobQueue(jobs_db, clock=clock)
+        self.jobs = JobTable(jobs_db, clock=clock)
+        # One server per database: a job still `running` was cut off by a
+        # dead server, so it trains again.
+        self.jobs.reset_running()
         self.started_at = clock()
         self._lock = threading.Lock()
         self._services: dict = {}
         self._batchers: dict = {}
         self._closed = False
+        # Set by each submit and by close(); set now so that the jobs
+        # the file already holds train.
+        self._wake = threading.Event()
+        self._wake.set()
         self._train_worker = threading.Thread(
             target=self._train_loop, name="serve-train-worker", daemon=True
         )
@@ -215,7 +216,7 @@ class ServeApp:
             "uptime_seconds": round(self.clock() - self.started_at, 3),
             "default_bundle": self.default_bundle,
             "loaded_bundles": loaded,
-            "jobs": self.queue.counts(),
+            "jobs": self.jobs.counts(),
         }, {}
 
     def _bundle_name(self, requested: "str | None") -> str:
@@ -246,7 +247,7 @@ class ServeApp:
     def _predict(self, body):
         requested, graphs = protocol.parse_predict_request(body)
         name = self._bundle_name(requested)
-        include_votes = bool(body.get("votes", False))
+        include_votes = protocol.json_field(body, "votes", "boolean", False)
         outcome = self.batcher(name).submit(graphs)
         payload = protocol.prediction_payload(
             outcome.result,
@@ -261,13 +262,10 @@ class ServeApp:
         spec = protocol.parse_train_request(body)
         # Idempotent by bundle key: resubmitting a name whose job is
         # pending/running/done returns that job; a failed job under the
-        # key is revived with a fresh attempt (JobQueue.submit contract).
-        job = self.queue.submit(
-            TRAIN_JOB_KIND,
-            spec,
-            key=f"{TRAIN_JOB_KIND}:{spec['name']}",
-            lease_ttl=TRAIN_LEASE_TTL,
-        )
+        # key is revived with this spec.
+        job = self.jobs.submit(spec["name"], spec)
+        if job.status == "pending":
+            self._wake.set()
         status = 200 if job.status == "done" else 202
         payload = protocol.job_payload(job)
         payload["poll"] = f"/jobs/{job.id}"
@@ -278,12 +276,11 @@ class ServeApp:
             number = int(job_id)
         except ValueError:
             raise ProtocolError(f"job id must be an integer, got {job_id!r}")
-        from repro.errors import CampaignError
-
-        try:
-            job = self.queue.get(number)
-        except CampaignError as exc:
-            return 404, protocol.error_payload(exc, kind="not_found"), {}
+        job = self.jobs.get(number)
+        if job is None:
+            return 404, protocol.error_payload(
+                f"no job {number}", kind="not_found"
+            ), {}
         return 200, protocol.job_payload(job), {}
 
     # ------------------------------------------------------------------ #
@@ -291,31 +288,29 @@ class ServeApp:
     # ------------------------------------------------------------------ #
 
     def _train_loop(self) -> None:
-        worker_id = f"serve-train-{os.getpid()}"
-        while not self._closed:
+        """Train the pending jobs, oldest first, each time ``_wake`` is set."""
+        while True:
+            self._wake.wait()
+            self._wake.clear()
             try:
-                self.queue.requeue_expired()
-                job = self.queue.claim(worker_id, kinds=(TRAIN_JOB_KIND,))
-            except Exception:  # pragma: no cover - sqlite teardown races
-                if self._closed:
-                    return
-                raise
-            if job is None:
-                time.sleep(0.05)
-                continue
-            try:
-                result = self._run_train_job(job.payload)
-                self.queue.complete(job.id, result)
-                self.invalidate(job.payload["name"])
-                _LOGGER.info("trained bundle %r (job %d)", job.payload["name"], job.id)
-            except Exception as exc:  # noqa: BLE001 - recorded on the job
-                if self._closed:
-                    return
-                _LOGGER.warning("train job %d failed: %s", job.id, exc)
-                try:
-                    self.queue.fail(job.id, f"{type(exc).__name__}: {exc}")
-                except Exception:  # pragma: no cover - queue closed
-                    return
+                while not self._closed and (job := self.jobs.take()) is not None:
+                    self._train_job(job)
+            except Exception:  # pragma: no cover - table closed mid-job
+                if not self._closed:
+                    raise
+            if self._closed:
+                return
+
+    def _train_job(self, job) -> None:
+        try:
+            result = self._run_train_job(job.payload)
+        except Exception as exc:  # noqa: BLE001 - recorded on the job
+            _LOGGER.warning("train job %d failed: %s", job.id, exc)
+            self.jobs.fail(job.id, f"{type(exc).__name__}: {exc}")
+            return
+        self.jobs.complete(job.id, result)
+        self.invalidate(job.payload["name"])
+        _LOGGER.info("trained bundle %r (job %d)", job.payload["name"], job.id)
 
     def _run_train_job(self, spec: dict) -> dict:
         """Execute one training job; returns the job's JSON result."""
@@ -370,13 +365,14 @@ class ServeApp:
         if self._closed:
             return
         self._closed = True
+        self._wake.set()
         with self._lock:
             batchers = list(self._batchers.values())
             self._batchers.clear()
         for batcher in batchers:
             batcher.close()
         self._train_worker.join(timeout=5.0)
-        self.queue.close()
+        self.jobs.close()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -402,6 +398,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _refuse(self, status: int, message: str, *, kind: str) -> None:
+        """Answer without reading the body, then drop the connection: the
+        unread bytes cannot be told apart from a next request."""
+        self.close_connection = True
+        self._respond(
+            status, protocol.error_payload(message, kind=kind),
+            {"Connection": "close"},
+        )
+
     def _dispatch(self, method: str) -> None:
         from urllib.parse import parse_qs, urlsplit
 
@@ -409,16 +414,22 @@ class _Handler(BaseHTTPRequestHandler):
         query = parse_qs(split.query)
         body = None
         if method == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
+            declared = self.headers.get("Content-Length") or "0"
+            length = int(declared) if declared.strip().isdecimal() else -1
+            if length < 0:
+                self._refuse(
+                    400,
+                    "Content-Length must be a non-negative integer, got "
+                    f"{declared!r}",
+                    kind="protocol",
+                )
+                return
             if length > MAX_BODY_BYTES:
-                self._respond(
+                self._refuse(
                     413,
-                    protocol.error_payload(
-                        f"request body of {length} bytes exceeds the "
-                        f"{MAX_BODY_BYTES}-byte limit",
-                        kind="too_large",
-                    ),
-                    {},
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit",
+                    kind="too_large",
                 )
                 return
             raw = self.rfile.read(length) if length else b"{}"

@@ -1,10 +1,11 @@
 """One sqlite file behind one locked connection.
 
 The bootstrap and transaction discipline that
-:class:`~repro.campaign.db.CampaignDB` and :class:`~repro.jobs.JobQueue`
-share: create the parent directory, connect, switch to WAL, apply the
-subclass's ``CREATE ... IF NOT EXISTS`` schema, then run every statement
-through :meth:`SqliteFile._txn` or :meth:`SqliteFile._read` (lint rule
+:class:`~repro.campaign.db.CampaignDB` and the server's
+:class:`~repro.serve.jobs.JobTable` share: create the parent directory,
+connect, switch to WAL, apply the subclass's ``CREATE ... IF NOT
+EXISTS`` schema, then run every statement through
+:meth:`SqliteFile._txn` or :meth:`SqliteFile._read` (lint rule
 REPRO005). Durability comes from sqlite itself: every write is one
 committed transaction, so a process killed at any point leaves either
 the old row or the new row, never a torn one.

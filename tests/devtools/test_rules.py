@@ -22,7 +22,7 @@ CASES = {
     "REPRO001": "src/repro/kernels/sample.py",
     "REPRO002": "src/repro/campaign/sample.py",
     "REPRO003": "src/repro/store/sample.py",
-    "REPRO004": "src/repro/jobs/sample.py",
+    "REPRO004": "src/repro/serve/jobs.py",
     "REPRO005": "src/repro/store/sample.py",
     "REPRO006": "src/repro/backend/sample.py",
     "REPRO007": "src/repro/utils/sample.py",

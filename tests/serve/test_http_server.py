@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import contextlib
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -29,6 +31,7 @@ from repro.serve.protocol import (
     graph_to_wire,
     graphs_from_wire,
     parse_predict_request,
+    parse_train_request,
 )
 from repro.store import ArtifactStore
 
@@ -94,6 +97,41 @@ def _get(url):
         return response.status, json.load(response)
 
 
+def _wait_for_job(server, job_id, *, timeout):
+    """Poll ``GET /jobs/<id>`` until the job is done or failed."""
+    deadline = time.monotonic() + timeout
+    while True:
+        _, job = _get(server.url + f"/jobs/{job_id}")
+        if job["status"] in ("done", "failed"):
+            return job
+        assert time.monotonic() < deadline, (
+            f"job {job_id} still {job['status']!r} after {timeout}s"
+        )
+        time.sleep(0.05)
+
+
+def _raw_post(server, headers):
+    """Send a POST with hand-written ``headers`` over a raw socket; return
+    the status line, the JSON body and whether the server then closed
+    the connection."""
+    with socket.create_connection((server.host, server.port), timeout=10) as sock:
+        sock.sendall(
+            b"POST /predict HTTP/1.1\r\nHost: test\r\n"
+            + b"".join(f"{k}: {v}\r\n".encode() for k, v in headers.items())
+            + b"\r\n"
+        )
+        reply = sock.makefile("rb")
+        status_line = reply.readline().decode()
+        length = 0
+        while (line := reply.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode().partition(":")
+            if name.lower() == "content-length":
+                length = int(value)
+        body = json.loads(reply.read(length))
+        closed = reply.read(1) == b""
+    return status_line, body, closed
+
+
 @contextlib.contextmanager
 def serving_through(server, batcher):
     """Route the server's ``wl`` requests through ``batcher`` meanwhile."""
@@ -147,6 +185,33 @@ class TestWireProtocol:
     def test_predict_request_requires_graphs(self):
         with pytest.raises(ProtocolError, match="missing 'graphs'"):
             parse_predict_request({"bundle": "wl"})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("scale", "abc"),
+            ("seed", [1]),
+            ("limit", "ten"),
+            ("c", {}),
+            ("normalize", "false"),
+            ("prototypes", 1.9),
+            ("seed", True),
+            ("dataset", None),
+            ("c", float("nan")),
+        ],
+    )
+    def test_train_request_refuses_wrongly_typed_fields(self, field, value):
+        with pytest.raises(ProtocolError, match=f"'{field}' must be"):
+            parse_train_request({"name": "x", field: value})
+
+    def test_train_request_reads_integral_numbers_and_nulls(self):
+        spec = parse_train_request(
+            {"name": "x", "prototypes": 8.0, "scale": 1, "limit": None, "c": None}
+        )
+        assert spec["prototypes"] == 8 and isinstance(spec["prototypes"], int)
+        assert spec["scale"] == 1.0 and isinstance(spec["scale"], float)
+        assert spec["limit"] is None and spec["c"] is None
+        assert spec["normalize"] is False
 
 
 class TestRoutes:
@@ -269,6 +334,45 @@ class TestRoutes:
             _get(server.url + "/jobs/99999")
         assert excinfo.value.code == 404
 
+    def test_job_id_past_the_sqlite_integer_range_is_404(self, server):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(server.url + f"/jobs/{2**64}")
+        assert excinfo.value.code == 404
+
+    @pytest.mark.parametrize(
+        "route, body, field",
+        [
+            ("/train", {"name": "x", "scale": "abc"}, "scale"),
+            ("/train", {"name": "x", "normalize": "false"}, "normalize"),
+            ("/predict", {"graphs": [], "votes": "yes"}, "votes"),
+        ],
+    )
+    def test_wrongly_typed_field_is_400_naming_it(self, server, route, body, field):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(server.url + route, body)
+        assert excinfo.value.code == 400
+        error = json.load(excinfo.value)["error"]
+        assert error["kind"] == "protocol"
+        assert f"'{field}' must be a" in error["message"]
+
+    @pytest.mark.parametrize("declared", ["abc", "-1"])
+    def test_malformed_content_length_is_400(self, server, declared):
+        status_line, body, closed = _raw_post(server, {"Content-Length": declared})
+        assert status_line.startswith("HTTP/1.1 400")
+        assert body["error"]["kind"] == "protocol"
+        assert "Content-Length" in body["error"]["message"]
+        assert closed
+
+    def test_oversized_body_is_413_and_closes_the_connection(self, server):
+        from repro.serve.server import MAX_BODY_BYTES
+
+        status_line, body, closed = _raw_post(
+            server, {"Content-Length": MAX_BODY_BYTES + 1}
+        )
+        assert status_line.startswith("HTTP/1.1 413")
+        assert body["error"]["kind"] == "too_large"
+        assert closed
+
 
 class TestBackpressure:
     def test_queue_past_high_water_is_503_with_retry_after(self, server, newcomers):
@@ -376,11 +480,11 @@ class TestTrainEndpoint:
         assert status == 202
         assert job["kind"] == "serve-train"
         assert job["key"] == "serve-train:trained-via-http"
-        done = server.app.queue.wait(job["id"], timeout=120)
-        assert done.status == "done", done.error
-        assert done.result["bundle"] == "trained-via-http"
-        assert done.result["train_accuracy"] > 0.5
-        # Poll endpoint agrees with the queue.
+        done = _wait_for_job(server, job["id"], timeout=120)
+        assert done["status"] == "done", done["error"]
+        assert done["result"]["bundle"] == "trained-via-http"
+        assert done["result"]["train_accuracy"] > 0.5
+        # Poll endpoint agrees with the job table.
         status, polled = _get(server.url + f"/jobs/{job['id']}")
         assert status == 200
         assert polled["status"] == "done"
@@ -405,7 +509,7 @@ class TestTrainEndpoint:
             "c": C,
         }
         status_a, first = _post(server.url + "/train", body)
-        server.app.queue.wait(first["id"], timeout=120)
+        _wait_for_job(server, first["id"], timeout=120)
         status_b, second = _post(server.url + "/train", body)
         # Same key -> same job row; a finished job reports 200, not 202.
         assert second["id"] == first["id"]
@@ -423,9 +527,9 @@ class TestTrainEndpoint:
             {"name": "doomed", "dataset": "NOPE-DATASET", "kernel": "WLSK"},
         )
         assert status == 202
-        done = server.app.queue.wait(job["id"], timeout=60)
-        assert done.status == "failed"
-        assert "NOPE-DATASET" in done.error
+        done = _wait_for_job(server, job["id"], timeout=60)
+        assert done["status"] == "failed"
+        assert "NOPE-DATASET" in done["error"]
 
 
 class TestServerLifecycle:
