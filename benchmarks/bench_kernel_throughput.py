@@ -11,19 +11,12 @@ sub-second).
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
 import pytest
 
 from repro.api import ExecutionContext
-from repro.backend import (
-    DEFAULT_CHEBYSHEV_DEGREE,
-    ComputePolicy,
-    collect_phase_timings,
-    policy_scope,
-)
 from repro.datasets import load_dataset
 from repro.engine import resolve_engine
 from repro.experiments.config import TABLE4_KERNELS
@@ -34,19 +27,6 @@ ENGINE_BACKENDS = ("serial", "batched", "process")
 
 #: Pairwise kernels with a vectorized block path worth tracking over time.
 ENGINE_KERNELS = ("HAQJSK(A)", "HAQJSK(D)", "QJSK", "JTQK")
-
-#: Compute-policy rows of the precision bench: the float64/eig
-#: reference, the CLI-requested policy (--precision/--entropy), and the
-#: forced eigenvalue-free Chebyshev path.
-POLICY_ROWS = ("reference", "requested", "chebyshev")
-
-#: Kernels the compute-policy axis measures: QJSK (large padded stacks —
-#: the entropy-bound worst case), HAQJSK(D) (many small aligned levels)
-#: and JTQK (matmul-bound at q = 2).
-POLICY_KERNELS = ("QJSK", "HAQJSK(D)", "JTQK")
-
-#: Documented tolerance tiers on Gram entries vs the float64 reference.
-POLICY_ATOL = {"float64/eig": 1e-10, "float32/eig": 1e-5, "approx": 2e-2}
 
 
 @pytest.fixture(scope="module")
@@ -121,116 +101,6 @@ def test_bench_engine_backends(
         speedup = serial_seconds / max(stats.mean, 1e-12)
         benchmark.extra_info["speedup_vs_serial"] = round(speedup, 2)
     assert np.allclose(gram, reference, atol=1e-10, rtol=0.0)
-
-
-def _requested_policy(config) -> ComputePolicy:
-    """The ComputePolicy the CLI options describe."""
-    values = {
-        "precision": config.getoption("--precision"),
-        "entropy": config.getoption("--entropy"),
-    }
-    degree = config.getoption("--chebyshev-degree")
-    if degree is not None:
-        values["chebyshev_degree"] = degree
-    return ComputePolicy(**values)
-
-
-def _policy_for_row(row: str, config) -> ComputePolicy:
-    requested = _requested_policy(config)
-    if row == "reference":
-        return ComputePolicy()
-    if row == "chebyshev":
-        return requested.replace(entropy="chebyshev")
-    return requested
-
-
-def _row_atol(policy: ComputePolicy) -> float:
-    """The documented Gram-entry tolerance tier a policy falls under."""
-    if policy.entropy != "eig":
-        return POLICY_ATOL["approx"]
-    if policy.precision == "float32":
-        return POLICY_ATOL["float32/eig"]
-    return POLICY_ATOL["float64/eig"]
-
-
-@pytest.fixture(scope="module")
-def _policy_bench_state():
-    """Per-kernel cache: states plus the reference Gram and wall-clock."""
-    return {}
-
-
-@pytest.mark.parametrize("row", POLICY_ROWS)
-@pytest.mark.parametrize("name", POLICY_KERNELS)
-def test_bench_compute_policies(
-    name, row, engine_probe_graphs, _policy_bench_state, benchmark, request
-):
-    """Precision/entropy axis of the Gram hot path.
-
-    Each row runs the same batched tile stream under one compute policy
-    and emits a machine-readable JSON record (``extra_info["policy_row"]``)
-    with graphs/sec, the speedup over the float64/eig reference, the
-    per-phase wall-clock split (state assembly vs eig vs reduce vs
-    matmul) and the measured max deviation from the reference Gram —
-    which is asserted against the documented tolerance tier. The CPU
-    float32 win comes from the eigenvalue-free path: LAPACK's float32
-    ``syevd`` is no faster than float64, so ``--precision float32`` with
-    the default ``--entropy auto`` routes large stacks through the
-    Chebyshev trace recurrences (float32 GEMMs run ~3.5x faster), while
-    ``--entropy eig`` measures the honest (flat) eig-bound baseline.
-    """
-    policy = _policy_for_row(row, request.config)
-    if name not in _policy_bench_state:
-        kernel = lenient_spec(name, n_prototypes=16, seed=0).make()
-        states = kernel.prepare(engine_probe_graphs)
-        engine = resolve_engine("batched")
-        with policy_scope(ComputePolicy()):
-            engine.gram(kernel, states)  # warm caches before timing
-            started = time.perf_counter()
-            reference = engine.gram(kernel, states)
-            reference_seconds = time.perf_counter() - started
-        _policy_bench_state[name] = (
-            kernel, states, reference, reference_seconds,
-        )
-    kernel, states, reference, reference_seconds = _policy_bench_state[name]
-
-    engine = resolve_engine("batched")
-
-    def run():
-        with policy_scope(policy):
-            return engine.gram(kernel, states)
-
-    gram = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
-
-    # One extra instrumented pass for the phase split (kept out of the
-    # timed rounds so the timings stay comparable across rows).
-    with collect_phase_timings() as phases:
-        with policy_scope(policy):
-            engine.gram(kernel, states)
-
-    atol = _row_atol(policy)
-    deviation = float(np.abs(gram - reference).max())
-    record = {
-        "kernel": name,
-        "policy": policy.describe(),
-        "chebyshev_degree": policy.chebyshev_degree,
-        "n_graphs": len(engine_probe_graphs),
-        "reference_seconds": round(reference_seconds, 4),
-        "max_abs_deviation": deviation,
-        "tolerance_tier": atol,
-        "phase_seconds": {
-            phase: round(seconds, 4) for phase, seconds in sorted(phases.items())
-        },
-    }
-    # Stats are absent under --benchmark-disable (the CI smoke run).
-    stats = getattr(getattr(benchmark, "stats", None), "stats", None)
-    if stats is not None:
-        mean = max(stats.mean, 1e-12)
-        record["seconds"] = round(mean, 4)
-        record["graphs_per_second"] = round(len(engine_probe_graphs) / mean, 2)
-        record["speedup_vs_float64_eig"] = round(reference_seconds / mean, 2)
-    benchmark.extra_info["policy_row"] = json.dumps(record, sort_keys=True)
-    assert gram.shape == reference.shape
-    assert deviation <= atol
 
 
 def test_bench_nystrom_speedup(benchmark):

@@ -13,40 +13,6 @@ from __future__ import annotations
 import pytest
 
 
-def pytest_addoption(parser):
-    """Compute-policy axis for the throughput benches.
-
-    ``--precision`` / ``--entropy`` select the
-    :class:`repro.backend.ComputePolicy` the policy benches measure in
-    addition to the float64/eig reference; ``--chebyshev-degree``
-    overrides the approximation degree. Example::
-
-        pytest benchmarks/bench_kernel_throughput.py --precision float32
-    """
-    group = parser.getgroup("repro compute policy")
-    group.addoption(
-        "--precision",
-        action="store",
-        default="float32",
-        help="device precision to benchmark (float64/float32)",
-    )
-    group.addoption(
-        "--entropy",
-        action="store",
-        default="auto",
-        help="entropy path for the requested-policy row (eig/chebyshev/"
-        "auto); 'auto' routes large stacks eigenvalue-free at float32 "
-        "(the float32 fast path)",
-    )
-    group.addoption(
-        "--chebyshev-degree",
-        action="store",
-        type=int,
-        default=None,
-        help="Chebyshev interpolation degree for the eig-free entropy row",
-    )
-
-
 def run_once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` exactly once under the benchmark timer."""
     return benchmark.pedantic(

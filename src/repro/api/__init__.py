@@ -7,8 +7,8 @@ Three first-class objects replace the historical kwarg sprawl:
   JSON round-trippable ``(name, params)`` description of a kernel
   (re-exported here; the registry itself lives in
   :mod:`repro.kernels.registry`);
-* :class:`ExecutionContext` — engine, store, sinks, tile size,
-  normalisation and compute policy as one immutable value, threaded as a
+* :class:`ExecutionContext` — engine, store, sinks, tile size and
+  normalisation policy as one immutable value, threaded as a
   single ``ctx=`` parameter through every pipeline entry point. A
   context means exactly its fields; the ``REPRO_*`` environment enters
   only through :meth:`ExecutionContext.from_env`, which ``Session()``

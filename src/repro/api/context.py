@@ -1,9 +1,9 @@
 """ExecutionContext — the one selector of execution policy.
 
 :class:`ExecutionContext` bundles every execution knob (engine, tile
-size, sink factory, store, tile checkpointing, normalisation policy and
-the compute policy) into a single frozen value threaded as one ``ctx=``
-parameter through ``gram`` / ``cross_gram`` / ``gram_extend``,
+size, sink factory, store, tile checkpointing and normalisation policy)
+into a single frozen value threaded as one ``ctx=`` parameter through
+``gram`` / ``cross_gram`` / ``gram_extend``,
 ``cross_validate_graph_kernel``, ``NystromApproximation``,
 ``GramConditioner``, ``train_bundle`` / ``PredictionService`` and the
 experiment runners:
@@ -14,8 +14,9 @@ experiment runners:
 
 A context means exactly its fields. ``ctx=None`` means
 ``ExecutionContext()``, and an unset field is the library default: the
-``batched`` engine at its own tile size, the float64/eig reference
-policy, no store. :meth:`ExecutionContext.resolved_engine` turns a
+``batched`` engine at its own tile size, no store. No field selects
+the arithmetic: entropies take the one exact float64 path
+(:mod:`repro.backend`). :meth:`ExecutionContext.resolved_engine` turns a
 context into the engine every Gram under it runs on.
 
 The ``REPRO_*`` environment enters in one place,
@@ -36,26 +37,31 @@ import copy
 import os
 from dataclasses import dataclass, replace
 
-from repro.backend import ComputePolicy
 from repro.engine.base import GramEngine, resolve_engine
 from repro.engine.tiles import DenseSink, GramSink
 from repro.errors import ValidationError
 
 #: The environment :meth:`ExecutionContext.from_env` reads, one variable
-#: per field: backend name, tile size, store address, compute precision
-#: and entropy path.
+#: per field: backend name, tile size and store address.
 ENGINE_ENV_VAR = "REPRO_GRAM_ENGINE"
 TILE_ENV_VAR = "REPRO_GRAM_TILE"
 STORE_ENV_VAR = "REPRO_STORE"
-PRECISION_ENV_VAR = "REPRO_PRECISION"
-ENTROPY_ENV_VAR = "REPRO_ENTROPY"
 
 _ENV_FIELDS = (
     ("engine", ENGINE_ENV_VAR),
     ("tile_size", TILE_ENV_VAR),
     ("store", STORE_ENV_VAR),
-    ("precision", PRECISION_ENV_VAR),
-    ("entropy", ENTROPY_ENV_VAR),
+)
+
+#: Record fields that name the one arithmetic there is: ``(field, value,
+#: what it names)``. :meth:`ExecutionContext.to_record` writes them as
+#: provenance, so records stay byte-identical to those written while
+#: contexts could choose; :meth:`ExecutionContext.from_record` accepts
+#: exactly these values.
+_FIXED_RECORD_FIELDS = (
+    ("backend", "numpy", "array backend"),
+    ("precision", "float64", "precision"),
+    ("entropy", "eig", "entropy path"),
 )
 
 
@@ -100,12 +106,6 @@ class ExecutionContext:
         historical default (``gram`` raw, the CV protocol normalised),
         ``True``/``False`` pins the policy for every call through this
         context unless the call site overrides it explicitly.
-    precision / entropy:
-        Compute-policy knobs (see :class:`repro.backend.ComputePolicy`):
-        the compute precision (``"float64"`` / ``"float32"``) and the
-        entropy path (``"eig"`` / ``"chebyshev"`` / ``"auto"``). ``None``
-        is the bit-stable float64/eig reference. Field values are
-        validated at construction.
     """
 
     engine: "GramEngine | str | None" = None
@@ -115,8 +115,6 @@ class ExecutionContext:
     tile_checkpoint: bool = True
     normalize: "bool | None" = None
     ensure_psd: "bool | None" = None
-    precision: "str | None" = None
-    entropy: "str | None" = None
 
     def __post_init__(self) -> None:
         if isinstance(self.store, str):
@@ -138,8 +136,6 @@ class ExecutionContext:
                 f"{type(self.sink_factory).__name__} (a sink instance is "
                 "single-use — wrap it: sink_factory=lambda: sink)"
             )
-        # A typo'd precision/entropy raises a named BackendError.
-        self.compute_policy()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -154,8 +150,7 @@ class ExecutionContext:
         size), ``REPRO_STORE`` (a store address: ``dir:/path``, a bare
         directory — created if missing, with a named
         :class:`~repro.errors.ValidationError` citing the path when that
-        fails — or ``mem:name``), ``REPRO_PRECISION`` and
-        ``REPRO_ENTROPY``. Unset variables leave their field unset;
+        fails — or ``mem:name``). Unset variables leave their field unset;
         keyword ``overrides`` replace any field afterwards.
         ``Session()``, the experiment runners, the serve CLI and the HTTP
         server build their context here, so one environment drives every
@@ -216,27 +211,15 @@ class ExecutionContext:
     # Resolution helpers the entry points consume
     # ------------------------------------------------------------------ #
 
-    def compute_policy(self) -> ComputePolicy:
-        """The :class:`~repro.backend.ComputePolicy` this context selects:
-        its ``precision`` / ``entropy`` fields, the float64/eig reference
-        for any it leaves unset."""
-        fields = {"precision": self.precision, "entropy": self.entropy}
-        return ComputePolicy(
-            **{name: value for name, value in fields.items() if value is not None}
-        )
-
     def resolved_engine(self) -> GramEngine:
         """The :class:`~repro.engine.GramEngine` every Gram under this
         context runs on.
 
         A backend name (``None`` means ``"batched"``) resolves to a fresh
-        instance. An engine instance is copied: its own tile size, policy
-        and worker count carry over, and the caller's object is never
-        touched. The context's ``tile_size`` and compute policy override
-        the engine's only when the context sets them; the engine installs
-        its policy around the tile stream with
-        :func:`repro.backend.policy_scope`, and an engine without one
-        lets the ambient policy show through.
+        instance. An engine instance is copied: its own tile size and
+        worker count carry over, and the caller's object is never
+        touched. The context's ``tile_size`` overrides the engine's only
+        when the context sets it.
         """
         if isinstance(self.engine, GramEngine):
             engine = copy.copy(self.engine)
@@ -244,8 +227,6 @@ class ExecutionContext:
             engine = resolve_engine(self.engine)
         if self.tile_size is not None:
             engine.tile_size = int(self.tile_size)
-        if self.precision is not None or self.entropy is not None:
-            engine.policy = self.compute_policy()
         return engine
 
     def make_sink(self) -> GramSink:
@@ -289,16 +270,15 @@ class ExecutionContext:
         ``sink_factory`` is code, not data — it is recorded by class
         name only, and :meth:`from_record` refuses records carrying one
         (rebuild the factory at the call site instead).
-        ``precision`` / ``entropy`` are recorded *resolved* (explicit
-        field, else the reference default): the record describes the
-        compute policy that actually ran, and resolution is a fixed point
-        so records round-trip.
+        ``precision`` / ``entropy`` are always ``"float64"`` / ``"eig"``:
+        fixed provenance naming the one arithmetic, kept so that records,
+        and the campaign node keys and report footers built from them,
+        stay byte-identical to those written while contexts could choose.
         """
         sink_name = None
         if self.sink_factory is not None:
             probe = getattr(self.sink_factory, "__name__", None)
             sink_name = probe or type(self.sink_factory).__name__
-        policy = self.compute_policy()
         return {
             "engine": _engine_name(self.engine),
             "tile_size": self.tile_size,
@@ -309,8 +289,8 @@ class ExecutionContext:
             "tile_checkpoint": bool(self.tile_checkpoint),
             "normalize": self.normalize,
             "ensure_psd": self.ensure_psd,
-            "precision": policy.precision,
-            "entropy": policy.entropy,
+            "precision": "float64",
+            "entropy": "eig",
         }
 
     @classmethod
@@ -318,9 +298,10 @@ class ExecutionContext:
         """Rebuild a context from :meth:`to_record` output.
 
         Records written while contexts still had an array-backend field
-        (bundles, report footers) carry ``"backend": "numpy"``. Numpy is
-        what runs now, so that value is accepted and dropped; any other
-        backend is refused.
+        (bundles, report footers) carry ``"backend": "numpy"``, and every
+        record carries ``"precision"`` / ``"entropy"``. Those fields name
+        the arithmetic: the one value each can hold now (numpy, float64,
+        eig) is accepted and dropped, and any other is refused by name.
         """
         if not isinstance(record, dict):
             raise ValidationError(
@@ -337,13 +318,14 @@ class ExecutionContext:
             raise ValidationError(
                 f"unexpected ExecutionContext record keys {sorted(extras)}"
             )
-        backend = record.get("backend", "numpy")
-        if backend != "numpy":
-            raise ValidationError(
-                f"ExecutionContext record field 'backend' is {backend!r}: "
-                "computation runs on numpy only, so records naming another "
-                "array backend cannot be rebuilt"
-            )
+        for field, value, meaning in _FIXED_RECORD_FIELDS:
+            got = record.get(field, value)
+            if got != value:
+                raise ValidationError(
+                    f"ExecutionContext record field {field!r} is {got!r}: "
+                    f"the only {meaning} is {value!r}, so a record naming "
+                    "another cannot be rebuilt"
+                )
         if record.get("sink") is not None:
             raise ValidationError(
                 "ExecutionContext records cannot carry a sink factory "
@@ -362,8 +344,6 @@ class ExecutionContext:
             tile_checkpoint=bool(record.get("tile_checkpoint", True)),
             normalize=record.get("normalize"),
             ensure_psd=record.get("ensure_psd"),
-            precision=record.get("precision"),
-            entropy=record.get("entropy"),
         )
 
 

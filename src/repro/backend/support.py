@@ -124,11 +124,12 @@ def take_principal(
 def eig_entropies(stack: np.ndarray) -> np.ndarray:
     """Float64 von Neumann entropies ``-sum safe_xlogx(eigvalsh)`` of
     a symmetric ``(..., m, m)`` stack — the one eigensolver entropy path
-    (the reference policy and :func:`support_entropies` both call it).
+    (:meth:`~repro.backend.ComputePolicy.mixed_entropies`,
+    :func:`support_entropies` and
+    :func:`~repro.quantum.entropy.von_neumann_entropies` all call it).
 
     :func:`~repro.utils.linalg.safe_xlogx` clips tiny negative eigenvalues
-    to zero and upcasts once, so a float32 stack rounds only its
-    eigenvalues, never the float64 sum.
+    to zero.
     """
     return -safe_xlogx(np.linalg.eigvalsh(stack)).sum(axis=-1)
 

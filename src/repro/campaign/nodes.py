@@ -31,6 +31,9 @@ _NODE_KEY_VERSION = "campaign-node-v2"
 #: is scheduling and persistence, which the engine-equivalence tests pin
 #: to identical results, so it must NOT enter a node key: moving a
 #: campaign to another store or engine must skip, not recompute.
+#: ``precision`` and ``entropy`` are fixed provenance now (always
+#: ``float64`` / ``eig``); they stay in the slice so that node keys
+#: recorded before keep matching.
 _VALUE_FIELDS = ("normalize", "ensure_psd", "precision", "entropy")
 
 
@@ -39,9 +42,8 @@ def context_cache_record(ctx) -> dict:
 
     Accepts an :class:`~repro.api.ExecutionContext`, a ``to_record()``
     dict, or ``None`` (the default context). This — not the full record —
-    is what enters :func:`node_key`: compute-policy fields change numbers
-    (float32, Chebyshev), normalisation policy changes numbers,
-    scheduling and persistence do not.
+    is what enters :func:`node_key`: normalisation policy changes
+    numbers, scheduling and persistence do not.
     """
     if isinstance(ctx, dict):
         record = ctx

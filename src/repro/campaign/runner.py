@@ -87,7 +87,7 @@ class CampaignRunner:
         The :class:`~repro.campaign.db.CampaignDB` recording node state.
     ctx:
         The :class:`~repro.api.ExecutionContext` handed to every
-        executor (engine, store, compute policy).
+        executor (engine, store, normalisation).
     """
 
     def __init__(

@@ -149,8 +149,7 @@ def check_fingerprint_boundary(ctx):
                     rule, node,
                     f"key function {func.name}() reads schedule-only field "
                     f".{node.attr} — only value-relevant fields (normalize, "
-                    "ensure_psd, precision, entropy) may enter a "
-                    "content key",
+                    "ensure_psd) may enter a content key",
                 )
             elif (
                 isinstance(node, ast.Call)
@@ -360,21 +359,19 @@ def check_sqlite_discipline(ctx):
 # REPRO006 — float64 accumulation in backend reductions
 # --------------------------------------------------------------------- #
 
-#: Reductions in ``repro.backend`` contracted to return float64 whatever
-#: the compute precision: the eigensolver entropy sum (support.py) and
-#: the Chebyshev trace and spectral-bound reductions (chebyshev.py).
-_REDUCTIONS = frozenset({"eig_entropies", "trace", "pair_trace", "gershgorin"})
+#: Reductions in ``repro.backend`` contracted to compute and return
+#: float64: the eigensolver entropy sum (support.py).
+_REDUCTIONS = frozenset({"eig_entropies"})
 
 
 @register_rule(
     "REPRO006",
     name="float64-accumulation",
     rationale=(
-        "Backend reductions accumulate and return float64 even when "
-        "compute runs float32 — the mixed-precision accuracy tiers "
-        "(DESIGN.md 'why accumulation stays float64', PR 6) assume tile "
-        "sums never inherit float32 round-off. A float32 accumulator "
-        "silently breaks the documented 1e-5 tier."
+        "The entropy sum in repro.backend computes and returns float64: "
+        "HAQJSK's values and its positive-definiteness claim rest on "
+        "exact QJSD values (DESIGN.md 'One entropy path'). A float32 "
+        "cast or accumulator there would silently move every Gram."
     ),
 )
 def check_float64_accumulation(ctx):

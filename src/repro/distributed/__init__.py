@@ -6,7 +6,7 @@ Built on three earlier layers — content-addressed tiles
 (:mod:`repro.store.claims`) — this package adds the processes:
 
 * :class:`~repro.distributed.jobspec.JobSpec` — a job's full identity
-  (kernel spec, collection digest, engine, tile size, compute policy),
+  (kernel spec, collection digest, engine, tile size),
   seeded into the store so workers need only ``(address, job id)``;
 * :class:`~repro.distributed.worker.TileWorker` and its CLI
   (``python -m repro.distributed.worker``) — the claim → compute →

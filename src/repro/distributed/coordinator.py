@@ -3,7 +3,7 @@
 The coordinator is *not* a scheduler — workers self-schedule through the
 store's lease table. It owns the three bookends of a distributed Gram:
 
-* **submit** — resolve the kernel/engine/policy into a
+* **submit** — resolve the kernel, engine and tile size into a
   :class:`~repro.distributed.jobspec.JobSpec`, seed record + input
   collection into the store, print one job id for workers to join;
 * **watch** — poll the tile ledger (``done/total``) and the lease table

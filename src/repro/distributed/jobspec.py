@@ -2,18 +2,18 @@
 
 A distributed Gram job is fully described by a small JSON record — the
 resolved :class:`~repro.kernels.registry.KernelSpec`, the collection
-digest, the engine name, the tile size, and the resolved compute policy
-— plus the pickled graph collection. Both are seeded *into the store
-itself* under the job id (the record's content hash), so the only thing
-a worker needs to be told is ``(store address, job id)``: everything
-else it reads from the store it is already pointed at.
+digest, the engine name and the tile size — plus the pickled graph
+collection. Both are seeded *into the store itself* under the job id
+(the record's content hash), so the only thing a worker needs to be told
+is ``(store address, job id)``: everything else it reads from the store
+it is already pointed at.
 
-Pinning engine, tile size, and compute policy in the record is what
-makes K-worker convergence byte-identical: tile values depend on the
-engine's batching arithmetic and on the tile boundaries, so every
-worker must compute every tile exactly the way the single-process
-reference would. The job id hashes the full record — two jobs differing
-only in tile size are different jobs with disjoint tile keys.
+Pinning engine and tile size in the record is what makes K-worker
+convergence byte-identical: tile values depend on the engine's batching
+arithmetic and on the tile boundaries, so every worker must compute
+every tile exactly the way the single-process reference would. The job
+id hashes the full record — two jobs differing only in tile size are
+different jobs with disjoint tile keys.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ JOB_KIND = "job"
 JOB_INPUT_KIND = "job-input"
 
 #: Record-schema version; bump on incompatible layout changes (v2: the
-#: array-backend field is gone).
-_JOB_VERSION = "job-v2"
+#: array-backend field is gone; v3: so are ``precision`` and ``entropy``).
+_JOB_VERSION = "job-v3"
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,6 @@ class JobSpec:
     n_graphs: int
     engine: str
     tile_size: int
-    precision: str
-    entropy: str
     normalize: bool = False
 
     # ------------------------------------------------------------------ #
@@ -98,14 +96,10 @@ class JobSpec:
         return KernelSpec.from_dict(self.kernel_spec).make()
 
     def resolved_engine(self):
-        """A fresh engine pinned to the job's tile size and compute policy
-        (the context the job was submitted under, rebuilt from its
-        record)."""
+        """A fresh engine pinned to the job's tile size (the context the
+        job was submitted under, rebuilt from its record)."""
         return ExecutionContext(
-            engine=self.engine,
-            tile_size=self.tile_size,
-            precision=self.precision,
-            entropy=self.entropy,
+            engine=self.engine, tile_size=self.tile_size
         ).resolved_engine()
 
     def plan(self) -> TilePlan:
@@ -126,8 +120,8 @@ def job_spec_for(
     normalize: "bool | None" = None,
 ) -> JobSpec:
     """Build the :class:`JobSpec` describing ``kernel.gram(graphs)`` under
-    ``ctx`` (engine / tile size / compute policy resolved *now*, so every
-    worker reproduces this exact schedule).
+    ``ctx`` (engine and tile size resolved *now*, so every worker
+    reproduces this exact schedule).
     """
     ctx = as_context(ctx, owner="job_spec_for")
     graphs = list(graphs)
@@ -140,15 +134,12 @@ def job_spec_for(
             "streaming kernel (pairwise or feature-map families)"
         )
     engine = ctx.resolved_engine()
-    policy = ctx.compute_policy()
     return JobSpec(
         kernel_spec=spec.to_dict(),
         collection=collection_digest(graphs),
         n_graphs=len(graphs),
         engine=engine.name,
         tile_size=engine.tile_size,
-        precision=policy.precision,
-        entropy=policy.entropy,
         normalize=bool(ctx.policy(normalize, "normalize", False)),
     )
 
@@ -216,9 +207,7 @@ def tile_computer(kernel, graphs, engine):
     kernels prepare their states once and evaluate
     :meth:`~repro.engine.base.GramEngine.compute_tile` per slice pair;
     feature-map kernels extract features once and stream matmul tiles
-    (the same block function their ``_compute_gram_into`` uses). Callers
-    install the job's compute policy around the loop, mirroring
-    :meth:`GramEngine.execute`.
+    (the same block function their ``_compute_gram_into`` uses).
     """
     from repro.kernels.base import FeatureMapKernel, PairwiseKernel
 

@@ -3,8 +3,8 @@
 ``python -m repro.distributed.worker --store dir:/shared --job <id>``
 turns any machine that can reach the store into one more participant in
 a Gram computation. Workers share nothing but the store: the job record
-tells them what to compute and exactly how (engine, tile size, compute
-policy), the tile ledger tells them what remains, and the lease table
+tells them what to compute and exactly how (engine, tile size), the
+tile ledger tells them what remains, and the lease table
 keeps them off each other's tiles (:mod:`repro.store.claims`).
 
 The loop is deliberately crash-shaped. A worker SIGKILLed at *any* point
@@ -26,7 +26,6 @@ import threading
 import time
 import uuid
 
-from repro.backend import policy_scope
 from repro.errors import DistributedError
 from repro.store.artifacts import ArtifactStore
 from repro.store.claims import DEFAULT_LEASE_TTL, TileClaims
@@ -151,8 +150,6 @@ class TileWorker:
             "elapsed": 0.0,
         }
         started = time.monotonic()
-        # Preparation (states / feature extraction) runs outside the
-        # policy scope, exactly like the single-process gram path.
         compute = tile_computer(self.kernel, self.graphs, self.engine)
         heartbeat = _HeartbeatThread(self.claims, self.claims.ttl / 4.0)
         heartbeat.start()
@@ -192,8 +189,7 @@ class TileWorker:
                 continue
             heartbeat.watch(lease)
             try:
-                with policy_scope(self.engine.policy):
-                    block = compute(rows, cols, self.plan.is_diagonal(rows, cols))
+                block = compute(rows, cols, self.plan.is_diagonal(rows, cols))
                 if self.tile_delay:
                     time.sleep(self.tile_delay)
                 self.ledger.commit(rows, cols, block)
@@ -282,7 +278,7 @@ def main(argv: "list[str] | None" = None) -> int:
         description=(
             "Join a distributed Gram computation: claim pending tiles "
             "from the shared store, compute them under the job's pinned "
-            "engine/tile/compute policy, commit, repeat until complete."
+            "engine and tile size, commit, repeat until complete."
         ),
     )
     parser.add_argument(

@@ -32,7 +32,6 @@ import abc
 
 import numpy as np
 
-from repro.backend import ComputePolicy, policy_scope
 from repro.engine.tiles import DenseSink, GramSink, TilePlan
 from repro.errors import KernelError
 
@@ -56,17 +55,9 @@ class GramEngine(abc.ABC):
     #: Per-backend tile size, used when the constructor gets none.
     default_tile: int = 64
 
-    def __init__(
-        self,
-        *,
-        tile_size: "int | None" = None,
-        policy: "ComputePolicy | None" = None,
-    ) -> None:
+    def __init__(self, *, tile_size: "int | None" = None) -> None:
         size = self.default_tile if tile_size is None else tile_size
         self.tile_size = max(int(size), _MIN_TILE)
-        #: Compute policy installed around the tile stream (``None`` lets
-        #: the ambient :func:`repro.backend.active_policy` show through).
-        self.policy = policy
 
     # ------------------------------------------------------------------ #
     # Entry points (shared by every backend)
@@ -126,13 +117,9 @@ class GramEngine(abc.ABC):
                 yield (rows, cols), (kernel, slice_a, slice_b, diagonal)
 
         def place(key, block):
-            # Accumulation point: blocks land in float64 regardless of the
-            # policy's compute precision, so low-precision round-off stays
-            # per-entry and never compounds across tiles.
             sink.write(key[0], key[1], np.asarray(block, dtype=float))
 
-        with policy_scope(self.policy):
-            self.run_tiles(jobs(), place)
+        self.run_tiles(jobs(), place)
         return sink.finalize()
 
     # ------------------------------------------------------------------ #

@@ -33,25 +33,17 @@ except ImportError:  # pragma: no cover - interpreter without _multiprocessing
     # and batched backends still work; run_tiles degrades in-process.
     ProcessPoolExecutor = None
 
-from repro.backend import policy_scope, scoped_policy
 from repro.engine.base import GramEngine, register_engine
 
 #: Smaller default tiles than the batched backend: more tasks to balance.
 DEFAULT_TILE_SIZE = 32
 
 
-def _gram_block(kernel, states_a, states_b, diagonal: bool, policy=None):
-    """Module-level worker (must be picklable by ProcessPoolExecutor).
-
-    ``policy`` ships the parent's compute policy into the worker — the
-    parent's :func:`~repro.backend.policy_scope` is thread-local and does
-    not cross the process boundary. ``None`` (the in-process paths) is a
-    no-op scope: the ambient policy shows through.
-    """
-    with policy_scope(policy):
-        if diagonal:
-            return kernel.symmetric_block_values(states_a)
-        return kernel.block_values(states_a, states_b)
+def _gram_block(kernel, states_a, states_b, diagonal: bool):
+    """Module-level worker (must be picklable by ProcessPoolExecutor)."""
+    if diagonal:
+        return kernel.symmetric_block_values(states_a)
+    return kernel.block_values(states_a, states_b)
 
 
 @register_engine
@@ -67,9 +59,8 @@ class ProcessEngine(GramEngine):
         *,
         tile_size: "int | None" = None,
         max_workers: "int | None" = None,
-        policy=None,
     ) -> None:
-        super().__init__(tile_size=tile_size, policy=policy)
+        super().__init__(tile_size=tile_size)
         self.max_workers = max_workers
 
     def compute_tile(
@@ -114,10 +105,6 @@ class ProcessEngine(GramEngine):
         instead of being masked by a silent full serial recompute.
         """
         jobs = iter(jobs)
-        # Capture the effective policy here (self.policy if set, else any
-        # enclosing scope's): worker processes can't see the parent's
-        # thread-local scope, so it rides along with each submitted task.
-        policy = scoped_policy()
         limit = max(1, int(self.max_workers or os.cpu_count() or 1))
         # Buffer up to `limit` jobs before creating the pool, so tiny
         # plans don't spawn more workers than they have tiles.
@@ -143,7 +130,7 @@ class ProcessEngine(GramEngine):
         first_batch = list(itertools.islice(remaining, depth))
         try:
             for key, args in first_batch:
-                window.append((key, pool.submit(_gram_block, *args, policy)))
+                window.append((key, pool.submit(_gram_block, *args)))
         except (OSError, PermissionError, RuntimeError) as exc:
             # First-window submission failed: nothing has been consumed
             # yet, so the whole stream — including the jobs whose futures
@@ -160,7 +147,7 @@ class ProcessEngine(GramEngine):
                 consume(key, np.asarray(future.result(), dtype=float))
                 for next_key, next_args in itertools.islice(remaining, 1):
                     window.append(
-                        (next_key, pool.submit(_gram_block, *next_args, policy))
+                        (next_key, pool.submit(_gram_block, *next_args))
                     )
         finally:
             # Runs whether the drain completed or a worker raised: pending

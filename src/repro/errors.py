@@ -45,15 +45,6 @@ class KernelSpecError(KernelError, ValueError):
     passes parameters the registered signature does not accept."""
 
 
-class BackendError(KernelError):
-    """A compute policy is misconfigured.
-
-    Raised by :class:`repro.backend.ComputePolicy` for an unknown
-    precision or entropy path (the message lists the accepted names) and
-    for a degenerate Chebyshev degree or ``approx_min_dim``.
-    """
-
-
 class NotFittedError(ReproError):
     """A model or transformer was used before ``fit`` was called."""
 

@@ -95,7 +95,7 @@ def main(argv=None) -> int:
         metadata = {
             "gram_engine": ctx.resolved_engine().name,
             "gram_tile": ctx.tile_size or "backend default",
-            "compute_backend": ctx.compute_policy().describe(),
+            "compute_backend": f"{record['precision']}/{record['entropy']}",
         }
         if record["store"]:
             metadata["artifact_store"] = record["store"]

@@ -68,7 +68,7 @@ class CoreVariantKernel(GraphKernel):
             if len(alive) < 1:
                 break
             # The outer Gram's engine, already resolved: wrapping it
-            # keeps its tile size and compute policy for every level.
+            # keeps its tile size for every level.
             block = self.base_kernel.gram(cores, ctx=ExecutionContext(engine=engine))
             for a, i in enumerate(alive):
                 for b, j in enumerate(alive):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.alignment.correspondence import correspondence_matrices
-from repro.backend import active_policy
+from repro.backend import EXACT
 from repro.backend.policy import DEFAULT_CHUNK_ELEMENTS
 from repro.backend.support import support_entropies
 from repro.alignment.depth_based import DBRepresentationExtractor, check_entropy_kind
@@ -553,9 +553,9 @@ class _HAQJSKBase(PairwiseKernel):
         Per hierarchy level the matrices are stacked once into
         ``(n, m_h, m_h)`` arrays, the requested mixed states gathered by
         fancy indexing, and one batched entropy reduction per chunk —
-        dispatched through the ambient
-        :class:`~repro.backend.ComputePolicy` for ``m > 2``, while the
-        deepest 1x1/2x2 levels keep the exact closed-form spectra —
+        :meth:`~repro.backend.ComputePolicy.mixed_entropies` for
+        ``m > 2``, while the deepest 1x1/2x2 levels keep the exact
+        closed-form spectra —
         yields all mixed entropies; per-graph entropies come precomputed
         from ``prepare``. Chunking bounds every intermediate by the
         memory budget. Taking an explicit pair list lets diagonal Gram
@@ -569,7 +569,6 @@ class _HAQJSKBase(PairwiseKernel):
         entropies_b = np.asarray([s[0] for s in states_b])
         n_pairs = idx_a.size
         values = np.zeros(n_pairs)
-        policy = active_policy()
         for h in range(n_levels):
             stack_a = np.stack([s[1][h] for s in states_a])  # (n_a, m, m)
             stack_b = np.stack([s[1][h] for s in states_b])
@@ -582,9 +581,9 @@ class _HAQJSKBase(PairwiseKernel):
             m = stack_a.shape[-1]
             if m > 2:
                 # Aligned matrices are symmetric by construction, so the
-                # policy path skips the symmetrise pass (same contract as
+                # pair stage skips the symmetrise pass (same contract as
                 # the historical _entropies_fast eigvalsh call).
-                mixed_entropies = policy.mixed_entropies(
+                mixed_entropies = EXACT.mixed_entropies(
                     stack_a, stack_b, idx_a, idx_b, symmetrize=False
                 )
                 divergence = (

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import active_policy
 from repro.backend.policy import DEFAULT_CHUNK_ELEMENTS
 from repro.errors import KernelError
 from repro.graphs.graph import Graph
@@ -215,14 +214,8 @@ class JensenTsallisQKernel(PairwiseKernel):
     def _block_values_quadratic(
         self, stack_a: np.ndarray, stack_b: np.ndarray
     ) -> np.ndarray:
-        """``q = 2`` tile via per-level Gram matmuls (no mixed stacks).
-
-        The per-level cross products — the only pairwise cost — run
-        through the ambient :class:`~repro.backend.ComputePolicy`, so a
-        float32 policy accelerates the matmul while all the entropy
-        algebra stays in float64.
-        """
-        policy = active_policy()
+        """``q = 2`` tile via per-level Gram matmuls (no mixed stacks):
+        the per-level cross products are the only pairwise cost."""
         totals_a = stack_a.sum(axis=-1)  # (n_a, L)
         totals_b = stack_b.sum(axis=-1)
         sq_a = (stack_a * stack_a).sum(axis=-1)
@@ -232,7 +225,7 @@ class JensenTsallisQKernel(PairwiseKernel):
         n_levels = stack_a.shape[1]
         values = np.zeros((stack_a.shape[0], stack_b.shape[0]))
         for level in range(n_levels):
-            cross = policy.matmul(stack_a[:, level, :], stack_b[:, level, :].T)
+            cross = np.matmul(stack_a[:, level, :], stack_b[:, level, :].T)
             mixed_sq = (sq_a[:, level][:, None] + 2.0 * cross + sq_b[None, :, level]) / 4.0
             mixed_totals = (totals_a[:, level][:, None] + totals_b[None, :, level]) / 2.0
             mixed_entropy = self._quadratic_entropy(mixed_sq, mixed_totals)

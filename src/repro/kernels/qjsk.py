@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.alignment.umeyama import permute_with, umeyama_correspondence
-from repro.backend import active_policy
+from repro.backend import EXACT
 from repro.backend.policy import DEFAULT_CHUNK_ELEMENTS
 from repro.graphs.graph import Graph
 from repro.kernels.base import KernelTraits, PairwiseKernel
@@ -61,14 +61,12 @@ def _mixed_entropies_at_pair_edges(
     Each pair is padded to its own edge ``max(n_a, n_b)``, the serial
     oracle's padding, so its value depends on its two graphs alone and
     never on which graphs share its tile. Pairs of one edge share one
-    call into the ambient :class:`~repro.backend.ComputePolicy`, over
-    stacks of only the graphs they use; it gathers, mixes and reduces at
-    the policy's precision.
+    :meth:`~repro.backend.ComputePolicy.mixed_entropies` call, over
+    stacks of only the graphs they use.
     """
     sizes_a = np.asarray([state.shape[0] for state in states_a])
     sizes_b = np.asarray([state.shape[0] for state in states_b])
     edges = np.maximum(sizes_a[idx_a], sizes_b[idx_b])
-    policy = active_policy()
     out = np.empty(idx_a.size)
     for edge in np.unique(edges):
         pairs = np.flatnonzero(edges == edge)
@@ -76,7 +74,7 @@ def _mixed_entropies_at_pair_edges(
         rows_b, local_b = np.unique(idx_b[pairs], return_inverse=True)
         stack_a = _padded_stack([states_a[i] for i in rows_a], edge)
         stack_b = _padded_stack([states_b[i] for i in rows_b], edge)
-        out[pairs] = policy.mixed_entropies(
+        out[pairs] = EXACT.mixed_entropies(
             stack_a, stack_b, local_a, local_b, symmetrize=True
         )
     return out

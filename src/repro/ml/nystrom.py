@@ -226,7 +226,7 @@ class NystromApproximation:
 
     def _evaluation_ctx(self):
         """This approximation's context for its own kernel evaluations:
-        engine, tile size and compute policy, but no store (rectangles
+        engine and tile size, but no store (rectangles
         are cached whole under their own key) and no sink factory."""
         return self.ctx.replace(store=None, sink_factory=None)
 

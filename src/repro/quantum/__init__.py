@@ -25,7 +25,6 @@ from repro.quantum.entropy import (
     shannon_entropy,
     tsallis_entropy,
     von_neumann_entropies,
-    von_neumann_entropies_approx,
     von_neumann_entropy,
 )
 from repro.quantum.operators import (
@@ -65,6 +64,5 @@ __all__ = [
     "tsallis_entropy",
     "uniform_initial_state",
     "von_neumann_entropies",
-    "von_neumann_entropies_approx",
     "von_neumann_entropy",
 ]

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import DEFAULT_CHEBYSHEV_DEGREE, ComputePolicy, active_policy
+from repro.backend.support import eig_entropies
 from repro.errors import QuantumError
-from repro.utils.linalg import eigh_sorted, safe_xlogx
+from repro.utils.linalg import eigh_sorted, safe_xlogx, symmetrize
 from repro.utils.validation import check_in_range, check_symmetric_matrix
 
 _EIG_CLIP = 0.0
@@ -42,55 +42,21 @@ def von_neumann_entropy(matrix: np.ndarray) -> float:
     return float(-np.sum(safe_xlogx(values)))
 
 
-def von_neumann_entropies(stack: np.ndarray, *, policy=None) -> np.ndarray:
+def von_neumann_entropies(stack: np.ndarray) -> np.ndarray:
     """Batched von Neumann entropies over a ``(..., n, n)`` matrix stack.
 
     The hot-path counterpart of :func:`von_neumann_entropy` used by the
-    vectorized Gram engines (:mod:`repro.engine`): one stacked
+    vectorized Gram engines (:mod:`repro.engine`): one stacked float64
     ``eigvalsh`` replaces a Python loop of per-matrix decompositions.
     Inputs are symmetrised exactly like :func:`repro.utils.linalg.eigh_sorted`
     so a stacked call agrees with the scalar path to solver round-off.
-
-    ``policy`` selects the compute precision and entropy path
-    (:class:`repro.backend.ComputePolicy`); ``None`` uses the ambient
-    :func:`repro.backend.active_policy`, which defaults to the bit-stable
-    float64/eig reference.
     """
     arr = np.asarray(stack, dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise QuantumError(
             f"expected a (..., n, n) stack of square matrices, got {arr.shape}"
         )
-    if policy is None:
-        policy = active_policy()
-    return policy.entropies(arr, symmetrize=True)
-
-
-def von_neumann_entropies_approx(
-    stack: np.ndarray,
-    *,
-    degree: "int | None" = None,
-    precision: str = "float32",
-) -> np.ndarray:
-    """Eigenvalue-free batched von Neumann entropies (Chebyshev path).
-
-    Forces the :mod:`repro.backend.chebyshev` trace-estimation path
-    regardless of the ambient policy — the explicit entry point for the
-    documented approximate tolerance tier. ``degree`` defaults to
-    :data:`repro.backend.DEFAULT_CHEBYSHEV_DEGREE` (~2e-3 max absolute
-    entropy error); raise it to tighten the approximation.
-    """
-    arr = np.asarray(stack, dtype=float)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise QuantumError(
-            f"expected a (..., n, n) stack of square matrices, got {arr.shape}"
-        )
-    policy = ComputePolicy(
-        precision=precision,
-        entropy="chebyshev",
-        chebyshev_degree=DEFAULT_CHEBYSHEV_DEGREE if degree is None else degree,
-    )
-    return policy.entropies(arr, symmetrize=True)
+    return eig_entropies(symmetrize(arr))
 
 
 def shannon_entropy(probabilities: np.ndarray) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro.utils.logging import get_logger
@@ -297,7 +298,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``info | grep -q ...``): stop
+        # quietly, with Python's exit status for a broken pipe.
+        _discard_stdout()
+        return 1
+    return status
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at devnull, so the interpreter's flush
+    at exit finds no closed pipe to raise on again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a descriptor: nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -63,8 +63,7 @@ class TileKeyer:
     context:
         Extra content mixed into every key. Empty for
         collection-independent kernels (slice keys are globally valid);
-        the full collection digest for collection-dependent ones; the
-        storage dtype when tiles are persisted at reduced precision.
+        the full collection digest for collection-dependent ones.
     """
 
     def __init__(
@@ -118,7 +117,6 @@ def tile_keyer_for(
     col_graphs=None,
     *,
     collection=None,
-    dtype=None,
 ) -> TileKeyer:
     """Build the :class:`TileKeyer` for a Gram (or cross-Gram) plan.
 
@@ -127,29 +125,20 @@ def tile_keyer_for(
     prepares ``X`` once and slices landmarks out of it). It only matters
     for collection-*dependent* kernels, where it is mixed into every key;
     collection-independent kernels get pure slice keys — the property that
-    makes grown-collection tile reuse sound. ``dtype`` (the storage
-    precision of :class:`CheckpointSink`) is part of the content: float32
-    tiles must never satisfy a float64 read.
+    makes grown-collection tile reuse sound.
     """
     row_digests = [graph_digest(g) for g in row_graphs]
     col_digests = (
         None if col_graphs is None else [graph_digest(g) for g in col_graphs]
     )
-    context_parts = []
+    context = ""
     if not getattr(kernel, "collection_independent", False):
         from repro.graphs.hashing import collection_digest
 
         if collection is None:
             collection = list(row_graphs) + list(col_graphs or [])
-        context_parts.append(f"collection={collection_digest(collection)}")
-    if dtype is not None:
-        context_parts.append(f"dtype={np.dtype(dtype).name}")
-    return TileKeyer(
-        kernel.fingerprint(),
-        row_digests,
-        col_digests,
-        context="&".join(context_parts),
-    )
+        context = f"collection={collection_digest(collection)}"
+    return TileKeyer(kernel.fingerprint(), row_digests, col_digests, context=context)
 
 
 class CheckpointSink(GramSink):
@@ -165,12 +154,6 @@ class CheckpointSink(GramSink):
     store's atomic write path — a kill mid-commit loses at most the tile
     in flight, never corrupts one.
 
-    ``dtype`` opts into reduced-precision tile *storage* (float32 halves
-    the disk footprint). Computation stays float64; the cast happens at
-    commit time, and the inner sink is fed the **stored** (cast) values
-    on both the first run and every resume, so resumed results are
-    byte-identical to uninterrupted ones at any storage dtype.
-
     Attributes
     ----------
     tiles_restored / tiles_computed:
@@ -185,7 +168,6 @@ class CheckpointSink(GramSink):
         keyer: TileKeyer,
         *,
         inner: "GramSink | None" = None,
-        dtype=None,
         kind: str = TILE_KIND,
     ) -> None:
         super().__init__()
@@ -195,19 +177,6 @@ class CheckpointSink(GramSink):
             )
         self.store = store
         self.inner = DenseSink() if inner is None else inner
-        self.dtype = None if dtype is None else np.dtype(dtype)
-        # The storage dtype is part of a tile's content: bind it into the
-        # keys here even when the caller's keyer omitted it, so float32
-        # tiles can never satisfy a float64 read (or vice versa).
-        if self.dtype is not None:
-            token = f"dtype={self.dtype.name}"
-            if token not in keyer.context:
-                keyer = TileKeyer(
-                    keyer.kernel_fingerprint,
-                    keyer.row_digests,
-                    keyer.col_digests,
-                    context="&".join(part for part in (keyer.context, token) if part),
-                )
         self.keyer = keyer
         self.kind = str(kind)
         self.tiles_restored = 0
@@ -238,14 +207,12 @@ class CheckpointSink(GramSink):
 
     def write(self, rows, cols, block: np.ndarray) -> None:
         stored = np.asarray(block)
-        if self.dtype is not None:
-            stored = stored.astype(self.dtype)
         key = self.keyer.key(
             rows, cols, diagonal=self.plan.is_diagonal(rows, cols)
         )
         self.store.put_array(self.kind, key, stored)
-        # The inner sink sees the stored values (cast and back), so a
-        # resume that reads them from disk assembles the identical matrix.
+        # The inner sink sees the stored values, so a resume that reads
+        # them from disk assembles the identical matrix.
         self.inner.write(rows, cols, np.asarray(stored, dtype=float))
         self.tiles_computed += 1
 

@@ -11,22 +11,20 @@ import pytest
 from repro.api import ExecutionContext, KernelSpec, Session
 from repro.api.context import (
     ENGINE_ENV_VAR,
-    ENTROPY_ENV_VAR,
-    PRECISION_ENV_VAR,
     STORE_ENV_VAR,
     TILE_ENV_VAR,
     as_context,
 )
-from repro.backend import ComputePolicy
 from repro.engine import BatchedEngine, MemmapSink, SerialEngine
 from repro.errors import ValidationError
 from repro.graphs import generators as gen
 from repro.store import ArtifactStore
 
-ENV_VARS = (
-    ENGINE_ENV_VAR, TILE_ENV_VAR, STORE_ENV_VAR, PRECISION_ENV_VAR,
-    ENTROPY_ENV_VAR,
-)
+ENV_VARS = (ENGINE_ENV_VAR, TILE_ENV_VAR, STORE_ENV_VAR)
+
+#: Variables that chose the removed float32 / Chebyshev compute tiers.
+#: Nothing reads them now.
+RETIRED_ENV_VARS = ("REPRO_PRECISION", "REPRO_ENTROPY")
 
 
 class TestConstruction:
@@ -69,6 +67,19 @@ class TestConstruction:
     def test_from_env_empty(self, monkeypatch):
         for var in ENV_VARS:
             monkeypatch.delenv(var, raising=False)
+        assert ExecutionContext.from_env() == ExecutionContext()
+
+    def test_compute_tier_fields_are_gone(self):
+        # One entropy path: there is no precision or entropy to choose.
+        for field, value in (("precision", "float64"), ("entropy", "eig")):
+            with pytest.raises(TypeError, match=field):
+                ExecutionContext(**{field: value})
+
+    def test_from_env_ignores_retired_compute_variables(self, monkeypatch):
+        for var in ENV_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("REPRO_PRECISION", "float32")
+        monkeypatch.setenv("REPRO_ENTROPY", "auto")
         assert ExecutionContext.from_env() == ExecutionContext()
 
     def test_from_env_bad_tile(self, monkeypatch):
@@ -128,13 +139,11 @@ class TestResolvedEngine:
         engine = ExecutionContext(engine="serial").resolved_engine()
         assert type(engine) is SerialEngine
         assert engine.tile_size == SerialEngine.default_tile
-        assert engine.policy is None
 
     def test_default(self):
         engine = ExecutionContext().resolved_engine()
         assert type(engine) is BatchedEngine
         assert engine.tile_size == 64
-        assert engine.policy is None  # the ambient policy shows through
 
     def test_tile_override(self):
         engine = ExecutionContext(engine="batched", tile_size=9).resolved_engine()
@@ -142,26 +151,22 @@ class TestResolvedEngine:
         assert engine.tile_size == 9
 
     def test_instance_copied_and_untouched(self):
-        fast = ComputePolicy(precision="float32")
-        base = BatchedEngine(tile_size=64, policy=fast)
+        base = BatchedEngine(tile_size=64)
         resolved = ExecutionContext(engine=base, tile_size=5).resolved_engine()
         assert resolved is not base
         assert resolved.tile_size == 5
         assert base.tile_size == 64  # the original is untouched
-        # A context without compute fields keeps the instance's policy.
-        assert resolved.policy is fast
+        # A context without a tile size keeps the instance's.
         kept = ExecutionContext(engine=base).resolved_engine()
         assert kept is not base
-        assert (kept.tile_size, kept.policy) == (64, fast)
-
-    def test_policy_set_only_by_compute_fields(self):
-        engine = ExecutionContext(precision="float32").resolved_engine()
-        assert engine.policy == ComputePolicy(precision="float32")
+        assert kept.tile_size == 64
 
 
 class TestEnvironmentEntersOnce:
-    """With all five ``REPRO_*`` variables set, what is built from the
-    environment follows it, and an explicit context means its fields."""
+    """With all five ``REPRO_*`` execution variables set, what is built
+    from the environment follows the three that are read, the two retired
+    compute variables change nothing, and an explicit context means its
+    fields."""
 
     GRAPHS = [
         gen.cycle_graph(6),
@@ -173,45 +178,40 @@ class TestEnvironmentEntersOnce:
     SPEC = KernelSpec("HAQJSK(D)", {"n_prototypes": 8, "n_levels": 2, "seed": 0})
 
     def test_all_five_variables(self, monkeypatch, tmp_path):
-        for var in ENV_VARS:
+        for var in ENV_VARS + RETIRED_ENV_VARS:
             monkeypatch.delenv(var, raising=False)
         reference = self.SPEC.make().gram(self.GRAPHS)
-        configured = self.SPEC.make().gram(
-            self.GRAPHS,
-            ctx=ExecutionContext(
-                engine="process", tile_size=3, precision="float32",
-                entropy="auto",
-            ),
-        )
-        assert configured.tobytes() != reference.tobytes()
 
         monkeypatch.setenv(ENGINE_ENV_VAR, "process")
         monkeypatch.setenv(TILE_ENV_VAR, "3")
         monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path / "store"))
-        monkeypatch.setenv(PRECISION_ENV_VAR, "float32")
-        monkeypatch.setenv(ENTROPY_ENV_VAR, "auto")
+        monkeypatch.setenv("REPRO_PRECISION", "float32")
+        monkeypatch.setenv("REPRO_ENTROPY", "auto")
         from_env = ExecutionContext.from_env()
         session = Session()
-        followed = {
+        configured = ExecutionContext(
+            engine="process", tile_size=3, store=str(tmp_path / "store")
+        )
+        assert from_env.to_record() == configured.to_record()
+        assert session.ctx.to_record() == from_env.to_record()
+        engine = from_env.resolved_engine()
+        assert (engine.name, engine.tile_size) == ("process", 3)
+        record = from_env.to_record()
+        assert (record["precision"], record["entropy"]) == ("float64", "eig")
+
+        # Process tiles are the batched tiles byte for byte, a store
+        # changes no byte, and nothing selects another arithmetic: every
+        # route computes the reference.
+        grams = {
             "from_env": self.SPEC.make().gram(self.GRAPHS, ctx=from_env),
             "Session()": session.gram(self.SPEC, self.GRAPHS),
-        }
-        for name, gram in followed.items():
-            assert np.asarray(gram).tobytes() == configured.tobytes(), name
-        defaults = {
             "ctx=None": self.SPEC.make().gram(self.GRAPHS),
             "ExecutionContext()": self.SPEC.make().gram(
                 self.GRAPHS, ctx=ExecutionContext()
             ),
         }
-        for name, gram in defaults.items():
-            assert gram.tobytes() == reference.tobytes(), name
-
-        assert session.ctx.to_record() == from_env.to_record()
-        assert from_env.to_record()["store"] == str(tmp_path / "store")
-        engine = from_env.resolved_engine()
-        assert (engine.name, engine.tile_size) == ("process", 3)
-        assert engine.policy.describe() == "float32/auto"
+        for name, gram in grams.items():
+            assert np.asarray(gram).tobytes() == reference.tobytes(), name
 
 
 class TestRecord:
@@ -252,9 +252,10 @@ class TestRecord:
 
 
 class TestRecordMigration:
-    """Records written while contexts had an array-backend field."""
+    """Records written while contexts had array-backend, precision and
+    entropy fields."""
 
-    #: A context record as written before the field was removed.
+    #: A context record as a default-precision context wrote it then.
     PARENT_RECORD = {
         "engine": "batched",
         "tile_size": 16,
@@ -264,15 +265,14 @@ class TestRecordMigration:
         "normalize": True,
         "ensure_psd": None,
         "backend": "numpy",
-        "precision": "float32",
-        "entropy": "auto",
+        "precision": "float64",
+        "entropy": "eig",
     }
 
     def test_parent_record_rebuilds_the_same_context(self):
         rebuilt = ExecutionContext.from_record(dict(self.PARENT_RECORD))
         assert rebuilt == ExecutionContext(
-            engine="batched", tile_size=16, normalize=True,
-            precision="float32", entropy="auto",
+            engine="batched", tile_size=16, normalize=True
         )
         expected = {k: v for k, v in self.PARENT_RECORD.items() if k != "backend"}
         assert rebuilt.to_record() == expected
@@ -280,6 +280,17 @@ class TestRecordMigration:
     def test_other_backend_refused(self):
         record = dict(self.PARENT_RECORD, backend="torch")
         with pytest.raises(ValidationError, match="'torch'"):
+            ExecutionContext.from_record(record)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("precision", "float32"), ("entropy", "auto"), ("entropy", "chebyshev")],
+    )
+    def test_removed_compute_tier_refused(self, field, value):
+        # A record of the deleted float32 / Chebyshev tiers cannot be
+        # rebuilt as the exact path: refused, naming the field.
+        record = dict(self.PARENT_RECORD, **{field: value})
+        with pytest.raises(ValidationError, match=f"field '{field}' is '{value}'"):
             ExecutionContext.from_record(record)
 
 

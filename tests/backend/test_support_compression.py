@@ -4,9 +4,8 @@
 exact supports (``repro.backend.support``). The stacks here carry random
 exact-zero supports — disjoint, nested, identical, empty, full, single
 index — at edges on both sides of ``SUPPORT_MIN_DIM``, so the compressed
-buckets, the padding and the dense fallback all run. The float64 result
-must match the dense solve to 1e-12; float32 and Chebyshev stay inside
-their documented tiers. The Gram-level tests use HAQJSK(D) with 64
+buckets, the padding and the dense fallback all run. The result must
+match the dense solve to 1e-12. The Gram-level tests use HAQJSK(D) with 64
 prototypes on small graphs (level-1 support far below m) against the
 serial ``pair_value`` oracle and across engines.
 """
@@ -17,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ExecutionContext
-from repro.backend import REFERENCE_POLICY, ComputePolicy
+from repro.backend import EXACT, ComputePolicy
 from repro.backend.support import (
     SUPPORT_BUCKET_WIDTH,
     SUPPORT_DENSE_FRACTION,
@@ -31,8 +30,6 @@ from repro.kernels import HAQJSKKernelD, QJSKUnaligned
 from repro.utils.linalg import safe_xlogx
 
 FLOAT64_ATOL = 1e-12
-FLOAT32_ATOL = 1e-5
-CHEBYSHEV_ATOL = 2e-2
 
 #: Edges below, at and above SUPPORT_MIN_DIM (m < 8 included).
 EDGES = (3, 5, 7, 16, 32, 40, 64)
@@ -124,7 +121,7 @@ class TestCompressedMatchesDense:
     @given(support_stacks())
     def test_float64_within_1e12(self, case):
         stack, idx_a, idx_b, symmetrize = case
-        got = REFERENCE_POLICY.mixed_entropies(
+        got = EXACT.mixed_entropies(
             stack, stack, idx_a, idx_b, symmetrize=symmetrize
         )
         want = _dense_entropies(_dense_mixed(stack, stack, idx_a, idx_b), symmetrize)
@@ -138,31 +135,11 @@ class TestCompressedMatchesDense:
         stack_a, idx_a, idx_b, _ = case
         rng = np.random.default_rng(seed)
         stack_b = stack_a[rng.permutation(len(stack_a))]
-        got = REFERENCE_POLICY.mixed_entropies(
+        got = EXACT.mixed_entropies(
             stack_a, stack_b, idx_a, idx_b, symmetrize=False
         )
         want = _dense_entropies(_dense_mixed(stack_a, stack_b, idx_a, idx_b), False)
         np.testing.assert_allclose(got, want, rtol=0, atol=FLOAT64_ATOL)
-
-    @settings(max_examples=25, deadline=None)
-    @given(support_stacks(psd_only=True))
-    def test_float32_within_tier(self, case):
-        stack, idx_a, idx_b, _ = case
-        got = ComputePolicy(precision="float32").mixed_entropies(
-            stack, stack, idx_a, idx_b, symmetrize=False
-        )
-        want = _dense_entropies(_dense_mixed(stack, stack, idx_a, idx_b), False)
-        assert got.dtype == np.float64
-        np.testing.assert_allclose(got, want, rtol=0, atol=FLOAT32_ATOL)
-
-    @settings(max_examples=25, deadline=None)
-    @given(support_stacks(psd_only=True))
-    def test_chebyshev_within_tier(self, case):
-        stack, idx_a, idx_b, _ = case
-        policy = ComputePolicy(precision="float32", entropy="chebyshev")
-        got = policy.mixed_entropies(stack, stack, idx_a, idx_b, symmetrize=False)
-        want = _dense_entropies(_dense_mixed(stack, stack, idx_a, idx_b), False)
-        np.testing.assert_allclose(got, want, rtol=0, atol=CHEBYSHEV_ATOL)
 
     @settings(max_examples=25, deadline=None)
     @given(support_stacks(), st.integers(0, 2**32 - 1))
@@ -170,14 +147,14 @@ class TestCompressedMatchesDense:
         # A pair's bucket depends only on its own two matrices: any split
         # or order of the pair list gives the same bytes per pair.
         stack, idx_a, idx_b, symmetrize = case
-        whole = REFERENCE_POLICY.mixed_entropies(
+        whole = EXACT.mixed_entropies(
             stack, stack, idx_a, idx_b, symmetrize=symmetrize
         )
         order = np.random.default_rng(seed).permutation(idx_a.size)
         cut = idx_a.size // 2
         parts = np.empty_like(whole)
         for part in (order[:cut], order[cut:]):
-            parts[part] = REFERENCE_POLICY.mixed_entropies(
+            parts[part] = EXACT.mixed_entropies(
                 stack, stack, idx_a[part], idx_b[part], symmetrize=symmetrize
             )
         assert parts.tobytes() == whole.tobytes()
@@ -242,7 +219,7 @@ class TestBuckets:
             return original(stack)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        REFERENCE_POLICY.mixed_entropies(stack, stack, np.array([0]), np.array([1]))
+        EXACT.mixed_entropies(stack, stack, np.array([0]), np.array([1]))
         assert calls == [SUPPORT_MIN_DIM - 1]
 
     def test_full_support_is_bitwise_dense(self):
@@ -251,7 +228,7 @@ class TestBuckets:
         stack = raw @ np.swapaxes(raw, -1, -2)
         idx_a, idx_b = np.triu_indices(6)
         np.testing.assert_array_equal(
-            REFERENCE_POLICY.mixed_entropies(stack, stack, idx_a, idx_b),
+            EXACT.mixed_entropies(stack, stack, idx_a, idx_b),
             _dense_entropies(_dense_mixed(stack, stack, idx_a, idx_b), True),
         )
 

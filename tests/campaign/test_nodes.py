@@ -59,7 +59,7 @@ def test_value_context_fields_change_the_key():
         "cell", ctx=base.replace(normalize=False)
     )
     assert node_key("cell", ctx=base) != node_key(
-        "cell", ctx=base.replace(precision="float32")
+        "cell", ctx=base.replace(ensure_psd=True)
     )
 
 
@@ -89,7 +89,7 @@ def test_parent_format_record_has_the_same_slice():
     # Records written while contexts had a ``backend`` field carry it as
     # "numpy"; it is not part of the value slice, so such a record keys
     # its node exactly like the context it rebuilds to.
-    ctx = ExecutionContext(normalize=True, precision="float32")
+    ctx = ExecutionContext(normalize=True, ensure_psd=True)
     parent_record = dict(ctx.to_record(), backend="numpy")
     assert context_cache_record(parent_record) == context_cache_record(ctx)
     assert "backend" not in context_cache_record(parent_record)

@@ -6,7 +6,7 @@ boundary constrains what enters content keys, not what schedulers do.
 
 
 def node_key(ctx, config):
-    return (config["kernel"], ctx.precision, ctx.normalize)
+    return (config["kernel"], ctx.ensure_psd, ctx.normalize)
 
 
 def pick_engine(ctx):

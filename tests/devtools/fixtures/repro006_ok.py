@@ -1,14 +1,15 @@
-"""Fixture: float64 reductions; float32 elsewhere is legal (REPRO006).
+"""Fixture: a float64 entropy reduction; float32 elsewhere is legal (REPRO006).
 
-Compute may run float32 — the contract binds only the reduction
-functions, which must accumulate and return float64.
+The contract binds only the reduction function, which must compute and
+return float64.
 """
 
 import numpy as np
 
 
-def trace(matrix):
-    return float(np.trace(matrix, dtype=np.float64))
+def eig_entropies(stack):
+    values = np.clip(np.linalg.eigvalsh(stack), 1e-300, None)
+    return -(values * np.log(values)).sum(axis=-1)
 
 
 def as_float32(array):

@@ -39,9 +39,6 @@ class TestJobSpec:
         assert spec.engine == "batched"
         assert spec.tile_size == 2
         assert spec.n_graphs == len(graphs)
-        # Compute policy resolves to the reference defaults here.
-        assert spec.precision == "float64"
-        assert spec.entropy == "eig"
 
     def test_job_id_depends_on_schedule(self, graphs, ctx):
         a = job_spec_for("WLSK", graphs, ctx=ctx)
@@ -66,12 +63,22 @@ class TestJobSpec:
         with pytest.raises(DistributedError, match="malformed"):
             JobSpec.from_record({"version": record["version"], "surprise": 1})
 
-    def test_v2_record_carries_no_backend(self, graphs, ctx):
+    def test_v3_record_carries_no_backend_or_compute_tier(self, graphs, ctx):
         record = job_spec_for("WLSK", graphs, ctx=ctx).to_record()
-        assert record["version"] == "job-v2"
-        assert "backend" not in record
-        record["backend"] = "numpy"
-        with pytest.raises(DistributedError, match="malformed"):
+        assert record["version"] == "job-v3"
+        for field, value in (
+            ("backend", "numpy"), ("precision", "float64"), ("entropy", "eig")
+        ):
+            assert field not in record
+            with pytest.raises(DistributedError, match="malformed"):
+                JobSpec.from_record(dict(record, **{field: value}))
+
+    def test_v2_record_with_compute_tier_refused(self, graphs, ctx):
+        # A record written while job specs still pinned precision and
+        # entropy: refused by version, like any other code generation.
+        record = job_spec_for("WLSK", graphs, ctx=ctx).to_record()
+        record.update(version="job-v2", precision="float64", entropy="eig")
+        with pytest.raises(DistributedError, match="same code generation"):
             JobSpec.from_record(record)
 
     def test_v1_record_with_backend_refused(self, graphs, ctx):

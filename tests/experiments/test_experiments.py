@@ -146,8 +146,7 @@ class TestRunner:
             "MUTAG",
             dataclasses.replace(config.SCALED["MUTAG"], scale=0.2),
         )
-        for var in ("REPRO_GRAM_TILE", "REPRO_STORE", "REPRO_PRECISION",
-                    "REPRO_ENTROPY"):
+        for var in ("REPRO_GRAM_TILE", "REPRO_STORE"):
             monkeypatch.delenv(var, raising=False)
         monkeypatch.setenv("REPRO_GRAM_ENGINE", "serial")
         monkeypatch.chdir(tmp_path)  # save_report writes ./results

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -122,6 +124,30 @@ class TestInfo:
         assert status == 200
         for key, value in cli_payload.items():
             assert http_payload[key] == value
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone (``info | grep -q``): writes raise."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", [
+        ["info"],
+        ["predict", "--dataset", "MUTAG", "--scale", "0.08", "--seed", "7"],
+    ])
+    def test_stops_quietly_when_the_reader_closes_stdout(
+        self, command, trained_store, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        code = main([
+            command[0], "--store", trained_store, "--name", "cli-bundle",
+            *command[1:],
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == ""
 
 
 class TestServeAppClock:

@@ -97,12 +97,6 @@ class TestTileKeyer:
             (0, 4), (0, 4), diagonal=False
         )
 
-    def test_dtype_is_part_of_the_key(self, graphs):
-        kernel = QJSKUnaligned()
-        f64 = tile_keyer_for(kernel, graphs)
-        f32 = tile_keyer_for(kernel, graphs, dtype="float32")
-        assert f64.key((0, 4), (0, 4)) != f32.key((0, 4), (0, 4))
-
     def test_collection_dependent_kernels_mix_collection(self, graphs):
         """Unfrozen HAQJSK pair values depend on the whole collection —
         its tile keys must not be reusable across collections."""
@@ -183,57 +177,6 @@ class TestCheckpointResume:
         assert isinstance(resumed, np.memmap)
         assert np.array_equal(
             np.asarray(resumed), kernel.gram(graphs, ctx=on(engine))
-        )
-
-    def test_float32_tiles_resume_byte_identical(self, store, graphs):
-        """Reduced-precision storage keeps the resume guarantee: the
-        inner sink always sees the *stored* (cast) values, so fresh and
-        resumed runs assemble the same bytes."""
-        engine = BatchedEngine(tile_size=4)
-        kernel = QJSKUnaligned()
-        keyer = tile_keyer_for(kernel, graphs, dtype="float32")
-        dying = _DyingSink(store, keyer, survive=3, dtype="float32")
-        with pytest.raises(KeyboardInterrupt):
-            kernel.gram(graphs, ctx=on(engine, dying))
-        sink = CheckpointSink(store, keyer, dtype="float32")
-        resumed = np.asarray(kernel.gram(graphs, ctx=on(engine, sink)))
-        clean_store = ArtifactStore(store.root + "-clean")
-        clean_sink = CheckpointSink(clean_store, keyer, dtype="float32")
-        clean = np.asarray(kernel.gram(graphs, ctx=on(engine, clean_sink)))
-        assert np.array_equal(resumed, clean)
-        # Pinned cast tolerance against the full-precision Gram.
-        exact = kernel.gram(graphs, ctx=on(engine))
-        assert np.allclose(resumed, exact, atol=1e-6, rtol=1e-6)
-        assert np.array_equal(resumed, exact.astype(np.float32).astype(float))
-
-    def test_sink_dtype_binds_into_keys_even_without_keyer_dtype(
-        self, store, graphs
-    ):
-        """A float32 CheckpointSink built over a dtype-less keyer must not
-        share keys with a float64 run: the sink injects its storage dtype
-        into the key context, so the f64 pass recomputes instead of
-        silently restoring cast tiles."""
-        engine = BatchedEngine(tile_size=4)
-        kernel = QJSKUnaligned()
-        f32 = CheckpointSink(
-            store, tile_keyer_for(kernel, graphs), dtype="float32"
-        )
-        kernel.gram(graphs, ctx=on(engine, f32))
-        assert f32.tiles_computed == 10
-        # Matches the explicit-dtype keyer (the documented pairing)...
-        explicit = CheckpointSink(
-            store, tile_keyer_for(kernel, graphs, dtype="float32"),
-            dtype="float32",
-        )
-        kernel.gram(graphs, ctx=on(engine, explicit))
-        assert explicit.tiles_restored == 10
-        # ...and a default full-precision sink misses all of them.
-        f64 = CheckpointSink(store, tile_keyer_for(kernel, graphs))
-        gram = kernel.gram(graphs, ctx=on(engine, f64))
-        assert f64.tiles_restored == 0
-        assert f64.tiles_computed == 10
-        assert np.array_equal(
-            np.asarray(gram), kernel.gram(graphs, ctx=on(engine))
         )
 
     def test_discard_tiles(self, store, graphs):
