@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.api import ExecutionContext
+from repro.backend.policy import pair_stage_workers
 from repro.datasets import load_dataset
 from repro.engine import resolve_engine
 from repro.experiments.config import TABLE4_KERNELS
@@ -56,6 +57,7 @@ def test_bench_gram_throughput(name, probe_graphs, benchmark):
         rounds=3, iterations=1, warmup_rounds=1,
     )
     benchmark.extra_info["gram_engine"] = ExecutionContext().resolved_engine().name
+    benchmark.extra_info["pair_stage_workers"] = pair_stage_workers()
     assert gram.shape == (len(probe_graphs), len(probe_graphs))
 
 
@@ -91,6 +93,8 @@ def test_bench_engine_backends(
     benchmark.extra_info.update(
         {
             "backend": backend,
+            # Process workers and the serial loop solve on one thread each.
+            "pair_stage_workers": pair_stage_workers() if backend == "batched" else 1,
             "n_graphs": len(engine_probe_graphs),
             "serial_seconds": round(serial_seconds, 4),
         }

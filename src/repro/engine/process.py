@@ -3,9 +3,13 @@
 The same tile plan as the batched backend, but tile jobs are submitted to
 a :class:`concurrent.futures.ProcessPoolExecutor` so the per-tile
 ``block_values`` calls (batched ``eigvalsh`` stacks, or the pure-Python
-fallback loop) run on every available core. Each task ships only the
-kernel object and the two state slices it needs, so the pickling cost
-grows with the tile, not the collection.
+fallback loop) run on every available core. The pool has one worker per
+core this process may run on (:func:`repro.backend.policy.available_cores`),
+and each worker runs its pair stage inline
+(:func:`repro.backend.policy.run_pair_stage_inline`): the pool already
+fills the cores, so per-call pair-stage threads would only oversubscribe
+them. Each task ships only the kernel object and the two state slices it
+needs, so the pickling cost grows with the tile, not the collection.
 
 The result is identical to the batched backend tile-for-tile — the same
 ``block_values`` code runs, merely in another process — which is what the
@@ -20,7 +24,6 @@ within each tile stream, on every exit path.
 from __future__ import annotations
 
 import itertools
-import os
 import warnings
 from collections import deque
 
@@ -33,6 +36,7 @@ except ImportError:  # pragma: no cover - interpreter without _multiprocessing
     # and batched backends still work; run_tiles degrades in-process.
     ProcessPoolExecutor = None
 
+from repro.backend import policy
 from repro.engine.base import GramEngine, register_engine
 
 #: Smaller default tiles than the batched backend: more tasks to balance.
@@ -105,7 +109,7 @@ class ProcessEngine(GramEngine):
         instead of being masked by a silent full serial recompute.
         """
         jobs = iter(jobs)
-        limit = max(1, int(self.max_workers or os.cpu_count() or 1))
+        limit = max(1, int(self.max_workers or policy.available_cores()))
         # Buffer up to `limit` jobs before creating the pool, so tiny
         # plans don't spawn more workers than they have tiles.
         head = list(itertools.islice(jobs, limit))
@@ -121,7 +125,9 @@ class ProcessEngine(GramEngine):
             return
         workers = min(limit, len(head))
         try:
-            pool = ProcessPoolExecutor(max_workers=workers)
+            pool = ProcessPoolExecutor(
+                max_workers=workers, initializer=policy.run_pair_stage_inline
+            )
         except (ImportError, OSError, PermissionError, RuntimeError) as exc:
             self._run_in_process(remaining, consume, exc)
             return

@@ -7,13 +7,25 @@ abandoned iteration) leaked worker processes until GC. These tests pin
 the fixed contract with a recording executor double: the pool is shut
 down on *every* exit path, ``max_workers`` is respected, and the
 in-process degradation announces itself with a RuntimeWarning.
+
+The pool is sized by the same core count as the pair stage's helper
+threads, its workers run the pair stage inline, and a fork after a
+threaded Gram finds no helper thread alive.
 """
+
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
 import repro.engine.process as process_module
+from repro.api import ExecutionContext
+from repro.backend import EXACT, policy
+from repro.datasets import load_dataset
 from repro.engine.process import ProcessEngine
+from repro.kernels import HAQJSKKernelD
 
 
 class _StubKernel:
@@ -50,8 +62,9 @@ class _RecordingExecutor:
 
     instances: list = []
 
-    def __init__(self, max_workers=None):
+    def __init__(self, max_workers=None, initializer=None):
         self.max_workers = max_workers
+        self.initializer = initializer
         self.shutdown_calls: list = []
         _RecordingExecutor.instances.append(self)
 
@@ -63,7 +76,7 @@ class _RecordingExecutor:
 
 
 class _UnavailableExecutor:
-    def __init__(self, max_workers=None):
+    def __init__(self, max_workers=None, initializer=None):
         raise OSError("no process pools in this sandbox")
 
 
@@ -175,3 +188,107 @@ class TestDegradation:
         assert np.allclose(gram, 1.0)
         (pool,) = _RecordingExecutor.instances
         assert pool.shutdown_calls, "failed submission leaked the pool"
+
+
+class _ThreadCountingKernel(_StubKernel):
+    """Each tile runs one pair-stage call above the grain and fills its
+    block with the number of threads that call started."""
+
+    def _threads_started(self) -> int:
+        rng = np.random.default_rng(0)
+        raw = rng.normal(size=(20, 64, 64))
+        stack = raw @ np.swapaxes(raw, -1, -2)
+        idx_a, idx_b = np.triu_indices(20)
+        started = []
+        original = threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            original(thread)
+
+        threading.Thread.start = start
+        try:
+            EXACT.mixed_entropies(stack, stack, idx_a, idx_b, symmetrize=False)
+        finally:
+            threading.Thread.start = original
+        return len(started)
+
+    def block_values(self, states_a, states_b):
+        return np.full((len(states_a), len(states_b)), float(self._threads_started()))
+
+    def symmetric_block_values(self, states):
+        return np.full((len(states), len(states)), float(self._threads_started()))
+
+
+class TestPairStageAndPool:
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_pool_size_follows_the_core_count(self, recording_pool, monkeypatch, cores):
+        monkeypatch.setattr(policy, "available_cores", lambda: cores)
+        ProcessEngine(tile_size=2).gram(_StubKernel(), _states(8))
+        (pool,) = recording_pool.instances
+        assert pool.max_workers == cores
+        assert pool.initializer is policy.run_pair_stage_inline
+
+    def test_worker_runs_the_pair_stage_inline(self, monkeypatch):
+        monkeypatch.setattr(policy, "available_cores", lambda: 2)
+        kernel = _ThreadCountingKernel()
+        # In this process the call starts threads; in a pool worker, whose
+        # inherited core count still reads 2, it starts none.
+        assert kernel._threads_started() >= 1
+        pooled = ProcessEngine(tile_size=2, max_workers=2).gram(kernel, _states(4))
+        assert pooled.shape == (4, 4) and not pooled.any()
+
+    def test_fork_after_a_threaded_gram(self, monkeypatch):
+        """A threaded batched Gram leaves no thread for a later fork: the
+        process Gram of the same graphs has the same bytes and nothing
+        warns. (Python 3.12+ warns on ``fork()`` in a multi-threaded
+        process; it counts every OS thread, so a BLAS library's own pool
+        may trigger it too, and only forks with no such thread are held
+        to no warning.)"""
+        monkeypatch.setattr(policy, "available_cores", lambda: 2)
+        graphs = load_dataset("MUTAG", scale=0.25, seed=0).graphs
+        started = []
+        original_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            original_start(thread)
+
+        forks = []
+        original_fork = os.fork
+
+        def fork():
+            forks.append((threading.active_count(), _os_threads()))
+            return original_fork()
+
+        before = threading.active_count()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            monkeypatch.setattr(threading.Thread, "start", start)
+            kernel = HAQJSKKernelD(n_prototypes=64, n_levels=3, seed=0)
+            batched = kernel.gram(graphs, ctx=ExecutionContext(engine="batched"))
+            monkeypatch.setattr(threading.Thread, "start", original_start)
+            assert any(name.startswith("repro-pair-stage") for name in started)
+            assert threading.active_count() == before
+            monkeypatch.setattr(os, "fork", fork)
+            pooled = kernel.gram(
+                graphs, ctx=ExecutionContext(engine=ProcessEngine(max_workers=2))
+            )
+        assert pooled.tobytes() == batched.tobytes()
+        assert len(forks) == 2
+        assert all(python == before for python, _ in forks)
+        if all(native == python for python, native in forks):
+            assert [str(w.message) for w in caught] == []
+        else:
+            assert all("multi-threaded" in str(w.message) for w in caught)
+
+
+def _os_threads() -> int:
+    """Threads of this process as the kernel counts them (``/proc``), or
+    Python's count where that is unreadable."""
+    try:
+        with open("/proc/self/stat") as stat:
+            # Field 20; the fields after the parenthesised name start at 3.
+            return int(stat.read().rsplit(")", 1)[1].split()[17])
+    except (OSError, IndexError, ValueError):
+        return threading.active_count()
