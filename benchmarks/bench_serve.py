@@ -1,12 +1,14 @@
 """Serving-throughput benchmarks — graphs/second versus batch size.
 
 The serving cost model (see :mod:`repro.serve.service`): a batch of ΔN
-newcomers against a bundle of N training graphs costs the ``(ΔN, N)``
-cross-block pair evaluations through whichever engine backend the service
-is configured with, plus O(ΔN) preparation. These benches measure the end
--to-end ``PredictionService.predict`` wall-clock for a frozen HAQJSK(D)
-bundle across the three backends and a sweep of batch sizes, recording
-``graphs_per_second`` in ``extra_info`` so the serving headroom is
+newcomers against a bundle whose machines have non-zero duals on ``|S|``
+of its N training graphs costs the ``(ΔN, |S|)`` cross-block pair
+evaluations through whichever engine backend the service is configured
+with, plus O(ΔN) preparation. These benches measure the end-to-end
+``PredictionService.predict`` wall-clock for a frozen HAQJSK(D) bundle
+across the three backends and a sweep of batch sizes, recording
+``graphs_per_second``, ``support_graphs`` (|S|) and
+``cross_pairs_per_newcomer`` in ``extra_info`` so the serving headroom is
 tracked over time like the engine speedups are.
 
 Every bench also asserts the served labels equal the transductive
@@ -85,6 +87,8 @@ def test_bench_serve_throughput(
             "backend": backend,
             "batch_size": batch_size,
             "n_training_graphs": bundle.n_training_graphs,
+            "support_graphs": int(service.support.size),
+            "cross_pairs_per_newcomer": int(service.support.size),
         }
     )
     # Stats are absent under --benchmark-disable (the CI smoke run).

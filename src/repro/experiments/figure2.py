@@ -138,11 +138,11 @@ def render_figure2(results: "dict[str, dict]") -> str:
     )
 
 
-def main(argv=None) -> str:  # pragma: no cover - CLI glue
+def main(argv=None, *, store: "str | None" = None) -> str:  # pragma: no cover - CLI glue
     from repro.campaign import run_campaign_plan
     from repro.experiments.config import execution_context
 
-    ctx = execution_context()
+    ctx = execution_context(store)
     plan = build_figure2_campaign(ctx=ctx)
     run = run_campaign_plan(plan, ctx=ctx)
     output = ReportOutput(

@@ -6,10 +6,9 @@ Experiments: ``table1`` (properties), ``table2`` (dataset statistics),
 ``complexity`` (Section III-D scaling). Reports are echoed and written
 under ``results/``.
 
-Checkpoint/resume: point ``REPRO_STORE`` at a store address — a
-directory, ``dir:/path``, or ``mem:name`` — (or pass ``--store`` to
-experiments that accept it) and every completed Gram
-matrix is persisted in a content-addressed artifact store
+Checkpoint/resume: pass ``--store ADDRESS`` (or point ``REPRO_STORE`` at
+one) — a directory, ``dir:/path``, or ``mem:name`` — and every completed
+Gram matrix is persisted in a content-addressed artifact store
 (:mod:`repro.store`) — with the in-flight Gram additionally
 tile-checkpointed, so a killed run resumes at the first unfinished tile,
 not the cell boundary. Reruns produce the identical report; the footer
@@ -18,10 +17,8 @@ records the engine, tile size and tile-resume counters.
 
 from __future__ import annotations
 
-import os
 import sys
 
-from repro.api.context import STORE_ENV_VAR
 from repro.experiments import complexity, figure2, properties, table2, table4, table5
 from repro.experiments.config import TABLE4_KERNELS, execution_context
 from repro.experiments.reporting import format_table, save_report
@@ -46,34 +43,37 @@ def run_table3() -> str:
     return format_table(rows)
 
 
+#: Each experiment takes its arguments and the ``--store`` address (or
+#: ``None``), which it hands to ``execution_context``.
 _EXPERIMENTS = {
-    "table1": lambda argv: format_table(
-        properties.run_properties(ctx=execution_context())
+    "table1": lambda argv, store: format_table(
+        properties.run_properties(ctx=execution_context(store))
     ),
-    "table2": lambda argv: table2.main(argv),
-    "table3": lambda argv: run_table3(),
-    "table4": lambda argv: table4.main(argv),
-    "table5": lambda argv: table5.main(argv),
-    "figure2": lambda argv: figure2.main(argv),
-    "complexity": lambda argv: complexity.main(argv),
+    "table2": lambda argv, store: table2.main(argv),
+    "table3": lambda argv, store: run_table3(),
+    "table4": lambda argv, store: table4.main(
+        argv if store is None else [*argv, "--store", store]
+    ),
+    "table5": lambda argv, store: table5.main(argv, store=store),
+    "figure2": lambda argv, store: figure2.main(argv, store=store),
+    "complexity": lambda argv, store: complexity.main(argv, store=store),
 }
 
 
-def _extract_store_flag(argv: list) -> list:
-    """Route a runner-global ``--store ADDRESS`` through the environment.
+def _extract_store_flag(argv: list) -> "tuple[list, str | None]":
+    """Split a runner-global ``--store ADDRESS`` off ``argv``.
 
-    Every experiment (and the report footer) builds its context with
-    :func:`~repro.experiments.config.execution_context`, which reads
-    ``REPRO_STORE``, so resolving the flag here keeps them all in
-    agreement — including experiments whose own parsers predate the flag.
+    Returns the other arguments and the address (``None`` without the
+    flag). The experiment and the report footer both build their context
+    with :func:`~repro.experiments.config.execution_context` from it, so
+    they agree without the flag touching the process environment.
     """
     if "--store" not in argv:
-        return argv
+        return argv, None
     index = argv.index("--store")
     if index + 1 >= len(argv):
         raise SystemExit("--store needs a store-address argument")
-    os.environ[STORE_ENV_VAR] = argv[index + 1]
-    return argv[:index] + argv[index + 2 :]
+    return argv[:index] + argv[index + 2 :], argv[index + 1]
 
 
 def main(argv=None) -> int:
@@ -85,12 +85,13 @@ def main(argv=None) -> int:
               f"experiments: {names}")
         return 0 if argv and argv[0] in ("-h", "--help") else 2
     name = argv[0]
-    output = _EXPERIMENTS[name](_extract_store_flag(argv[1:]))
+    args, store = _extract_store_flag(argv[1:])
+    output = _EXPERIMENTS[name](args, store)
     if output:
         import json
 
         # The footer describes the context the experiment ran under.
-        ctx = execution_context()
+        ctx = execution_context(store)
         record = ctx.to_record()
         metadata = {
             "gram_engine": ctx.resolved_engine().name,

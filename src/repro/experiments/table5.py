@@ -282,7 +282,7 @@ def render_table5(results: "dict[str, dict]") -> str:
     return format_table(cells_to_rows(list(results.values())))
 
 
-def main(argv=None) -> str:  # pragma: no cover - CLI glue
+def main(argv=None, *, store: "str | None" = None) -> str:  # pragma: no cover - CLI glue
     import argparse
 
     parser = argparse.ArgumentParser(description="Regenerate Table V")
@@ -294,7 +294,7 @@ def main(argv=None) -> str:  # pragma: no cover - CLI glue
     from repro.campaign import run_campaign_plan
     from repro.experiments.config import execution_context
 
-    ctx = execution_context()
+    ctx = execution_context(store)
     plan = build_table5_campaign(
         models=args.models, datasets=args.datasets, seed=args.seed,
         n_repeats=args.repeats, ctx=ctx,

@@ -8,8 +8,8 @@ picklable value object persisted through the content-addressed
 :class:`~repro.store.ArtifactStore`; a :class:`PredictionService` —
 possibly in a different process, days later — loads it, verifies its
 content digests, and classifies newcomer batches by evaluating only the
-``(ΔN, N)`` cross block against the training graphs on any engine
-backend.
+``(ΔN, |S|)`` cross block against the training graphs its SVM's non-zero
+duals select (the support ``S``) on any engine backend.
 
 The conditioning contract is the load-bearing piece: serving applies the
 *training-fold* centering/scale statistics to newcomer rows (inductive),
@@ -21,7 +21,7 @@ Networked serving lives in :mod:`repro.serve.server`: a stdlib threaded
 HTTP server whose :class:`~repro.serve.batcher.MicroBatcher` predicts a
 request at once when idle and coalesces the requests that arrive during
 a predict into the next cross-block evaluation — the engine is far
-cheaper per graph on big ``(ΔN, N)`` rectangles — and whose training
+cheaper per graph on big ``(ΔN, |S|)`` rectangles — and whose training
 jobs (``POST /train``) live in its sqlite
 :class:`~repro.serve.jobs.JobTable`.
 

@@ -1,7 +1,7 @@
 """Continuous batching of predict requests — the serving-throughput core.
 
 The engine's cross-block math is far cheaper per graph when the
-``(ΔN, N)`` rectangle is big (``benchmarks/bench_serve.py``: graphs/sec
+``(ΔN, |S|)`` rectangle is big (``benchmarks/bench_serve.py``: graphs/sec
 rises steeply with batch size — one batched eigendecomposition sweep and
 one conditioning/voting pass amortise over every row). A request-per-call
 server throws that away: each caller pays the one-graph price.

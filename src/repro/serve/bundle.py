@@ -60,7 +60,8 @@ class ModelBundle:
         frozen — the frozen aligner state is part of the pickle).
     training_graphs / training_labels:
         The collection the SVM was trained on; serving evaluates the
-        ``(ΔN, N)`` cross block against these graphs.
+        ``(ΔN, |S|)`` cross block against the support graphs among them
+        (:attr:`support`).
     conditioner:
         Fitted :class:`GramConditioner` holding the *training* centering
         and scale statistics applied to every serving cross block.
@@ -111,6 +112,17 @@ class ModelBundle:
     def n_training_graphs(self) -> int:
         return len(self.training_graphs)
 
+    @property
+    def support(self) -> np.ndarray:
+        """``S``: the sorted training indices with a non-zero dual
+        coefficient in at least one one-vs-one machine — the only training
+        graphs a decision function reads."""
+        # (class_a, class_b, training indices, BinarySVM) per OvO machine.
+        return np.unique(np.concatenate([
+            indices[np.flatnonzero(machine.dual_coef_)]
+            for _, _, indices, machine in self.model._machines
+        ]))
+
     def verify(self) -> "ModelBundle":
         """Recompute content identities; raise :class:`ServingError` on
         any mismatch between the bundle's state and its recorded digests."""
@@ -156,6 +168,8 @@ class ModelBundle:
             "kernel_fingerprint": self.kernel_fingerprint,
             "training_digest": self.training_digest,
             "n_training_graphs": self.n_training_graphs,
+            # |S|: the training graphs a served prediction is paired with.
+            "support_graphs": int(self.support.size),
             "classes": [c.item() if hasattr(c, "item") else c for c in self.classes],
             "normalize": self.normalize,
             "conditioner_center": self.conditioner.center,

@@ -6,7 +6,7 @@ thread per connection, no new dependencies) routing four JSON endpoints:
 * ``POST /predict`` — classify wire-format graphs. Requests that arrive
   while a predict computes coalesce through one
   :class:`~repro.serve.batcher.MicroBatcher` per bundle into the next
-  ``(ΔN, N)`` cross-block evaluation; the response's ``batch`` field
+  ``(ΔN, |S|)`` cross-block evaluation; the response's ``batch`` field
   reports the coalescing each request rode in.
 * ``POST /train``   — submit a training job to the server's sqlite
   :class:`~repro.serve.jobs.JobTable` (idempotent by bundle name:

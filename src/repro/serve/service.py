@@ -1,23 +1,33 @@
 """The prediction service — batch classification of newcomer graphs.
 
-Serving cost model: against a bundle of ``N`` training graphs, a batch of
-``ΔN`` newcomers costs exactly the ``(ΔN, N)`` cross-block pair
-evaluations (the same engine-backed rectangle
-:meth:`~repro.kernels.base.GraphKernel.gram_extend` computes for its
-cross block — but *without* the ``(ΔN, ΔN)`` diagonal block, which an SVM
-decision function never reads). ``tests/serve`` pins the exact pair
-budget with a counting kernel, the way
-``benchmarks/bench_incremental_gram.py`` does for ``gram_extend``.
+Serving cost model: the one-vs-one C-SVM's decision function sums over
+its support vectors only (LIBSVM's, the paper's classifier), so against a
+bundle whose machines have non-zero duals on ``|S|`` of its ``N``
+training graphs, a batch of ``ΔN`` newcomers costs exactly the
+``(ΔN, |S|)`` cross-block pair evaluations (plus ``ΔN`` self-similarities
+when the bundle was trained on a cosine-normalised Gram). The rectangle
+runs through the same engine backends as
+:meth:`~repro.kernels.base.GraphKernel.gram_extend`'s cross block, without
+its ``(ΔN, ΔN)`` diagonal block, which a decision function never reads.
+Training states are prepared per graph on first use, so a service
+prepares the ``|S|`` support graphs and no others until
+:meth:`PredictionService.conditioned_rows` asks for the full ``(ΔN, N)``
+block. ``tests/serve`` pins the exact pair budget with a counting kernel,
+the way ``benchmarks/bench_incremental_gram.py`` does for ``gram_extend``.
 
-The cross rows are then conditioned **inductively** — the bundle's
+The support columns are then conditioned **inductively** — the bundle's
 :class:`~repro.ml.kernel_utils.GramConditioner` applies the training-fold
-centering and scale statistics, never fresh ones — and handed to the
-one-vs-one SVM, which returns labels plus per-class accumulated OvO
-margins as the confidence signal.
+centering and scale statistics, never fresh ones — except for the
+per-row mean, which the dual's constraint ``yᵀα = 0`` cancels from every
+decision, so margins equal the full rows' within round-off (declared tier
+1e-12; DESIGN.md, "Serving reads only the support vectors"). The
+one-vs-one SVM returns labels plus per-class accumulated OvO margins as
+the confidence signal.
 """
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass
 
@@ -32,6 +42,7 @@ from repro.kernels.base import (
     cosine_scale,
     normalize_gram_block,
 )
+from repro.ml.multiclass import KernelSVC
 from repro.serve.bundle import ModelBundle
 
 
@@ -69,7 +80,7 @@ class PredictionService:
         When set, :meth:`predict` streams the whole pipeline — cross
         block, conditioning, voting — in row chunks of at most this many
         newcomer graphs, so even a single huge arrival batch materialises
-        at most ``max_block_graphs × N`` kernel values at any moment
+        at most ``max_block_graphs × |S|`` kernel values at any moment
         (only the O(ΔN × classes) votes/margins accumulate). Labels,
         votes and margins are the one-shot rectangle's bytes, row for row.
     """
@@ -92,13 +103,16 @@ class PredictionService:
             )
         self.bundle = bundle.verify()
         self.max_block_graphs = max_block_graphs
-        # Prepared states of the training collection, computed once per
-        # service (legal: the bundle kernel is collection-independent, so
-        # states do not depend on which newcomers they are paired with).
-        # The lock makes concurrent first predicts prepare exactly once:
+        #: ``S``: the training indices some machine's decision reads.
+        self.support = self.bundle.support
+        self._support_model = _support_model(self.bundle.model, self.support)
+        # Prepared training states by index, each computed on first use
+        # (legal: the bundle kernel is collection-independent, so a state
+        # does not depend on which graphs it was prepared with). The lock
+        # makes concurrent first predicts prepare each state exactly once:
         # one service is shared across the HTTP server's request threads,
-        # and after preparation the states are only ever read.
-        self._train_states: "list | None" = None
+        # and a prepared state is only ever read.
+        self._train_states: dict = {}
         self._prepare_lock = threading.Lock()
 
     @classmethod
@@ -128,10 +142,11 @@ class PredictionService:
     def predict(self, graphs: "list[Graph]") -> PredictionResult:
         """Classify a batch of newcomer graphs.
 
-        Evaluates only the ``(ΔN, N)`` cross pairs against the bundle's
-        training graphs (plus ``ΔN`` self-similarities when the bundle
-        was trained on a cosine-normalised Gram), conditions them with
-        the frozen training statistics, and votes the OvO machines.
+        Evaluates only the ``(ΔN, |S|)`` cross pairs against the training
+        graphs the machines' non-zero duals select (plus ``ΔN``
+        self-similarities when the bundle was trained on a
+        cosine-normalised Gram), conditions them with the frozen training
+        statistics, and votes the OvO machines.
         """
         graphs = list(graphs)
         model = self.bundle.model
@@ -147,15 +162,17 @@ class PredictionService:
                 classes=classes,
             )
         # End-to-end streaming bound: each loop iteration materialises at
-        # most chunk × N kernel values (rows are dropped after voting),
+        # most chunk × |S| kernel values (rows are dropped after voting),
         # so max_block_graphs caps peak memory even for one huge batch.
         chunk = self.max_block_graphs or len(graphs)
         labels, votes, margins = [], [], []
         for start in range(0, len(graphs), chunk):
-            rows = self.conditioned_rows(graphs[start : start + chunk])
+            rows = self._conditioned_support(
+                self._cross_rows(graphs[start : start + chunk], self.support)
+            )
             # One pass over the OvO machines yields votes + margins; the
             # labels are derived from them without re-evaluating.
-            chunk_votes, chunk_margins = model.vote_margins(rows)
+            chunk_votes, chunk_margins = self._support_model.vote_margins(rows)
             labels.append(model.labels_from_votes(chunk_votes, chunk_margins))
             votes.append(chunk_votes)
             margins.append(chunk_margins)
@@ -171,81 +188,123 @@ class PredictionService:
         return self.predict(graphs).labels
 
     def conditioned_rows(self, graphs: "list[Graph]") -> np.ndarray:
-        """The fully conditioned ``(ΔN, N)`` rows the SVM consumes.
+        """The fully conditioned ``(ΔN, N)`` rows over every training graph.
 
         Exposed so the serving-equivalence tests can compare against the
-        transductive full-Gram protocol row by row. Note this returns the
-        *whole* block — ``max_block_graphs`` bounds each internal engine
-        call here, but the end-to-end memory bound lives in
-        :meth:`predict`, which streams chunks through this method and
-        drops each block after voting.
+        transductive full-Gram protocol row by row, and
+        ``vote_margins(conditioned_rows(...))`` against :meth:`predict`.
+        It costs ``N·ΔN`` pairs and prepares every training graph not
+        prepared yet; :meth:`predict` never calls it. Note this returns
+        the *whole* block — ``max_block_graphs`` bounds each internal
+        engine call here, but the end-to-end memory bound lives in
+        :meth:`predict`.
         """
-        bundle = self.bundle
-        kernel = bundle.kernel
-        if not graphs:
-            # Zero chunks would leave nothing to stack; the empty batch
-            # short-circuits to a conditioned (0, N) block directly.
-            empty = np.zeros((0, len(bundle.training_graphs)))
-            return bundle.conditioner.transform_cross(empty)
-        step = self.max_block_graphs or len(graphs)
-        new_states = None
-        if isinstance(kernel, PairwiseKernel):
-            # Amortised pairwise path: the training states are prepared
-            # once per service, so a batch pays O(ΔN) preparation plus
-            # exactly the ΔN·N cross pair values through the engine. With
-            # max_block_graphs, the rectangle streams in bounded row
-            # chunks — each engine call sees at most step × N pairs.
-            if self._train_states is None:
-                with self._prepare_lock:
-                    if self._train_states is None:
-                        self._train_states = kernel.prepare(
-                            list(bundle.training_graphs)
-                        )
-            new_states = kernel.prepare(graphs)
-            engine = self.ctx.resolved_engine()
-            chunks = [
-                engine.cross_gram(
-                    kernel, new_states[start : start + step], self._train_states
-                )
-                for start in range(0, len(new_states), step)
-            ]
-        else:
-            # Feature-map kernels re-extract features over train + batch
-            # each call: vocabularies are per-call, so rows from separate
-            # feature_matrix calls cannot be dotted. Extraction is linear
-            # in N (no quadratic pair stage), so the cross rectangle still
-            # dominates; a vocabulary-stable feature cache would shave the
-            # O(N) term if feature-map serving ever becomes the hot path.
-            cross_ctx = self.ctx.replace(store=None, sink_factory=None)
-            chunks = [
-                kernel.cross_gram(
-                    graphs[start : start + step],
-                    bundle.training_graphs,
-                    ctx=cross_ctx,
-                )
-                for start in range(0, len(graphs), step)
-            ]
-        rows = np.vstack([np.asarray(chunk, dtype=float) for chunk in chunks])
-        if bundle.normalize:
-            rows = self._cosine_normalized(rows, graphs, new_states)
-        return bundle.conditioner.transform_cross(rows)
+        columns = np.arange(len(self.bundle.training_graphs))
+        rows = self._cross_rows(list(graphs), columns)
+        return self.bundle.conditioner.transform_cross(rows)
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
 
+    def _cross_rows(self, graphs: "list[Graph]", columns: np.ndarray) -> np.ndarray:
+        """Raw ``K(graphs, training[columns])``, cosine-normalised when the
+        bundle is — the one cross-block routine of :meth:`predict` and
+        :meth:`conditioned_rows`. A pair's value does not depend on the
+        other pairs of the block, so a column here is the same bytes
+        whichever columns share the call."""
+        bundle = self.bundle
+        kernel = bundle.kernel
+        if not graphs or not len(columns):
+            # Nothing to evaluate: no states, no engine call.
+            return np.zeros((len(graphs), len(columns)))
+        step = self.max_block_graphs or len(graphs)
+        new_states = None
+        if isinstance(kernel, PairwiseKernel):
+            # Amortised pairwise path: training states are prepared once
+            # per service, so a batch pays O(ΔN) preparation plus exactly
+            # the ΔN × len(columns) cross pair values through the engine.
+            # With max_block_graphs, the rectangle streams in bounded row
+            # chunks — each engine call sees at most step × len(columns).
+            train_states = self._training_states(columns)
+            new_states = kernel.prepare(graphs)
+            engine = self.ctx.resolved_engine()
+            chunks = [
+                engine.cross_gram(
+                    kernel, new_states[start : start + step], train_states
+                )
+                for start in range(0, len(new_states), step)
+            ]
+        else:
+            # Feature-map kernels re-extract features over the batch and
+            # the selected training graphs each call: vocabularies are
+            # per-call, so rows from separate feature_matrix calls cannot
+            # be dotted. Extraction is linear in the graph count (no
+            # quadratic pair stage), so the cross rectangle still
+            # dominates; a vocabulary-stable feature cache would shave that
+            # term if feature-map serving ever becomes the hot path.
+            cross_ctx = self.ctx.replace(store=None, sink_factory=None)
+            train_graphs = [bundle.training_graphs[i] for i in columns]
+            chunks = [
+                kernel.cross_gram(
+                    graphs[start : start + step], train_graphs, ctx=cross_ctx
+                )
+                for start in range(0, len(graphs), step)
+            ]
+        rows = np.vstack([np.asarray(chunk, dtype=float) for chunk in chunks])
+        if bundle.normalize:
+            rows = self._cosine_normalized(rows, graphs, new_states, columns)
+        return rows
+
+    def _conditioned_support(self, rows: np.ndarray) -> np.ndarray:
+        """The conditioner's ``transform_cross`` on the support columns,
+        less each row's mean over all ``N`` columns.
+
+        That mean is the one term that reads the other columns, and every
+        decision multiplies it by ``Σᵢ αᵢyᵢ``, which the dual's constraint
+        ``yᵀα = 0`` makes zero; so the decisions equal the full rows' up to
+        round-off (DESIGN.md, "Serving reads only the support vectors").
+        The result is not a centered kernel block: it feeds the vote only.
+        """
+        conditioner = self.bundle.conditioner
+        if conditioner.center:
+            rows = (
+                rows
+                - conditioner.column_means_[None, self.support]
+                + conditioner.grand_mean_
+            )
+        if conditioner.scale and conditioner.scale_ != 1.0:
+            rows = rows / conditioner.scale_
+        return rows
+
+    def _training_states(self, columns) -> list:
+        """Prepared states of the training graphs at ``columns``, each
+        computed once per service, on first use."""
+        states = self._train_states
+        if any(i not in states for i in columns):
+            with self._prepare_lock:
+                missing = [int(i) for i in columns if i not in states]
+                if missing:
+                    graphs = self.bundle.training_graphs
+                    prepared = self.bundle.kernel.prepare(
+                        [graphs[i] for i in missing]
+                    )
+                    states.update(zip(missing, prepared))
+        return [states[i] for i in columns]
+
     def _cosine_normalized(
-        self, rows: np.ndarray, graphs: "list[Graph]", states=None
+        self, rows: np.ndarray, graphs: "list[Graph]", states=None,
+        columns=slice(None),
     ) -> np.ndarray:
         """``K(t, i) / sqrt(K_tt K_ii)`` with the **stored training**
-        diagonal for the columns — the same
-        :func:`~repro.kernels.base.cosine_scale` policy ``normalize_gram``
-        applied to the training Gram, so serving rows land in exactly the
-        cosine geometry the SVM was trained in. Newcomer self-similarities
-        cost ΔN extra pair values (``states``: see
-        :meth:`_self_similarities`)."""
+        diagonal for the columns (``columns`` selects them; all by
+        default) — the same :func:`~repro.kernels.base.cosine_scale`
+        policy ``normalize_gram`` applied to the training Gram, so serving
+        rows land in exactly the cosine geometry the SVM was trained in.
+        Newcomer self-similarities cost ΔN extra pair values (``states``:
+        see :meth:`_self_similarities`)."""
         row_scale = cosine_scale(self._self_similarities(graphs, states))
-        col_scale = cosine_scale(self.bundle.train_diagonal)
+        col_scale = cosine_scale(self.bundle.train_diagonal[columns])
         return normalize_gram_block(rows, row_scale, col_scale)
 
     def _self_similarities(
@@ -277,3 +336,27 @@ class PredictionService:
         info["engine"] = self.ctx.resolved_engine().name
         info["max_block_graphs"] = self.max_block_graphs
         return info
+
+
+def _support_model(model: KernelSVC, support: np.ndarray) -> KernelSVC:
+    """``model`` restricted to the ``support`` columns.
+
+    A copy whose machines keep only their non-zero duals and read them
+    from ``(ΔN, |S|)`` rows, so its ``vote_margins`` runs the same vote
+    code as the full model: each dropped column carried a zero
+    coefficient, and only the summation order differs. A machine whose
+    duals are all zero keeps none and decides by its bias. ``model``
+    itself, pickled in the bundle, is not touched.
+    """
+    restricted = copy.copy(model)
+    restricted._n_train = int(support.size)
+    restricted._machines = []
+    for class_a, class_b, indices, machine in model._machines:
+        nonzero = np.flatnonzero(machine.dual_coef_)
+        kept = copy.copy(machine)
+        kept.dual_coef_ = machine.dual_coef_[nonzero]
+        kept.support_ = np.searchsorted(nonzero, machine.support_)
+        restricted._machines.append(
+            (class_a, class_b, np.searchsorted(support, indices[nonzero]), kept)
+        )
+    return restricted

@@ -80,12 +80,38 @@ class TestReportOutput:
             "| partial |",
             failed=(("cell:X:Y", "Traceback ...\nValueError: bad cell"),),
         )
-        monkeypatch.setitem(runner._EXPERIMENTS, "fake", lambda argv: bad)
+        monkeypatch.setitem(runner._EXPERIMENTS, "fake", lambda argv, store: bad)
         assert runner.main(["fake"]) == 1
         err = capsys.readouterr().err
         assert "1 cells failed" in err
         assert "cell:X:Y: ValueError: bad cell" in err
 
         good = ReportOutput("| full |")
-        monkeypatch.setitem(runner._EXPERIMENTS, "fake", lambda argv: good)
+        monkeypatch.setitem(runner._EXPERIMENTS, "fake", lambda argv, store: good)
         assert runner.main(["fake"]) == 0
+
+    def test_store_flag_leaves_the_environment_alone(self, monkeypatch, tmp_path):
+        """``--store`` reaches the experiment and the report footer as an
+        argument; no later ``ExecutionContext.from_env()`` inherits it."""
+        from repro.api import ExecutionContext
+        from repro.experiments import runner
+        from repro.experiments.config import execution_context
+        from repro.experiments.reporting import ReportOutput
+
+        monkeypatch.chdir(tmp_path)  # save_report writes ./results
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        address = str(tmp_path / "store")
+        seen = []
+
+        def fake(argv, store):
+            seen.append((argv, execution_context(store).to_record()["store"]))
+            return ReportOutput("| ok |")
+
+        monkeypatch.setitem(runner._EXPERIMENTS, "fake", fake)
+        environment = dict(os.environ)
+        assert runner.main(["fake", "--store", address, "--seed", "1"]) == 0
+        assert dict(os.environ) == environment
+        assert ExecutionContext.from_env().store is None
+        assert seen == [(["--seed", "1"], address)]
+        footer = (tmp_path / "results" / "fake.md").read_text().splitlines()[-1]
+        assert f"artifact_store: {address}," in footer

@@ -109,6 +109,25 @@ class TestInfo:
         assert len(payload["training_digest"]) == 64
         assert payload["classes"] == [0, 1]
 
+    def test_info_reports_support_graphs(self, trained_store, capsys):
+        """|S| sits beside the training-graph count in both outputs, so
+        the per-newcomer pair cost reads off a stored bundle."""
+        from repro.serve.bundle import ModelBundle
+        from repro.store import ArtifactStore
+
+        bundle = ModelBundle.load(ArtifactStore(trained_store), "cli-bundle")
+        support = int(bundle.support.size)
+        assert 0 < support <= bundle.n_training_graphs
+        main(["info", "--store", trained_store, "--name", "cli-bundle"])
+        lines = capsys.readouterr().out.splitlines()
+        assert f"support_graphs: {support}" in lines
+        keys = [line.split(":", 1)[0] for line in lines]
+        assert keys.index("support_graphs") == keys.index("n_training_graphs") + 1
+        main(["info", "--store", trained_store, "--name", "cli-bundle", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["support_graphs"] == support
+        assert payload["n_training_graphs"] == bundle.n_training_graphs
+
     def test_info_json_matches_server_document(self, trained_store, capsys):
         """The CLI --json document IS the server's /info body (minus the
         server-runtime section) — one formatter, two transports."""

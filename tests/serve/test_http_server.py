@@ -236,6 +236,9 @@ class TestRoutes:
         for key, value in expected.items():
             assert payload[key] == value
         assert payload["server"]["batching"] is True
+        # |S| beside N: the pair cost of each served newcomer.
+        assert payload["support_graphs"] == bundle.support.size
+        assert 0 < payload["support_graphs"] <= payload["n_training_graphs"]
 
     def test_predict_matches_direct_service(
         self, server, newcomers, reference_service

@@ -4,16 +4,19 @@ The acceptance bar: bundle predictions on held-out graphs must exactly
 match the labels of the transductive full-Gram protocol (condition the
 whole train+test Gram, fit on the train block, predict the test rows) for
 frozen / collection-independent kernels — while evaluating only the
-``(ΔN, N)`` cross pairs, proven with a counting kernel the way
-``benchmarks/bench_incremental_gram.py`` proves the ``gram_extend``
-budget.
+``(ΔN, |S|)`` cross pairs against the support graphs ``S``, proven with a
+counting kernel the way ``benchmarks/bench_incremental_gram.py`` proves
+the ``gram_extend`` budget. Margins stay within the declared 1e-12 tier
+of the full-row decision ``vote_margins(conditioned_rows(...))``.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -192,40 +195,174 @@ class TestServingEquivalence:
             train_bundle(kernel, train_graphs, train_y, c=C), ctx=SERIAL
         )
         before = kernel.pair_calls
-        service.predict([])
+        with _PrepareLog(service) as log:
+            service.predict([])
         assert kernel.pair_calls == before
-        assert service._train_states is None  # not even preparation
+        assert log.calls == 0  # not even preparation
 
 
-class _CountingQJSK(QJSKUnaligned):
-    """QJSK that counts its pair evaluations (serial backend only)."""
+class _PairCounter:
+    """Counts pair evaluations (serial backend only). The count is kept
+    out of the kernel's fingerprint, so a bundle still verifies after its
+    kernel has counted."""
 
-    def __init__(self):
-        super().__init__()
-        self.pair_calls = 0
+    _pair_calls = 0
+
+    @property
+    def pair_calls(self) -> int:
+        return self._pair_calls
+
+    @pair_calls.setter
+    def pair_calls(self, value: int) -> None:
+        self._pair_calls = value
 
     def pair_value(self, state_a, state_b) -> float:
-        self.pair_calls += 1
+        self._pair_calls += 1
         return super().pair_value(state_a, state_b)
 
 
-class TestPairBudget:
-    """Serving evaluates exactly the N·ΔN cross pairs — no diagonal block,
-    no quadratic recompute (the bench_incremental_gram proof, for serve)."""
+class _CountingQJSK(_PairCounter, QJSKUnaligned):
+    """QJSK that counts its pair evaluations."""
 
-    def test_predict_costs_exactly_n_times_delta(self, split):
+
+class _CountingHAQJSK(_PairCounter, HAQJSKKernelD):
+    """HAQJSK(D) that counts its pair evaluations."""
+
+
+class _PrepareLog:
+    """Counts the ``prepare`` calls of a service's kernel while active and
+    records which training graphs (by index) each one prepared."""
+
+    def __init__(self, service):
+        self.kernel = service.bundle.kernel
+        self._index = {
+            id(graph): i for i, graph in enumerate(service.bundle.training_graphs)
+        }
+        self._lock = threading.Lock()
+        self.calls = 0
+        self.training: list = []
+
+    def __enter__(self) -> "_PrepareLog":
+        real = self.kernel.prepare
+
+        def counting(graphs):
+            with self._lock:
+                self.calls += 1
+                self.training.append(
+                    [self._index[id(g)] for g in graphs if id(g) in self._index]
+                )
+            return real(graphs)
+
+        self.kernel.prepare = counting
+        return self
+
+    def __exit__(self, *exc) -> None:
+        del self.kernel.prepare
+
+    @property
+    def prepared(self) -> list:
+        """Every training index prepared, in call order."""
+        return [i for call in self.training for i in call]
+
+
+@pytest.fixture(scope="module")
+def mutag():
+    """MUTAG at scale 0.25 (47 training graphs) and 5 unseen newcomers:
+    its bundles have support vectors on only some training graphs."""
+    train = load_dataset("MUTAG", scale=0.25, seed=0)
+    newcomers = load_dataset("MUTAG", scale=0.1, seed=1).graphs[:5]
+    return list(train.graphs), train.targets, newcomers
+
+
+def _counting_kernel(name):
+    if name == "QJSK":
+        return _CountingQJSK()
+    return _CountingHAQJSK(n_prototypes=16, n_levels=3, seed=0)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(name, normalize) for name in ("QJSK", "HAQJSK(D)")
+            for normalize in (False, True)],
+    ids=lambda p: f"{p[0]}-{'cosine' if p[1] else 'raw'}",
+)
+def budget_bundle(request, mutag):
+    """A counting bundle on :func:`mutag` whose support is a strict
+    subset of the training graphs."""
+    name, normalize = request.param
+    train_graphs, train_y, _ = mutag
+    kernel = _counting_kernel(name)
+    if isinstance(kernel, HAQJSKKernelD):
+        kernel.freeze(train_graphs)
+    bundle = train_bundle(kernel, train_graphs, train_y, c=C, normalize=normalize)
+    assert 0 < bundle.support.size < len(train_graphs)
+    return bundle
+
+
+class TestPairBudget:
+    """Serving evaluates exactly the |S|·ΔN cross pairs against the
+    support graphs S — no diagonal block, no column a decision does not
+    read (the bench_incremental_gram proof, for serve) — and prepares the
+    states of S only."""
+
+    def test_predict_costs_exactly_support_times_delta(self, budget_bundle, mutag):
+        _, _, newcomers = mutag
+        kernel = budget_bundle.kernel
+        service = PredictionService(budget_bundle, ctx=SERIAL)
+        support, delta = service.support.size, len(newcomers)
+        self_pairs = delta if budget_bundle.normalize else 0
+
+        kernel.pair_calls = 0
+        service.predict(newcomers)
+        assert kernel.pair_calls == support * delta + self_pairs
+
+        # The support states are cached on the service: the second batch
+        # pays the same cross budget, nothing more.
+        kernel.pair_calls = 0
+        service.predict(newcomers)
+        assert kernel.pair_calls == support * delta + self_pairs
+
+    def test_conditioned_rows_costs_n_times_delta(self, budget_bundle, mutag):
+        _, _, newcomers = mutag
+        kernel = budget_bundle.kernel
+        service = PredictionService(budget_bundle, ctx=SERIAL)
+        n, delta = len(budget_bundle.training_graphs), len(newcomers)
+        self_pairs = delta if budget_bundle.normalize else 0
+        service.predict(newcomers)
+        kernel.pair_calls = 0
+        rows = service.conditioned_rows(newcomers)
+        assert rows.shape == (delta, n)
+        assert kernel.pair_calls == n * delta + self_pairs
+
+    def test_predict_prepares_only_the_support(self, budget_bundle, mutag):
+        _, _, newcomers = mutag
+        service = PredictionService(budget_bundle, ctx=SERIAL)
+        with _PrepareLog(service) as log:
+            service.predict(newcomers[:2])
+            service.predict(newcomers)
+            service.predict(newcomers[:1])
+        # One call prepares S, in index order, before the first cross
+        # block; later predicts prepare newcomers only.
+        assert log.prepared == service.support.tolist()
+        assert [call for call in log.training if call] == [service.support.tolist()]
+        assert log.calls == 4
+
+    def test_empty_batch_prepares_nothing(self, budget_bundle):
+        service = PredictionService(budget_bundle, ctx=SERIAL)
+        with _PrepareLog(service) as log:
+            service.predict([])
+            service.conditioned_rows([])
+        assert log.calls == 0
+
+    def test_support_of_every_graph_costs_n_times_delta(self, split):
+        """When every training graph carries a non-zero dual, the budget
+        falls back to the full N·ΔN."""
         train_graphs, train_y, new_graphs, _ = split
         kernel = _CountingQJSK()
         bundle = train_bundle(kernel, train_graphs, train_y, c=C, ctx=SERIAL)
         n, delta = len(train_graphs), len(new_graphs)
         service = PredictionService(bundle, ctx=SERIAL)
-
-        kernel.pair_calls = 0
-        service.predict(new_graphs)
-        assert kernel.pair_calls == n * delta
-
-        # The training states are cached on the service: the second batch
-        # pays the same cross budget, nothing more.
+        assert service.support.tolist() == list(range(n))
         kernel.pair_calls = 0
         service.predict(new_graphs)
         assert kernel.pair_calls == n * delta
@@ -236,11 +373,11 @@ class TestPairBudget:
         bundle = train_bundle(
             kernel, train_graphs, train_y, c=C, ctx=SERIAL, normalize=True
         )
-        n, delta = len(train_graphs), len(new_graphs)
         service = PredictionService(bundle, ctx=SERIAL)
+        support, delta = service.support.size, len(new_graphs)
         kernel.pair_calls = 0
         service.predict(new_graphs)
-        assert kernel.pair_calls == n * delta + delta
+        assert kernel.pair_calls == support * delta + delta
 
 
 class TestBundlePersistence:
@@ -374,39 +511,32 @@ class TestConcurrentUse:
     """One PredictionService shared across threads — the HTTP server's
     usage pattern — must not corrupt its cached prepared train states."""
 
-    def test_two_threads_prepare_train_states_exactly_once(self, split):
-        import threading
-
-        train_graphs, train_y, new_graphs, _ = split
-        kernel = _serving_kernels(train_graphs)["QJSK"]
+    def test_two_threads_prepare_train_states_exactly_once(self, mutag):
+        """Two racing first predicts prepare the support states exactly
+        once; a later conditioned_rows prepares only the remaining N − |S|
+        training states, once."""
+        train_graphs, train_y, newcomers = mutag
+        kernel = HAQJSKKernelD(n_prototypes=16, n_levels=3, seed=0)
+        kernel.freeze(train_graphs)
         bundle = train_bundle(kernel, train_graphs, train_y, c=C)
-        reference = PredictionService(bundle).predict(new_graphs)
+        reference = PredictionService(bundle).predict(newcomers)
 
         service = PredictionService(bundle)
-        prepare_calls = []
-        original_prepare = service.bundle.kernel.prepare
+        support = service.support.tolist()
+        assert 0 < len(support) < len(train_graphs)
+        barrier = threading.Barrier(2)
+        results = [None, None]
+        errors = []
 
-        def counting_prepare(graphs):
-            # Record only training-collection preparations; newcomer
-            # preparations legitimately happen once per predict call.
-            if len(graphs) == len(train_graphs):
-                prepare_calls.append(threading.get_ident())
-            return original_prepare(graphs)
+        def worker(slot):
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(3):
+                    results[slot] = service.predict(newcomers)
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
 
-        service.bundle.kernel.prepare = counting_prepare
-        try:
-            barrier = threading.Barrier(2)
-            results = [None, None]
-            errors = []
-
-            def worker(slot):
-                try:
-                    barrier.wait(timeout=30)
-                    for _ in range(3):
-                        results[slot] = service.predict(new_graphs)
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    errors.append(exc)
-
+        with _PrepareLog(service) as log:
             threads = [
                 threading.Thread(target=worker, args=(slot,)) for slot in (0, 1)
             ]
@@ -414,20 +544,66 @@ class TestConcurrentUse:
                 t.start()
             for t in threads:
                 t.join(timeout=120)
-        finally:
-            service.bundle.kernel.prepare = original_prepare
-        assert not errors, errors
-        # The _prepare_lock makes the racing first predicts prepare the
-        # training states exactly once, not once per thread.
-        assert len(prepare_calls) == 1
+            assert not errors, errors
+            # The _prepare_lock makes the racing first predicts prepare the
+            # support states exactly once, not once per thread.
+            assert [call for call in log.training if call] == [support]
+
+            service.conditioned_rows(newcomers)
+            service.conditioned_rows(newcomers)
+            rest = sorted(set(range(len(train_graphs))) - set(support))
+            assert [call for call in log.training if call] == [support, rest]
         for result in results:
             assert result is not None
             assert np.array_equal(result.labels, reference.labels)
-            assert np.allclose(result.margins, reference.margins, atol=1e-10)
+            assert result.margins.tobytes() == reference.margins.tobytes()
+
+    def test_mixed_callers_prepare_each_training_state_once(self, mutag):
+        """Eight threads (more than the cores) race predicts of different
+        sizes against full-row calls under a tiny switch interval: every
+        training state is prepared exactly once, and every answer equals
+        the solo one."""
+        train_graphs, train_y, newcomers = mutag
+        bundle = train_bundle(QJSKUnaligned(), train_graphs, train_y, c=C)
+        solo = PredictionService(bundle)
+        expected_margins = solo.predict(newcomers).margins
+        expected_rows = solo.conditioned_rows(newcomers)
+
+        service = PredictionService(bundle)
+        barrier = threading.Barrier(8)
+        errors = []
+
+        def worker(slot):
+            try:
+                barrier.wait(timeout=30)
+                if slot % 2:
+                    rows = service.conditioned_rows(newcomers)
+                    assert rows.tobytes() == expected_rows.tobytes()
+                else:
+                    size = 1 + slot // 2
+                    margins = service.predict(newcomers[:size]).margins
+                    assert margins.tobytes() == expected_margins[:size].tobytes()
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _PrepareLog(service) as log:
+                threads = [
+                    threading.Thread(target=worker, args=(slot,)) for slot in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert sorted(log.prepared) == list(range(len(train_graphs)))
 
     def test_many_threads_many_batches_agree_with_solo_predictions(self, split):
-        import threading
-
         train_graphs, train_y, new_graphs, _ = split
         kernel = _serving_kernels(train_graphs)["WLSK"]
         bundle = train_bundle(kernel, train_graphs, train_y, c=C)
@@ -496,3 +672,135 @@ class TestMarginsIndependentOfBatch:
             assert result.margins.tobytes() == batch.margins.tobytes()
             assert np.array_equal(result.labels, batch.labels)
         assert np.array_equal(np.concatenate([r.labels for r in solo]), batch.labels)
+
+
+#: The declared tier of support-column margins against the full rows.
+MARGIN_TIER = 1e-12
+
+_TIER_SPECS = {
+    "HAQJSK(D)": KernelSpec("HAQJSK(D)", n_prototypes=8, n_levels=2),
+    "QJSK": KernelSpec("QJSK"),
+    "WLSK": KernelSpec("WLSK"),
+}
+
+
+@pytest.fixture(scope="module")
+def tier_cases():
+    """``(dataset, kernel, normalize)`` → ``(bundle, newcomers,
+    transductive labels)``, built on first use."""
+    cache = {}
+
+    def case(dataset, name, normalize):
+        key = (dataset, name, normalize)
+        if key not in cache:
+            train_kw, new_kw = _MARGIN_COLLECTIONS[dataset]
+            train = load_dataset(dataset, **train_kw)
+            newcomers = load_dataset(dataset, **new_kw).graphs
+            bundle = Session(ExecutionContext()).train(
+                _TIER_SPECS[name], train, c=C, normalize=normalize
+            )
+            expected = _transductive_labels(
+                bundle.kernel, train.graphs, train.targets, newcomers,
+                normalize=normalize,
+            )
+            cache[key] = (bundle, newcomers, expected)
+        return cache[key]
+
+    return case
+
+
+@pytest.fixture(scope="module")
+def full_row_decisions(tier_cases):
+    """``vote_margins(conditioned_rows(newcomers))`` of a tier case under
+    one engine, computed once per engine."""
+    cache = {}
+
+    def decisions(dataset, name, normalize, engine):
+        key = (dataset, name, normalize, engine)
+        if key not in cache:
+            bundle, newcomers, _ = tier_cases(dataset, name, normalize)
+            service = PredictionService(bundle, ctx=ExecutionContext(engine=engine))
+            cache[key] = bundle.model.vote_margins(
+                service.conditioned_rows(newcomers)
+            )
+        return cache[key]
+
+    return decisions
+
+
+class TestSupportTier:
+    """Predictions from the support columns against the full-row decision
+    ``vote_margins(conditioned_rows(...))``: the same labels and votes,
+    margins within :data:`MARGIN_TIER`, and the transductive protocol's
+    labels, under every engine and streaming chunk."""
+
+    @pytest.mark.parametrize("engine", ["serial", "batched", "process"])
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "cosine"])
+    @pytest.mark.parametrize("name", sorted(_TIER_SPECS))
+    @pytest.mark.parametrize("dataset", sorted(_MARGIN_COLLECTIONS))
+    def test_margins_within_tier(
+        self, tier_cases, full_row_decisions, dataset, name, normalize, block,
+        engine,
+    ):
+        bundle, newcomers, expected = tier_cases(dataset, name, normalize)
+        service = PredictionService(
+            bundle, ctx=ExecutionContext(engine=engine), max_block_graphs=block
+        )
+        served = service.predict(newcomers)
+        votes, margins = full_row_decisions(dataset, name, normalize, engine)
+        assert np.array_equal(served.labels, expected)
+        assert np.array_equal(
+            served.labels, bundle.model.labels_from_votes(votes, margins)
+        )
+        assert np.array_equal(served.votes, votes)
+        assert np.abs(served.margins - margins).max() <= MARGIN_TIER
+
+    def test_machine_without_duals_decides_by_its_bias(self, tier_cases):
+        """A binary machine whose duals are all zero reads no column: S is
+        empty, predict evaluates no pair, and its decision is its bias."""
+        bundle, newcomers, _ = tier_cases("MUTAG", "QJSK", False)
+        bundle = copy.deepcopy(bundle)
+        (_, _, _, machine), = bundle.model._machines
+        machine.dual_coef_ = np.zeros_like(machine.dual_coef_)
+        service = PredictionService(bundle)
+        assert service.support.size == 0
+        with _PrepareLog(service) as log:
+            served = service.predict(newcomers)
+        assert log.calls == 0
+        bias = np.full(len(newcomers), machine.bias_)
+        assert served.margins[:, 0].tobytes() == bias.tobytes()
+        assert served.margins[:, 1].tobytes() == (-bias).tobytes()
+        votes, margins = bundle.model.vote_margins(
+            service.conditioned_rows(newcomers)
+        )
+        assert np.array_equal(served.votes, votes)
+        assert np.abs(served.margins - margins).max() <= MARGIN_TIER
+
+    def test_one_multiclass_machine_without_duals(self, tier_cases):
+        """Zeroing one OvO machine's duals drops the columns only it read;
+        the others still match the full rows within the tier."""
+        bundle, newcomers, _ = tier_cases("PPIs", "HAQJSK(D)", False)
+        bundle = copy.deepcopy(bundle)
+        _, _, indices, machine = bundle.model._machines[0]
+        machine.dual_coef_ = np.zeros_like(machine.dual_coef_)
+        service = PredictionService(bundle)
+        rows = service.conditioned_rows(newcomers)
+        served = service.predict(newcomers)
+        votes, margins = bundle.model.vote_margins(rows)
+        assert np.array_equal(served.votes, votes)
+        assert np.abs(served.margins - margins).max() <= MARGIN_TIER
+        decision = np.full(len(newcomers), machine.bias_)
+        assert machine.decision_function(rows[:, indices]).tobytes() == (
+            decision.tobytes()
+        )
+
+
+class TestSupportInfo:
+    def test_info_reports_support_beside_training_count(self, mutag):
+        train_graphs, train_y, _ = mutag
+        bundle = train_bundle(QJSKUnaligned(), train_graphs, train_y, c=C)
+        info = PredictionService(bundle).info()
+        assert info["n_training_graphs"] == len(train_graphs)
+        assert info["support_graphs"] == bundle.support.size
+        assert 0 < info["support_graphs"] < len(train_graphs)

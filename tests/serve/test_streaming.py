@@ -82,7 +82,7 @@ class TestMaxBlockGraphs:
         )
 
     def test_pair_budget_unchanged_by_chunking(self, split):
-        """Streaming bounds concurrency, not work: exactly ΔN·N cross
+        """Streaming bounds concurrency, not work: exactly ΔN·|S| cross
         pairs + ΔN self-similarities, same as one-shot."""
         train_graphs, train_y, newcomers = split
 
@@ -102,7 +102,7 @@ class TestMaxBlockGraphs:
         )
         calls["n"] = 0
         service.predict(newcomers)
-        assert calls["n"] == len(newcomers) * len(train_graphs) + len(newcomers)
+        assert calls["n"] == len(newcomers) * service.support.size + len(newcomers)
 
     def test_newcomers_prepared_once_per_chunk(self, split):
         """The cross block and the cosine self-similarities share one
