@@ -7,9 +7,9 @@ evaluations through whichever engine backend the service is configured
 with, plus O(ΔN) preparation. These benches measure the end-to-end
 ``PredictionService.predict`` wall-clock for a frozen HAQJSK(D) bundle
 across the three backends and a sweep of batch sizes, recording
-``graphs_per_second``, ``support_graphs`` (|S|) and
-``cross_pairs_per_newcomer`` in ``extra_info`` so the serving headroom is
-tracked over time like the engine speedups are.
+``graphs_per_second`` and ``support_graphs`` (|S|, which is also the
+cross pairs each newcomer costs) in ``extra_info`` so the serving
+headroom is tracked over time like the engine speedups are.
 
 Every bench also asserts the served labels equal the transductive
 full-Gram protocol's labels, so the CI smoke run (``--benchmark-disable``)
@@ -88,7 +88,6 @@ def test_bench_serve_throughput(
             "batch_size": batch_size,
             "n_training_graphs": bundle.n_training_graphs,
             "support_graphs": int(service.support.size),
-            "cross_pairs_per_newcomer": int(service.support.size),
         }
     )
     # Stats are absent under --benchmark-disable (the CI smoke run).

@@ -15,19 +15,21 @@ prepares the ``|S|`` support graphs and no others until
 block. ``tests/serve`` pins the exact pair budget with a counting kernel,
 the way ``benchmarks/bench_incremental_gram.py`` does for ``gram_extend``.
 
-The support columns are then conditioned **inductively** — the bundle's
+The other columns of each row are left zero and the whole ``(ΔN, N)``
+row is conditioned **inductively** — the bundle's
 :class:`~repro.ml.kernel_utils.GramConditioner` applies the training-fold
-centering and scale statistics, never fresh ones — except for the
-per-row mean, which the dual's constraint ``yᵀα = 0`` cancels from every
-decision, so margins equal the full rows' within round-off (declared tier
-1e-12; DESIGN.md, "Serving reads only the support vectors"). The
-one-vs-one SVM returns labels plus per-class accumulated OvO margins as
-the confidence signal.
+centering and scale statistics, never fresh ones — and voted by the
+bundle's own one-vs-one SVM, which returns labels plus per-class
+accumulated OvO margins as the confidence signal. A zero column meets a
+zero dual in every machine; the one term of the conditioning that reads
+it, the row's mean, enters every decision multiplied by ``Σᵢ αᵢyᵢ``,
+which the dual's constraint ``yᵀα = 0`` makes zero. So labels and votes
+equal the full rows' and margins differ only at round-off (declared tier
+1e-12; DESIGN.md, "Serving reads only the support vectors").
 """
 
 from __future__ import annotations
 
-import copy
 import threading
 from dataclasses import dataclass
 
@@ -42,7 +44,6 @@ from repro.kernels.base import (
     cosine_scale,
     normalize_gram_block,
 )
-from repro.ml.multiclass import KernelSVC
 from repro.serve.bundle import ModelBundle
 
 
@@ -80,8 +81,9 @@ class PredictionService:
         When set, :meth:`predict` streams the whole pipeline — cross
         block, conditioning, voting — in row chunks of at most this many
         newcomer graphs, so even a single huge arrival batch materialises
-        at most ``max_block_graphs × |S|`` kernel values at any moment
-        (only the O(ΔN × classes) votes/margins accumulate). Labels,
+        at most ``max_block_graphs × N`` conditioned values (of which
+        ``max_block_graphs × |S|`` are evaluated) at any moment (only the
+        O(ΔN × classes) votes/margins accumulate). Labels,
         votes and margins are the one-shot rectangle's bytes, row for row.
     """
 
@@ -105,7 +107,6 @@ class PredictionService:
         self.max_block_graphs = max_block_graphs
         #: ``S``: the training indices some machine's decision reads.
         self.support = self.bundle.support
-        self._support_model = _support_model(self.bundle.model, self.support)
         # Prepared training states by index, each computed on first use
         # (legal: the bundle kernel is collection-independent, so a state
         # does not depend on which graphs it was prepared with). The lock
@@ -145,8 +146,8 @@ class PredictionService:
         Evaluates only the ``(ΔN, |S|)`` cross pairs against the training
         graphs the machines' non-zero duals select (plus ``ΔN``
         self-similarities when the bundle was trained on a
-        cosine-normalised Gram), conditions them with the frozen training
-        statistics, and votes the OvO machines.
+        cosine-normalised Gram), conditions the rows, zero elsewhere, with
+        the frozen training statistics, and votes the OvO machines.
         """
         graphs = list(graphs)
         model = self.bundle.model
@@ -162,17 +163,24 @@ class PredictionService:
                 classes=classes,
             )
         # End-to-end streaming bound: each loop iteration materialises at
-        # most chunk × |S| kernel values (rows are dropped after voting),
-        # so max_block_graphs caps peak memory even for one huge batch.
+        # most chunk × N conditioned values (rows are dropped after
+        # voting), so max_block_graphs caps peak memory even for one huge
+        # batch.
         chunk = self.max_block_graphs or len(graphs)
+        n_train = len(self.bundle.training_graphs)
         labels, votes, margins = [], [], []
         for start in range(0, len(graphs), chunk):
-            rows = self._conditioned_support(
-                self._cross_rows(graphs[start : start + chunk], self.support)
-            )
+            batch = graphs[start : start + chunk]
+            # Columns outside S stay zero: every machine multiplies them
+            # by a zero dual, and their share of the row mean cancels
+            # through yᵀα = 0 (module docstring).
+            rows = np.zeros((len(batch), n_train))
+            rows[:, self.support] = self._cross_rows(batch, self.support)
             # One pass over the OvO machines yields votes + margins; the
             # labels are derived from them without re-evaluating.
-            chunk_votes, chunk_margins = self._support_model.vote_margins(rows)
+            chunk_votes, chunk_margins = model.vote_margins(
+                self.bundle.conditioner.transform_cross(rows)
+            )
             labels.append(model.labels_from_votes(chunk_votes, chunk_margins))
             votes.append(chunk_votes)
             margins.append(chunk_margins)
@@ -256,27 +264,6 @@ class PredictionService:
             rows = self._cosine_normalized(rows, graphs, new_states, columns)
         return rows
 
-    def _conditioned_support(self, rows: np.ndarray) -> np.ndarray:
-        """The conditioner's ``transform_cross`` on the support columns,
-        less each row's mean over all ``N`` columns.
-
-        That mean is the one term that reads the other columns, and every
-        decision multiplies it by ``Σᵢ αᵢyᵢ``, which the dual's constraint
-        ``yᵀα = 0`` makes zero; so the decisions equal the full rows' up to
-        round-off (DESIGN.md, "Serving reads only the support vectors").
-        The result is not a centered kernel block: it feeds the vote only.
-        """
-        conditioner = self.bundle.conditioner
-        if conditioner.center:
-            rows = (
-                rows
-                - conditioner.column_means_[None, self.support]
-                + conditioner.grand_mean_
-            )
-        if conditioner.scale and conditioner.scale_ != 1.0:
-            rows = rows / conditioner.scale_
-        return rows
-
     def _training_states(self, columns) -> list:
         """Prepared states of the training graphs at ``columns``, each
         computed once per service, on first use."""
@@ -336,27 +323,3 @@ class PredictionService:
         info["engine"] = self.ctx.resolved_engine().name
         info["max_block_graphs"] = self.max_block_graphs
         return info
-
-
-def _support_model(model: KernelSVC, support: np.ndarray) -> KernelSVC:
-    """``model`` restricted to the ``support`` columns.
-
-    A copy whose machines keep only their non-zero duals and read them
-    from ``(ΔN, |S|)`` rows, so its ``vote_margins`` runs the same vote
-    code as the full model: each dropped column carried a zero
-    coefficient, and only the summation order differs. A machine whose
-    duals are all zero keeps none and decides by its bias. ``model``
-    itself, pickled in the bundle, is not touched.
-    """
-    restricted = copy.copy(model)
-    restricted._n_train = int(support.size)
-    restricted._machines = []
-    for class_a, class_b, indices, machine in model._machines:
-        nonzero = np.flatnonzero(machine.dual_coef_)
-        kept = copy.copy(machine)
-        kept.dual_coef_ = machine.dual_coef_[nonzero]
-        kept.support_ = np.searchsorted(nonzero, machine.support_)
-        restricted._machines.append(
-            (class_a, class_b, np.searchsorted(support, indices[nonzero]), kept)
-        )
-    return restricted

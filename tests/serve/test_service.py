@@ -70,7 +70,9 @@ def _serving_kernels(reference):
     }
 
 
-def _transductive_labels(kernel, train_graphs, train_y, new_graphs, *, normalize):
+def _transductive_labels(
+    kernel, train_graphs, train_y, new_graphs, *, normalize, c=C
+):
     """The paper-protocol baseline: full Gram, transductive conditioning."""
     everything = list(train_graphs) + list(new_graphs)
     full = kernel.gram(everything, normalize=normalize)
@@ -78,7 +80,7 @@ def _transductive_labels(kernel, train_graphs, train_y, new_graphs, *, normalize
     n = len(train_graphs)
     train_idx = np.arange(n)
     test_idx = np.arange(n, len(everything))
-    model = KernelSVC(c=C).fit(conditioned[np.ix_(train_idx, train_idx)], train_y)
+    model = KernelSVC(c=c).fit(conditioned[np.ix_(train_idx, train_idx)], train_y)
     return model.predict(conditioned[np.ix_(test_idx, train_idx)])
 
 
@@ -684,24 +686,30 @@ _TIER_SPECS = {
 }
 
 
+#: Box constraints of the tier bundles: the module's C and the top of
+#: ``DEFAULT_C_GRID``, which ``serve train`` without ``--c`` may select.
+#: The rounding the tier bounds grows with the duals, which C bounds.
+_TIER_CS = (C, 1000.0)
+
+
 @pytest.fixture(scope="module")
 def tier_cases():
-    """``(dataset, kernel, normalize)`` → ``(bundle, newcomers,
+    """``(dataset, kernel, normalize, c)`` → ``(bundle, newcomers,
     transductive labels)``, built on first use."""
     cache = {}
 
-    def case(dataset, name, normalize):
-        key = (dataset, name, normalize)
+    def case(dataset, name, normalize, c=C):
+        key = (dataset, name, normalize, c)
         if key not in cache:
             train_kw, new_kw = _MARGIN_COLLECTIONS[dataset]
             train = load_dataset(dataset, **train_kw)
             newcomers = load_dataset(dataset, **new_kw).graphs
             bundle = Session(ExecutionContext()).train(
-                _TIER_SPECS[name], train, c=C, normalize=normalize
+                _TIER_SPECS[name], train, c=c, normalize=normalize
             )
             expected = _transductive_labels(
                 bundle.kernel, train.graphs, train.targets, newcomers,
-                normalize=normalize,
+                normalize=normalize, c=c,
             )
             cache[key] = (bundle, newcomers, expected)
         return cache[key]
@@ -715,10 +723,10 @@ def full_row_decisions(tier_cases):
     one engine, computed once per engine."""
     cache = {}
 
-    def decisions(dataset, name, normalize, engine):
-        key = (dataset, name, normalize, engine)
+    def decisions(dataset, name, normalize, c, engine):
+        key = (dataset, name, normalize, c, engine)
         if key not in cache:
-            bundle, newcomers, _ = tier_cases(dataset, name, normalize)
+            bundle, newcomers, _ = tier_cases(dataset, name, normalize, c)
             service = PredictionService(bundle, ctx=ExecutionContext(engine=engine))
             cache[key] = bundle.model.vote_margins(
                 service.conditioned_rows(newcomers)
@@ -732,23 +740,24 @@ class TestSupportTier:
     """Predictions from the support columns against the full-row decision
     ``vote_margins(conditioned_rows(...))``: the same labels and votes,
     margins within :data:`MARGIN_TIER`, and the transductive protocol's
-    labels, under every engine and streaming chunk."""
+    labels, under every engine, streaming chunk and box constraint."""
 
     @pytest.mark.parametrize("engine", ["serial", "batched", "process"])
     @pytest.mark.parametrize("block", [None, 1, 3])
+    @pytest.mark.parametrize("c", _TIER_CS, ids=lambda c: f"C{c:g}")
     @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "cosine"])
     @pytest.mark.parametrize("name", sorted(_TIER_SPECS))
     @pytest.mark.parametrize("dataset", sorted(_MARGIN_COLLECTIONS))
     def test_margins_within_tier(
-        self, tier_cases, full_row_decisions, dataset, name, normalize, block,
-        engine,
+        self, tier_cases, full_row_decisions, dataset, name, normalize, c,
+        block, engine,
     ):
-        bundle, newcomers, expected = tier_cases(dataset, name, normalize)
+        bundle, newcomers, expected = tier_cases(dataset, name, normalize, c)
         service = PredictionService(
             bundle, ctx=ExecutionContext(engine=engine), max_block_graphs=block
         )
         served = service.predict(newcomers)
-        votes, margins = full_row_decisions(dataset, name, normalize, engine)
+        votes, margins = full_row_decisions(dataset, name, normalize, c, engine)
         assert np.array_equal(served.labels, expected)
         assert np.array_equal(
             served.labels, bundle.model.labels_from_votes(votes, margins)
