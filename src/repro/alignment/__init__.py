@@ -26,7 +26,7 @@ from repro.alignment.prototypes import (
 from repro.alignment.transform import (
     aligned_adjacency,
     aligned_density,
-    average_over_k,
+    hierarchical_aligned,
 )
 from repro.alignment.umeyama import (
     permute_with,
@@ -43,12 +43,12 @@ __all__ = [
     "aligned_density",
     "aligned_vertex_pairs",
     "assign_to_centers",
-    "average_over_k",
     "check_correspondence_matrix",
     "correspondence_is_transitive",
     "correspondence_matrices",
     "db_representations",
     "fit_prototype_hierarchy",
+    "hierarchical_aligned",
     "kmeans",
     "kmeans_plusplus_init",
     "level_sizes",

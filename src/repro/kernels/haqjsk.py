@@ -8,8 +8,8 @@ Two kernels over a collection ``G`` of un-attributed graphs:
   transitive aligned density matrices* directly.
 
 Both sum ``exp(-QJSD)`` over hierarchy levels ``h = 1..H``. The alignment
-pipeline (DB representations -> hierarchical prototypes -> correspondence
-matrices -> aligned structures) lives in :class:`HierarchicalAligner` so the
+pipeline (DB representations -> hierarchical prototypes -> correspondences
+-> aligned structures) lives in :class:`HierarchicalAligner` so the
 two kernels, the examples, and the ablation benches share one
 implementation. Each kernel asks the aligner for the one structure it
 reads: (A) the aligned adjacencies, (D) the aligned densities.
@@ -35,14 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.alignment.correspondence import correspondence_matrices
 from repro.backend import EXACT
 from repro.backend.policy import DEFAULT_CHUNK_ELEMENTS
 from repro.backend.support import support_entropies
 from repro.alignment.depth_based import DBRepresentationExtractor, check_entropy_kind
 from repro.alignment.kmeans import cluster_means
 from repro.alignment.prototypes import PrototypeHierarchy, fit_prototype_hierarchy
-from repro.alignment.transform import aligned_adjacency, aligned_density
+from repro.alignment.transform import hierarchical_aligned
 from repro.errors import AlignmentError, KernelError
 from repro.graphs.graph import Graph
 from repro.graphs.hashing import collection_digest
@@ -54,6 +53,11 @@ from repro.quantum.operators import check_hamiltonian
 from repro.utils.linalg import safe_xlogx
 from repro.utils.rng import as_rng, spawn_seed
 from repro.utils.validation import check_in_range, check_positive_int
+
+# Not called here: perfbench's ``alignment.align`` hook patches these by
+# name (``repro.kernels.haqjsk:<name>``), so they must stay importable.
+from repro.alignment.correspondence import correspondence_matrices  # noqa: F401
+from repro.alignment.transform import aligned_adjacency, aligned_density  # noqa: F401
 
 #: The aligned structures :meth:`HierarchicalAligner.transform` builds.
 ALIGNED_STRUCTURES = ("adjacency", "density")
@@ -112,9 +116,11 @@ class HierarchicalAligner:
     2. for each DB dimension ``k = 1..K``: a hierarchical prototype system
        (level-1 count ``n_prototypes``, halving per level for ``n_levels``
        levels) fitted on the pooled vertex representations;
-    3. per graph: level-h correspondence matrices and the aligned adjacency
-       or density matrices, averaged over ``k`` (Eq. 22-25). Only the
-       structure the caller names is built.
+    3. per graph: the level-1 prototype of every vertex in every dimension
+       (the correspondences of Eq. 15/17, as indices) and, by scatter, the
+       aligned adjacency or density matrices, averaged over ``k``
+       (Eq. 22-25; :func:`repro.alignment.transform.hierarchical_aligned`).
+       Only the structure the caller names is built.
 
     Parameters
     ----------
@@ -325,43 +331,28 @@ class HierarchicalAligner:
     ) -> "list[list[np.ndarray]]":
         """Align every graph's ``structure`` against an (already fitted)
         prototype system."""
-        n_layers = system.n_layers
-        n_static = system.n_static
-        # validate=False below: sources and correspondences are all
-        # constructed here; the checks dominate the congruence otherwise.
         if structure == "density":
             sources = [
                 graph_density_matrix(g, hamiltonian=self.hamiltonian) for g in graphs
             ]
-
-            def congruence(source, c_matrix):
-                return aligned_density(
-                    source,
-                    c_matrix,
-                    renormalize=self.renormalize_density,
-                    validate=False,
-                )
-
         else:
             sources = [g.adjacency for g in graphs]
-
-            def congruence(source, c_matrix):
-                return aligned_adjacency(source, c_matrix, validate=False)
-
-        sums = [[None] * self.n_levels for _ in graphs]  # per graph, per level
-        for k in range(1, n_layers + 1):
-            hierarchy = system.hierarchies[k - 1]
-            for p, source in enumerate(sources):
-                c_levels = correspondence_matrices(
-                    self._slice_k(representations[p], k, n_layers, n_static),
-                    hierarchy,
+        renormalize = structure == "density" and self.renormalize_density
+        n_layers = system.n_layers
+        aligned = []
+        for source, representation in zip(sources, representations):
+            level1 = [
+                hierarchy.assign_level1(
+                    self._slice_k(representation, k, n_layers, system.n_static)
                 )
-                for h, c_matrix in enumerate(c_levels):
-                    aligned = congruence(source, c_matrix)
-                    if sums[p][h] is None:
-                        sums[p][h] = np.zeros_like(aligned)
-                    sums[p][h] += aligned
-        return [[m / n_layers for m in levels] for levels in sums]
+                for k, hierarchy in enumerate(system.hierarchies, start=1)
+            ]
+            aligned.append(
+                hierarchical_aligned(
+                    source, level1, system.hierarchies, renormalize=renormalize
+                )
+            )
+        return aligned
 
     @staticmethod
     def _slice_k(

@@ -145,19 +145,9 @@ def safe_xlogx(values: np.ndarray) -> np.ndarray:
     return np.where(arr > 0.0, product, 0.0)
 
 
-def normalized_trace_one(
-    matrix: np.ndarray, *, name: str = "matrix", validate: bool = True
-) -> np.ndarray:
-    """Scale a PSD matrix to unit trace; identity/size fallback for zero trace.
-
-    ``validate=False`` skips the symmetry check for hot loops whose inputs
-    are symmetric by construction; the scaling arithmetic is identical.
-    """
-    arr = (
-        check_symmetric_matrix(matrix, name)
-        if validate
-        else np.asarray(matrix, dtype=float)
-    )
+def normalized_trace_one(matrix: np.ndarray, *, name: str = "matrix") -> np.ndarray:
+    """Scale a PSD matrix to unit trace; identity/size fallback for zero trace."""
+    arr = check_symmetric_matrix(matrix, name)
     trace = float(np.trace(arr))
     if trace <= EIG_TOL:
         n = arr.shape[0]

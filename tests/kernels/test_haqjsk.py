@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import repro.alignment as alignment
 import repro.kernels.haqjsk as haqjsk
 from repro import KernelSpec, Session
-from repro.alignment import prototypes
+from repro.alignment import correspondence, prototypes
 from repro.alignment.depth_based import DBRepresentationExtractor
 from repro.errors import AlignmentError, KernelError, ValidationError
 from repro.graphs import generators as gen
@@ -14,7 +15,7 @@ from repro.kernels.haqjsk import (
     HAQJSKKernelD,
     HierarchicalAligner,
 )
-from repro.quantum.density import check_density_matrix
+from repro.quantum.density import check_density_matrix, graph_density_matrix
 from repro.quantum.operators import available_hamiltonians, hamiltonian_from_adjacency
 from repro.utils.linalg import is_positive_semidefinite
 
@@ -91,32 +92,68 @@ class TestHierarchicalAligner:
             HierarchicalAligner(n_prototypes=8).transform(collection, "both")
 
 
-def _forbid(monkeypatch, *names):
-    """Make the named ``repro.kernels.haqjsk`` functions fail if called."""
+def _forbid(monkeypatch, *names, module=haqjsk):
+    """Make the named functions of ``module`` fail if called."""
     for name in names:
         def forbidden(*args, _name=name, **kwargs):
             raise AssertionError(f"{_name} was called")
 
-        monkeypatch.setattr(haqjsk, name, forbidden)
+        monkeypatch.setattr(module, name, forbidden)
+
+
+def _spy_scatter(monkeypatch):
+    """Record ``(source, renormalize)`` for every aligned-matrix scatter
+    the aligner runs (one call per graph)."""
+    calls = []
+    real = haqjsk.hierarchical_aligned
+
+    def spy(source, level1, hierarchies, *, renormalize=False):
+        calls.append((np.array(source), renormalize))
+        return real(source, level1, hierarchies, renormalize=renormalize)
+
+    monkeypatch.setattr(haqjsk, "hierarchical_aligned", spy)
+    return calls
 
 
 class TestVariantScopedAlignment:
     """Each variant builds only the aligned structure it reads."""
 
-    def test_density_variant_skips_adjacency_congruences(self, collection, monkeypatch):
+    def test_density_variant_scatters_only_densities(self, collection, monkeypatch):
         kernel = HAQJSKKernelD(n_prototypes=8, n_levels=3, max_layers=4, seed=0)
         expected = kernel.prepare(collection)
-        _forbid(monkeypatch, "aligned_adjacency")
+        calls = _spy_scatter(monkeypatch)
         states = kernel.prepare(collection)
+        assert len(calls) == len(collection)
+        for (source, renormalize), graph in zip(calls, collection):
+            assert np.array_equal(source, graph_density_matrix(graph))
+            assert renormalize is True
         for (ent_a, mats_a), (ent_b, mats_b) in zip(states, expected):
             assert ent_a == ent_b
             assert all(np.array_equal(x, y) for x, y in zip(mats_a, mats_b))
 
-    def test_adjacency_variant_skips_densities(self, collection, monkeypatch):
+    def test_adjacency_variant_scatters_only_adjacencies(self, collection, monkeypatch):
         kernel = HAQJSKKernelA(n_prototypes=8, n_levels=3, max_layers=4, seed=0)
         expected = kernel.gram(collection)
-        _forbid(monkeypatch, "aligned_density", "graph_density_matrix")
+        _forbid(monkeypatch, "graph_density_matrix")
+        calls = _spy_scatter(monkeypatch)
         assert np.array_equal(kernel.gram(collection), expected)
+        assert len(calls) == len(collection)
+        for (source, renormalize), graph in zip(calls, collection):
+            assert np.array_equal(source, graph.adjacency)
+            assert renormalize is False
+
+    @pytest.mark.parametrize("kernel_class", [HAQJSKKernelA, HAQJSKKernelD])
+    def test_prepare_builds_no_one_hot_matrix(
+        self, collection, kernel_class, monkeypatch
+    ):
+        kernel = kernel_class(n_prototypes=8, n_levels=3, max_layers=4, seed=0)
+        expected = kernel.prepare(collection)
+        _forbid(monkeypatch, "one_hot", module=correspondence)
+        _forbid(monkeypatch, "one_hot", module=alignment)
+        states = kernel.prepare(collection)
+        for (ent_a, mats_a), (ent_b, mats_b) in zip(states, expected):
+            assert ent_a == ent_b
+            assert all(np.array_equal(x, y) for x, y in zip(mats_a, mats_b))
 
     def test_structure_is_a_class_constant(self):
         assert HAQJSKKernelA.aligned_structure == "adjacency"
